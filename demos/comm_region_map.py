@@ -34,7 +34,7 @@ cfg = RunConfig(
         SweepAxis(name="kappa_c", minimum=1e-4, maximum=1e-3, points=20, scale="log"),
     ),
 )
-table = run_region(cfg, threads=1)
+table = run_region(cfg)
 
 regions = Counter()
 agreement = Counter()

@@ -35,8 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     region = sub.add_parser("region", help="two-axis regime and steering map")
     _add_io_arguments(region)
-    region.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid cells (default 1)")
 
     compare = sub.add_parser("compare", help="closed form vs full dynamics along one axis")
     _add_io_arguments(compare)
@@ -61,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evolve":
             table = run_evolve(cfg)
         elif args.command == "region":
-            table = run_region(cfg, threads=args.threads)
+            table = run_region(cfg)
         else:
             table = run_compare(cfg)
     except ConfigError as exc:

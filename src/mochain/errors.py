@@ -13,7 +13,7 @@ class CriticalPoleError(ValueError):
     """Analytic covariance evaluation requested at the steady/unsteady boundary.
 
     The constant term of the cross correlation has a pole at g_eff^2 = kappa_a*kappa_c;
-    use the numeric integrator there instead.
+    use the exact propagator there instead.
     """
 
 

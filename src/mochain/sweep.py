@@ -7,20 +7,22 @@ numeric pass for the platform systems), and run_compare sweeps one axis and
 tabulates closed-form stationary values against the full dynamics at the
 characteristic time and twice it.
 
-All tables serialize to CSV (LF line endings, shortest round-trip float
-representation) or JSON. Grid cells are independent, so the optional thread
-pool never changes the output: rows are assembled by cell index.
+Every numeric covariance comes from the exact propagator
+dynamics.propagate_lti, except for effective models with vacuum input away
+from the critical coupling, where the analytic covariance is used. All tables
+serialize to CSV (LF line endings, shortest round-trip float representation)
+or JSON.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -34,15 +36,12 @@ from .config import (
 )
 from .dynamics import (
     DriftDiffusion,
-    _rk4_batch,
     analytic_effective_cm,
-    auto_step,
     build_effective_drift_diffusion,
     characteristic_time,
-    lyapunov_rk4,
     propagate_lti,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .gaussian import CovarianceMatrix, ModePartition, Regime, gaussian_steering, log_negativity
 from .stationary import stationary_entanglement, stationary_steering, steering_region
 from .systems import (
@@ -148,9 +147,9 @@ def run_evolve(cfg: RunConfig) -> Table:
     """Resource time series for a single parameter set.
 
     Effective (and chain-reduced) systems use the analytic covariance when it
-    exists and fall back to RK4 integration at the critical coupling or for
-    thermal end modes; the platform systems integrate their full linearized
-    dynamics and reduce to the microwave-optical sub-state.
+    exists and the exact propagator at the critical coupling or for thermal
+    end modes; the platform systems propagate their full linearized dynamics
+    exactly and reduce to the microwave-optical sub-state.
     """
     model = effective_model(cfg.system, cfg.parameters)
     regime = classify_regime(model)
@@ -162,17 +161,13 @@ def run_evolve(cfg: RunConfig) -> Table:
     if effective_route:
         columns += ["v11", "v44", "v14"]
 
-    if effective_route:
-        analytic_ok = (regime is not Regime.CRITICAL
-                       and model.n_a == 0.0 and model.n_c == 0.0)
-        if analytic_ok:
-            states = [analytic_effective_cm(model, t) for t in grid]
-        else:
-            dd = build_effective_drift_diffusion(model)
-            states = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), grid).states
+    if (effective_route and regime is not Regime.CRITICAL
+            and model.n_a == 0.0 and model.n_c == 0.0):
+        states = [analytic_effective_cm(model, t) for t in grid]
     else:
-        dd = _full_drift_diffusion(cfg)
-        states = lyapunov_rk4(dd, CovarianceMatrix.vacuum(dd.modes), grid).states
+        dd = (build_effective_drift_diffusion(model) if effective_route
+              else _full_drift_diffusion(cfg))
+        states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), grid)
 
     rows = []
     for t, state in zip(grid, states):
@@ -184,20 +179,13 @@ def run_evolve(cfg: RunConfig) -> Table:
     return Table(columns=tuple(columns), rows=tuple(rows))
 
 
-def _chunked_map(worker: Callable[[int], tuple], count: int, threads: int) -> list[tuple]:
-    if threads <= 1:
-        return [worker(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(count)))
-
-
-def run_region(cfg: RunConfig, threads: int = 1) -> Table:
+def run_region(cfg: RunConfig) -> Table:
     """Closed-form regime/steering map over a two-axis grid, one row per cell.
 
-    For the platform systems the table carries a full-system numeric pass:
-    the covariance at the cell's characteristic time (exact LTI propagation,
-    RK4 fallback at the stability boundary) and a flag recording whether the
-    numeric steering signs agree with the closed-form directions.
+    Rows come in axis1-major order of the axis values. For the platform
+    systems the table carries a full-system numeric pass: the covariance at
+    the cell's characteristic time (exact propagation) and a flag recording
+    whether the numeric steering signs agree with the closed-form directions.
     """
     if len(cfg.sweep) != 2:
         raise ConfigError("run_region needs sweep.axis1 and sweep.axis2")
@@ -209,10 +197,8 @@ def run_region(cfg: RunConfig, threads: int = 1) -> Table:
     if numeric:
         columns += ["E_full", "S_ac_full", "S_ca_full", "agree"]
 
-    cells = [(x1, x2) for x1 in values1 for x2 in values2]
-
-    def evaluate(index: int) -> tuple:
-        x1, x2 = cells[index]
+    rows = []
+    for x1, x2 in itertools.product(values1, values2):
         params = dict(cfg.parameters)
         params[axis1.name] = x1
         params[axis2.name] = x2
@@ -227,17 +213,11 @@ def run_region(cfg: RunConfig, threads: int = 1) -> Table:
             sub_cfg = RunConfig(system=cfg.system, parameters=params)
             dd = _full_drift_diffusion(sub_cfg)
             tau = characteristic_time(model)
-            v0 = CovarianceMatrix.vacuum(dd.modes)
-            try:
-                state = propagate_lti(dd, v0, [tau])[0]
-            except NumericError:
-                state = lyapunov_rk4(dd, v0, [0.0, tau]).states[-1]
+            state = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), [tau])[0]
             e_full, s_ac_full, s_ca_full = _mo_resources(state)
             agree = ((s_ac_full > 0) == (s_ac > 0)) and ((s_ca_full > 0) == (s_ca > 0))
             row += [e_full, s_ac_full, s_ca_full, agree]
-        return tuple(row)
-
-    rows = _chunked_map(evaluate, len(cells), threads)
+        rows.append(tuple(row))
     return Table(columns=tuple(columns), rows=tuple(rows))
 
 
@@ -251,11 +231,11 @@ def _positive_dev(full_value: float, closed_value: float) -> float:
 def run_compare(cfg: RunConfig) -> Table:
     """Closed-form vs full-dynamics stationary resources along one swept axis.
 
-    The full systems are integrated in one RK4 batch, each cell landing
-    exactly on its own characteristic time and on twice it; deviations are
-    reported relative to the closed forms (for steering only where the
-    closed-form direction is present), together with the worst
-    coupling-to-gap validity ratio of the perturbative reduction.
+    Each cell's full system is propagated exactly to its own characteristic
+    time and to twice it; deviations are reported relative to the closed
+    forms (for steering only where the closed-form direction is present),
+    together with the worst coupling-to-gap validity ratio of the
+    perturbative reduction.
     """
     if cfg.system not in ("eom", "comm"):
         raise ConfigError("run_compare needs a platform system ('eom' or 'comm')")
@@ -267,40 +247,22 @@ def run_compare(cfg: RunConfig) -> Table:
     else:
         axis_name, axis_values = "point", [math.nan]
 
-    n_cells = len(axis_values)
-    param_sets = []
+    builder = build_eom_params if cfg.system == "eom" else build_comm_params
+    to_chain = eom_to_chain if cfg.system == "eom" else comm_to_chain
+    rows = []
     for value in axis_values:
         params = dict(cfg.parameters)
         if cfg.sweep:
             params[axis_name] = value
-        param_sets.append(params)
-
-    builder = build_eom_params if cfg.system == "eom" else build_comm_params
-    to_chain = eom_to_chain if cfg.system == "eom" else comm_to_chain
-    models, taus, dds, chains = [], [], [], []
-    for params in param_sets:
-        sub_cfg = RunConfig(system=cfg.system, parameters=params)
-        models.append(effective_model(cfg.system, params))
-        taus.append(characteristic_time(models[-1]))
-        dds.append(_full_drift_diffusion(sub_cfg))
-        chains.append(to_chain(builder(params)))
-
-    size = dds[0].a.shape[0]
-    a_stack = np.stack([dd.a for dd in dds])
-    d_stack = np.stack([dd.d for dd in dds])
-    v0_stack = np.tile(np.eye(size) / 2.0, (n_cells, 1, 1))
-    grids = np.array([[0.0, tau, 2.0 * tau] for tau in taus])
-    h_targets = np.array([auto_step(dd.a) for dd in dds])
-    states = _rk4_batch(a_stack, d_stack, v0_stack, grids, h_targets)
-
-    rows = []
-    for i, (model, params) in enumerate(zip(models, param_sets)):
+        model = effective_model(cfg.system, params)
+        tau = characteristic_time(model)
+        dd = _full_drift_diffusion(RunConfig(system=cfg.system, parameters=params))
+        v_tau, v_2tau = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), [tau, 2.0 * tau])
+        at_tau, at_2tau = _mo_resources(v_tau), _mo_resources(v_2tau)
         e = stationary_entanglement(model)
         s_ac = stationary_steering(model, "ac")
         s_ca = stationary_steering(model, "ca")
-        at_tau = _mo_resources(CovarianceMatrix(states[i, 1]))
-        at_2tau = _mo_resources(CovarianceMatrix(states[i, 2]))
-        report = validity_report(chains[i])
+        report = validity_report(to_chain(builder(params)))
         rows.append(
             (
                 params.get(axis_name, math.nan),

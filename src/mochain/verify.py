@@ -2,8 +2,8 @@
 
 Each check pins a tolerance and reports its worst measured residual; the suite
 uses fixed seeds, so repeated runs print identical reports. The heavier
-full-system checks run on shortened horizons here to keep the suite within a
-few minutes; the acceptance tests exercise the full-length versions.
+full-system checks run on shortened horizons or sweeps here to keep the suite
+within seconds; the acceptance tests exercise the full-length versions.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .dynamics import (
     build_effective_drift_diffusion,
     characteristic_time,
     lyapunov_rk4,
+    propagate_lti,
     squeeze_variances,
     steady_state,
 )
@@ -301,17 +302,20 @@ def check_energy_shift_middle_modes() -> CheckResult:
 
 
 def check_steady_state_residual() -> CheckResult:
+    """Stationary solve residual on stable systems, the full EOM platform included.
+
+    The Fig.-3 EOM couplings give an unstable drift, so the platform enters
+    with weaker couplings g_a = g_c = 0.03, where it is Hurwitz stable.
+    """
     worst = 0.0
     systems = [build_effective_drift_diffusion(EffectiveModel(0.5, 1.0, 1.0)),
                build_effective_drift_diffusion(EffectiveModel(0.3, 0.8, 1.2, n_a=1.0)),
-               eom_full_drift_diffusion(EomParams(**EOM_FIG3))]
+               eom_full_drift_diffusion(EomParams(**dict(EOM_FIG3, g_a=0.03, g_c=0.03)))]
     for dd in systems:
-        try:
-            v = steady_state(dd)
-        except Exception:
-            continue
+        v = steady_state(dd)
         worst = max(worst, float(np.max(np.abs(dd.a @ v.data + v.data @ dd.a.T + dd.d))))
-    return CheckResult("steady-state-residual", worst < 1e-10, worst, 1e-10)
+    return CheckResult("steady-state-residual", worst < 1e-10, worst, 1e-10,
+                       f"{len(systems)} stable systems")
 
 
 def check_zeta_vs_squeezed_variance() -> CheckResult:
@@ -428,8 +432,7 @@ def check_monogamy_on_trajectories() -> CheckResult:
         rate = float(np.max(np.abs(np.real(np.linalg.eigvals(dd.a)))))
         horizon = 0.5 / rate if rate > 0 else 1.0
         grid = np.linspace(0.0, horizon, 7)
-        traj = lyapunov_rk4(dd, CovarianceMatrix.vacuum(modes), grid)
-        for state in traj.states[1:]:
+        for state in propagate_lti(dd, CovarianceMatrix.vacuum(modes), grid)[1:]:
             ent_res, steer_res = monogamy_residuals(state, 0)
             worst = min(worst, ent_res, steer_res)
     return CheckResult("monogamy-residuals-nonnegative", worst >= -1e-9, worst, -1e-9,
@@ -467,17 +470,22 @@ def check_csv_round_trip() -> CheckResult:
                        "emit/parse equality on 17-digit floats")
 
 
-def check_grid_determinism() -> CheckResult:
+def check_region_row_order() -> CheckResult:
+    """Region rows come in axis1-major order of the axis values; reruns render identically."""
+    axis1, axis2 = SweepAxis("kappa_a", 0.4, 2.0, 6), SweepAxis("kappa_c", 0.4, 2.0, 5)
     cfg = RunConfig(
         system="effective",
         parameters={"g_eff": 1.0, "kappa_a": 1.0, "kappa_c": 1.0},
-        sweep=(SweepAxis("kappa_a", 0.4, 2.0, 6), SweepAxis("kappa_c", 0.4, 2.0, 6)),
+        sweep=(axis1, axis2),
     )
-    serial = render(run_region(cfg, threads=1))
-    threaded = render(run_region(cfg, threads=4))
-    same = serial == threaded
-    return CheckResult("grid-scheduling-determinism", same, 0.0 if same else 1.0, 0.0,
-                       "region map identical with 1 and 4 workers")
+    table = run_region(cfg)
+    expected = [(x1, x2) for x1 in axis1.values() for x2 in axis2.values()]
+    misplaced = abs(len(table.rows) - len(expected)) + sum(
+        1 for row, cell in zip(table.rows, expected) if row[:2] != cell)
+    rerun_differs = render(table) != render(run_region(cfg))
+    worst = float(misplaced + rerun_differs)
+    return CheckResult("region-row-order", worst == 0.0, worst, 0.0,
+                       f"{len(expected)} cells axis1-major; two runs render identically")
 
 
 ALL_CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
@@ -500,7 +508,7 @@ ALL_CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
     ("monogamy-residuals-nonnegative", check_monogamy_on_trajectories),
     ("full-vs-effective-agreement", check_full_vs_effective),
     ("csv-round-trip", check_csv_round_trip),
-    ("grid-scheduling-determinism", check_grid_determinism),
+    ("region-row-order", check_region_row_order),
 )
 
 

@@ -1,4 +1,4 @@
-"""Covariance evolution: analytic form, RK4 integration, steady states, variances."""
+"""Covariance evolution: analytic form, exact propagation, RK4 oracle, steady states, variances."""
 
 import math
 
@@ -10,7 +10,6 @@ from mochain.dynamics import (
     AnalyticConstants,
     DriftDiffusion,
     Trajectory,
-    _rk4_batch,
     analytic_effective_cm,
     auto_step,
     build_effective_drift_diffusion,
@@ -20,8 +19,14 @@ from mochain.dynamics import (
     squeeze_variances,
     steady_state,
 )
-from mochain.errors import CriticalPoleError, NumericError, RegimeError
+from mochain.errors import CriticalPoleError, RegimeError
 from mochain.gaussian import CovarianceMatrix
+from mochain.systems import (
+    CommParams,
+    EomParams,
+    comm_full_drift_diffusion,
+    eom_full_drift_diffusion,
+)
 
 STEADY = EffectiveModel(0.5, 1.0, 1.0)
 UNSTEADY = EffectiveModel(1.0, 0.5, 1.0)
@@ -138,43 +143,6 @@ class TestLyapunovRk4:
         with pytest.raises(ValueError):
             lyapunov_rk4(dd, CovarianceMatrix.vacuum(3), [0.0, 1.0])
 
-    def test_batch_matches_single_exactly(self):
-        # identical grids and step targets give identical substep counts, so
-        # the batched stepper reproduces the single-trajectory one bit for bit
-        models = [STEADY, UNSTEADY, EffectiveModel(0.7, 1.2, 0.9)]
-        dds = [build_effective_drift_diffusion(m) for m in models]
-        grid = np.array([0.0, 2.0, 5.0])
-        h = 0.02
-        batch = _rk4_batch(
-            np.stack([dd.a for dd in dds]),
-            np.stack([dd.d for dd in dds]),
-            np.tile(np.eye(4) / 2, (3, 1, 1)),
-            np.tile(grid, (3, 1)),
-            np.full(3, h),
-        )
-        for i, dd in enumerate(dds):
-            single = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), grid, h=h)
-            for j in range(len(grid)):
-                assert np.array_equal(batch[i, j], single.states[j].data)
-
-    def test_batch_with_per_cell_grids(self):
-        # unequal spans: every cell still lands exactly on its own grid points
-        models = [STEADY, UNSTEADY]
-        dds = [build_effective_drift_diffusion(m) for m in models]
-        taus = [characteristic_time(m) for m in models]
-        grids = np.array([[0.0, tau, 2.0 * tau] for tau in taus])
-        batch = _rk4_batch(
-            np.stack([dd.a for dd in dds]),
-            np.stack([dd.d for dd in dds]),
-            np.tile(np.eye(4) / 2, (2, 1, 1)),
-            grids,
-            np.array([auto_step(dd.a) for dd in dds]),
-        )
-        for i, m in enumerate(models):
-            for j, t in enumerate(grids[i]):
-                exact = analytic_effective_cm(m, float(t)).data
-                assert np.max(np.abs(batch[i, j] - exact)) < 1e-7
-
 
 class TestSteadyState:
     def test_vacuum_bath(self):
@@ -205,11 +173,81 @@ class TestPropagateLti:
         for t, state in zip(times, exact):
             assert np.max(np.abs(state.data - analytic_effective_cm(UNSTEADY, t).data)) < 1e-10
 
-    def test_critical_regime_rejected(self):
+    def test_critical_coupling_matches_rk4(self):
+        # g^2 = ka kc has no fixed point; the covariance grows without bound
         m = EffectiveModel(math.sqrt(0.5), 0.5, 1.0)
         dd = build_effective_drift_diffusion(m)
-        with pytest.raises(NumericError):
-            propagate_lti(dd, CovarianceMatrix.vacuum(2), [1.0])
+        grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
+        exact = propagate_lti(dd, CovarianceMatrix.vacuum(2), grid)
+        oracle = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), grid, h=0.01)
+        for state, reference in zip(exact, oracle.states):
+            scale = float(np.max(np.abs(reference.data)))
+            assert np.max(np.abs(state.data - reference.data)) < 1e-8 * scale
+
+    @pytest.mark.parametrize("dd, modes", [
+        (eom_full_drift_diffusion(EomParams(
+            omega_b=1.0, delta_a=5.0, g_a=0.12, g_c=0.12,
+            kappa_a=5e-4, kappa_c=1e-3, kappa_b=1e-6, n_b=10.0)), 3),
+        (comm_full_drift_diffusion(CommParams(
+            omega_b=1.0, delta_a=3.0, g_a=0.12, g_m=0.1, g_c=0.12,
+            kappa_a=1e-4, kappa_c=2e-4, kappa_m=1e-3, kappa_b=1e-6, n_b=10.0)), 4),
+    ], ids=["eom-fig3", "comm-fig4"])
+    def test_full_platform_matches_rk4(self, dd, modes):
+        # RK4 at its auto step is off by ~3e-8 here and converges at fourth
+        # order onto the exact states (entries of order 0.5)
+        grid = np.linspace(0.0, 20.0, 5)
+        exact = propagate_lti(dd, CovarianceMatrix.vacuum(modes), grid)
+        oracle = lyapunov_rk4(dd, CovarianceMatrix.vacuum(modes), grid)
+        for state, reference in zip(exact, oracle.states):
+            assert np.max(np.abs(state.data - reference.data)) < 1e-7
+
+    def test_fine_grid_keeps_squeezed_quadrature(self):
+        # divergent thermal model over 5 tau: entries reach ~1e9 while the
+        # squeezed variance is 0.18; double rounding at each of the 400 steps
+        # leaves ~9e-7 relative error there, extended precision ~1e-7
+        mp = pytest.importorskip("mpmath")
+        if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+            pytest.skip("no extended precision type on this platform")
+        m = EffectiveModel(1.9923732904068676, 1.0, 1.0, n_a=0.1)
+        dd = build_effective_drift_diffusion(m)
+        tau = characteristic_time(m)
+        grid = np.linspace(0.0, 5.0 * tau, 401)
+        states = propagate_lti(dd, CovarianceMatrix.vacuum(2), grid)
+        with mp.workdps(40):
+            block = mp.zeros(8, 8)
+            for i in range(4):
+                for j in range(4):
+                    block[i, j] = -dd.a[i, j]
+                    block[i, 4 + j] = dd.d[i, j]
+                    block[4 + i, 4 + j] = dd.a[j, i]
+            for index in (397, 400):
+                e = mp.expm(block * mp.mpf(float(grid[index])))
+                phi = e[4:8, 4:8].T
+                exact = phi * phi.T / 2 + phi * e[0:4, 4:8]
+                variances, directions = mp.eigsy((exact + exact.T) / 2)
+                u = directions[:, 0]
+                error = (u.T * (mp.matrix(states[index].data.tolist()) - exact) * u)[0]
+                assert abs(error) < 3e-7 * variances[0]
+
+    def test_repeated_time_returns_same_state(self):
+        dd = build_effective_drift_diffusion(UNSTEADY)
+        v0 = CovarianceMatrix(np.eye(4))
+        states = propagate_lti(dd, v0, [0.0, 1.5, 1.5])
+        assert np.array_equal(states[0].data, v0.data)
+        assert np.array_equal(states[2].data, states[1].data)
+
+    def test_overflow_raises_with_time(self):
+        dd = build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))
+        with pytest.raises(OverflowError, match="t = 40"):
+            propagate_lti(dd, CovarianceMatrix.vacuum(2), np.linspace(0.0, 200.0, 21))
+
+    def test_grid_validation(self):
+        dd = build_effective_drift_diffusion(STEADY)
+        for times in ([1.0, 0.5], [-1.0, 0.5], [0.0, math.inf]):
+            with pytest.raises(ValueError):
+                propagate_lti(dd, CovarianceMatrix.vacuum(2), times)
+        with pytest.raises(ValueError):
+            propagate_lti(dd, CovarianceMatrix.vacuum(3), [1.0])
 
 
 class TestCharacteristicTime:
