@@ -18,17 +18,15 @@ from pathlib import Path
 from mochain import CommParams, comm_to_chain, reduce
 from mochain.config import RunConfig, SweepAxis
 from mochain.sweep import run_region, write_output
+from mochain.systems import COMM_FIG4
 
-BASE = dict(omega_b=1.0, delta_a=3.0, g_a=0.12, g_m=0.1, g_c=0.12,
-            kappa_a=1e-4, kappa_c=2e-4, kappa_m=1e-3, kappa_b=1e-6, n_b=10.0)
-
-model = reduce(comm_to_chain(CommParams(**BASE)))
+model = reduce(comm_to_chain(CommParams(**COMM_FIG4)))
 print(f"effective coupling g_eff = {model.g_eff:.2e}; stability boundary at "
       f"kappa_a kappa_c = {model.g_eff**2:.2e}")
 
 cfg = RunConfig(
     system="comm",
-    parameters=dict(BASE),
+    parameters=dict(COMM_FIG4),
     sweep=(
         SweepAxis(name="kappa_a", minimum=1e-4, maximum=1e-3, points=20, scale="log"),
         SweepAxis(name="kappa_c", minimum=1e-4, maximum=1e-3, points=20, scale="log"),

@@ -15,8 +15,6 @@ Run:  python3 demos/eom_platform.py   (seconds: the exact propagator reaches
 tau and 2 tau, ~10^3 time units, with one block exponential per point)
 """
 
-import numpy as np
-
 from mochain import (
     EomParams,
     characteristic_time,
@@ -27,12 +25,10 @@ from mochain import (
 )
 from mochain.config import RunConfig, SweepAxis
 from mochain.sweep import run_compare
-
-BASE = dict(omega_b=1.0, delta_a=5.0, g_a=0.12, g_c=0.12,
-            kappa_a=5e-4, kappa_c=1e-3, kappa_b=1e-6, n_b=10.0)
+from mochain.systems import EOM_FIG3
 
 # --- reduction and validity at the reference point ---------------------------
-chain = eom_to_chain(EomParams(**BASE))
+chain = eom_to_chain(EomParams(**EOM_FIG3))
 model = reduce(chain)
 print(f"reference point: g_eff = {model.g_eff:.6f} (in units of the mechanical "
       f"frequency), matched delta_c = {chain.delta_c:.6f}")
@@ -44,7 +40,7 @@ print(f"worst perturbative ratio: {worst_name} = {worst_ratio:.4f} (pass < 0.2)"
 # --- coupling scan: closed forms vs full 6x6 dynamics -------------------------
 cfg = RunConfig(
     system="eom",
-    parameters=dict(BASE),
+    parameters=dict(EOM_FIG3),
     sweep=(SweepAxis(name="g_a", minimum=0.05, maximum=0.2, points=6),),
 )
 table = run_compare(cfg)

@@ -29,11 +29,10 @@ from mochain import (
     propagate_lti,
     reduce,
 )
+from mochain.systems import COMM_FIG4, EOM_FIG3
 
-EOM = EomParams(omega_b=1.0, delta_a=5.0, g_a=0.12, g_c=0.12,
-                kappa_a=5e-4, kappa_c=1e-3, kappa_b=1e-6, n_b=10.0)
-COMM = CommParams(omega_b=1.0, delta_a=3.0, g_a=0.12, g_m=0.1, g_c=0.12,
-                  kappa_a=1e-4, kappa_c=2e-4, kappa_m=1e-3, kappa_b=1e-6, n_b=10.0)
+EOM = EomParams(**EOM_FIG3)
+COMM = CommParams(**COMM_FIG4)
 
 for label, params, dd_builder, to_chain, mode_names in (
     ("electro-optomechanical", EOM, eom_full_drift_diffusion, eom_to_chain,

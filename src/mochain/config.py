@@ -1,11 +1,16 @@
 """Run-configuration schema: JSON in, validated RunConfig out.
 
-A run selects one of four system builders (effective, chain, eom, comm) and a
-flat name->value parameter map, optionally swept along one or two axes. Time
-grids are specified in multiples of the characteristic time so sweeps stay
-well scaled as the coupling varies. Unknown keys are rejected everywhere with
-the offending key path in the message; JSON syntax errors keep their
-line/column from the parser.
+A run selects one system of the registry systems.SYSTEMS and gives a flat
+name->value parameter map, optionally swept along one or two axes. The
+parameter names are the fields of the system's parameter dataclass (a field
+with a default is optional), except for the general chain, whose per-mode
+tuples are spelled as indexed names (omega_1.., g_mid_1.., kappa_mid_1..).
+Every parameter value, and each sweep axis's end points, is checked by
+building the system's parameter object, so a value the physics rejects is a
+config error too. Time grids are specified in multiples of the
+characteristic time so sweeps stay well scaled as the coupling varies.
+Unknown keys are rejected everywhere with the offending key path in the
+message; JSON syntax errors keep their line/column from the parser.
 """
 
 from __future__ import annotations
@@ -15,14 +20,16 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .chain import ChainParams, EffectiveModel, matched_detunings
 from . import chain as chain_mod
 from .errors import ConfigError
-from .systems import CommParams, EomParams, comm_to_chain, eom_to_chain
+# comm_to_chain and eom_to_chain stay bound here as before the registry:
+# perfbench's tracer rebinds them in every module that holds them, and its
+# self-test checks that they are restored
+from .systems import SYSTEMS, System, comm_to_chain, eom_to_chain  # noqa: F401
 
-SYSTEMS = ("effective", "chain", "eom", "comm")
 FORMATS = ("csv", "json")
 
 
@@ -105,41 +112,26 @@ def _parse_axis(raw: Any, path: str) -> SweepAxis:
     return SweepAxis(name=name, minimum=lo, maximum=hi, points=points, scale=scale)
 
 
-_REQUIRED: dict[str, tuple[str, ...]] = {
-    "effective": ("g_eff", "kappa_a", "kappa_c"),
-    "eom": ("omega_b", "delta_a", "g_a", "g_c", "kappa_a", "kappa_c", "kappa_b"),
-    "comm": ("omega_b", "delta_a", "g_a", "g_m", "g_c",
-             "kappa_a", "kappa_m", "kappa_b", "kappa_c"),
-}
-_OPTIONAL: dict[str, tuple[str, ...]] = {
-    "effective": ("n_a", "n_c"),
-    "eom": ("n_a", "n_c", "n_b"),
-    "comm": ("delta_m", "n_a", "n_m", "n_c", "n_b"),
-}
+def _flat_schema(system: str, params: dict[str, float]
+                 ) -> tuple[set[str], set[str], Callable[[dict[str, float]], Any]]:
+    """Required names, allowed names and builder of a system's flat parameter map.
 
-
-def _allowed_parameters(system: str, params: dict[str, float]) -> set[str]:
-    if system != "chain":
-        return set(_REQUIRED[system]) | set(_OPTIONAL[system])
-    n = int(params.get("n", 0))
-    allowed = {"n", "delta_a", "delta_c", "theta", "phi", "g_a", "g_c",
-               "kappa_a", "kappa_c", "n_a", "n_c"}
-    for s in range(1, n + 1):
-        allowed |= {f"omega_{s}", f"kappa_mid_{s}", f"n_mid_{s}"}
-    for s in range(1, n):
-        allowed |= {f"g_mid_{s}"}
-    return allowed
-
-
-def _required_parameters(system: str, params: dict[str, float]) -> set[str]:
-    if system != "chain":
-        return set(_REQUIRED[system])
-    n = int(params.get("n", 0))
-    required = {"n", "delta_a", "theta", "phi", "g_a", "g_c", "kappa_a", "kappa_c"}
-    required |= {f"omega_{s}" for s in range(1, n + 1)}
-    required |= {f"kappa_mid_{s}" for s in range(1, n + 1)}
-    required |= {f"g_mid_{s}" for s in range(1, n)}
-    return required
+    The names are the fields of the system's parameter dataclass (a field with
+    a default is optional), except for the chain, whose per-mode tuples are
+    indexed names whose count follows n.
+    """
+    kind = system_entry(system).params
+    if kind is ChainParams:
+        n = int(params.get("n", 0))
+        required = {"n", "delta_a", "theta", "phi", "g_a", "g_c", "kappa_a", "kappa_c"}
+        required |= {f"omega_{s}" for s in range(1, n + 1)}
+        required |= {f"kappa_mid_{s}" for s in range(1, n + 1)}
+        required |= {f"g_mid_{s}" for s in range(1, n)}
+        optional = {"delta_c", "n_a", "n_c"} | {f"n_mid_{s}" for s in range(1, n + 1)}
+        return required, required | optional, build_chain_params
+    fields = dataclasses.fields(kind)
+    required = {f.name for f in fields if f.default is dataclasses.MISSING}
+    return required, {f.name for f in fields}, lambda flat: kind(**flat)
 
 
 def parse_config(raw: dict, source: str = "config") -> RunConfig:
@@ -148,8 +140,7 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
         raise ConfigError(f"{source}: top level must be an object")
     _reject_unknown(raw, {"system", "parameters", "sweep", "times", "outputs", "unit"}, source)
     system = raw.get("system")
-    if system not in SYSTEMS:
-        raise ConfigError(f"{source}.system: must be one of {SYSTEMS}, got {system!r}")
+    system_entry(system, f"{source}.system")
     raw_params = raw.get("parameters")
     if not isinstance(raw_params, dict) or not raw_params:
         raise ConfigError(f"{source}.parameters: required non-empty object")
@@ -159,9 +150,9 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
             params[key] = float(_count(value, f"{source}.parameters.n", 1))
         else:
             params[key] = _number(value, f"{source}.parameters.{key}")
-    allowed = _allowed_parameters(system, params)
+    required, allowed, _ = _flat_schema(system, params)
     _reject_unknown(params, allowed, f"{source}.parameters")
-    missing = _required_parameters(system, params) - set(params)
+    missing = required - set(params)
     if missing:
         raise ConfigError(f"{source}.parameters: missing {sorted(missing)}")
 
@@ -181,9 +172,25 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
                         f"{source}.sweep.{key}.name: {axis.name!r} is not a parameter "
                         f"of system {system!r}"
                     )
+                if axis.name == "n":
+                    raise ConfigError(f"{source}.sweep.{key}.name: 'n' cannot be swept, "
+                                      "it sets which parameters are required")
                 axes.append(axis)
         if len(axes) == 2 and axes[0].name == axes[1].name:
             raise ConfigError(f"{source}.sweep: both axes sweep {axes[0].name!r}")
+
+    # each dataclass __post_init__ check bounds a single field, so the end
+    # points of an axis cover the whole axis for those checks; the chain's
+    # joint resonance of delta_a and omega_s can still lie inside an axis and
+    # is only met by the cell that hits it
+    points = [("", params)]
+    points += [(f" at {axis.name} = {end!r}", {**params, axis.name: end})
+               for axis in axes for end in (axis.minimum, axis.maximum)]
+    for where, point in points:
+        try:
+            build_params(system, point)
+        except ValueError as exc:
+            raise ConfigError(f"{source}.parameters: {exc}{where}") from exc
 
     t_end_in_tau, samples = 2.0, 201
     if "times" in raw:
@@ -261,54 +268,20 @@ def build_chain_params(params: dict[str, float]) -> ChainParams:
     return dataclasses.replace(base, delta_c=delta_c)
 
 
-def build_eom_params(params: dict[str, float]) -> EomParams:
-    return EomParams(
-        omega_b=params["omega_b"],
-        delta_a=params["delta_a"],
-        g_a=params["g_a"],
-        g_c=params["g_c"],
-        kappa_a=params["kappa_a"],
-        kappa_c=params["kappa_c"],
-        kappa_b=params["kappa_b"],
-        n_a=params.get("n_a", 0.0),
-        n_c=params.get("n_c", 0.0),
-        n_b=params.get("n_b", 10.0),
-    )
+def system_entry(system: str, path: str = "system") -> System:
+    """The registry entry of a system name; an unknown name is a ConfigError at `path`."""
+    if not isinstance(system, str) or system not in SYSTEMS:
+        raise ConfigError(f"{path}: must be one of {tuple(SYSTEMS)}, got {system!r}")
+    return SYSTEMS[system]
 
 
-def build_comm_params(params: dict[str, float]) -> CommParams:
-    return CommParams(
-        omega_b=params["omega_b"],
-        delta_a=params["delta_a"],
-        g_a=params["g_a"],
-        g_m=params["g_m"],
-        g_c=params["g_c"],
-        kappa_a=params["kappa_a"],
-        kappa_m=params["kappa_m"],
-        kappa_b=params["kappa_b"],
-        kappa_c=params["kappa_c"],
-        delta_m=params.get("delta_m"),
-        n_a=params.get("n_a", 0.0),
-        n_m=params.get("n_m", 0.0),
-        n_c=params.get("n_c", 0.0),
-        n_b=params.get("n_b", 10.0),
-    )
+def build_params(system: str, params: dict[str, float]) -> Any:
+    """The parameter object of a registered system from its flat parameter map."""
+    return _flat_schema(system, params)[2](params)
 
 
 def effective_model(system: str, params: dict[str, float]) -> EffectiveModel:
     """Reduce any configured system to its effective two-mode model."""
-    if system == "effective":
-        return EffectiveModel(
-            g_eff=params["g_eff"],
-            kappa_a=params["kappa_a"],
-            kappa_c=params["kappa_c"],
-            n_a=params.get("n_a", 0.0),
-            n_c=params.get("n_c", 0.0),
-        )
-    if system == "chain":
-        return chain_mod.reduce(build_chain_params(params))
-    if system == "eom":
-        return chain_mod.reduce(eom_to_chain(build_eom_params(params)))
-    if system == "comm":
-        return chain_mod.reduce(comm_to_chain(build_comm_params(params)))
-    raise ConfigError(f"unknown system {system!r}")
+    p = build_params(system, params)
+    to_chain = system_entry(system).to_chain
+    return p if to_chain is None else chain_mod.reduce(to_chain(p))

@@ -219,18 +219,19 @@ def auto_step(a: NDArray[np.float64]) -> float:
     return 2.0 * math.pi / (STEPS_PER_PERIOD * max(radius, 1.0))
 
 
-def _rk4_step(a, d, v, h):
-    """One classical RK4 step of dv/dt = A v + v A^T + D (batched over leading axes)."""
-    def rhs(x):
-        k = a @ x
-        return k + np.swapaxes(k, -1, -2) + d
+def _lyapunov_rhs(a, d, x):
+    k = a @ x
+    return k + k.T + d
 
-    k1 = rhs(v)
-    k2 = rhs(v + 0.5 * h * k1)
-    k3 = rhs(v + 0.5 * h * k2)
-    k4 = rhs(v + h * k3)
+
+def _rk4_step(a, d, v, h):
+    """One classical RK4 step of dv/dt = A v + v A^T + D."""
+    k1 = _lyapunov_rhs(a, d, v)
+    k2 = _lyapunov_rhs(a, d, v + 0.5 * h * k1)
+    k3 = _lyapunov_rhs(a, d, v + 0.5 * h * k2)
+    k4 = _lyapunov_rhs(a, d, v + h * k3)
     v = v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return (v + np.swapaxes(v, -1, -2)) / 2.0
+    return (v + v.T) / 2.0
 
 
 def lyapunov_rk4(

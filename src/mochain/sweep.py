@@ -7,11 +7,13 @@ numeric pass for the platform systems), and run_compare sweeps one axis and
 tabulates closed-form stationary values against the full dynamics at the
 characteristic time and twice it.
 
-Every numeric covariance comes from the exact propagator
-dynamics.propagate_lti, except for effective models with vacuum input away
-from the critical coupling, where the analytic covariance is used. All tables
-serialize to CSV (LF line endings, shortest round-trip float representation)
-or JSON.
+Everything system-specific comes from the registry systems.SYSTEMS: a system
+with full dynamics gets the numeric columns and is propagated in full, any
+other system is propagated as its effective two-mode model. Every numeric
+covariance comes from the exact propagator dynamics.propagate_lti, except for
+effective models with vacuum input away from the critical coupling, where the
+analytic covariance is used. All tables serialize to CSV (LF line endings,
+shortest round-trip float representation) or JSON.
 """
 
 from __future__ import annotations
@@ -26,16 +28,9 @@ from typing import Any
 
 import numpy as np
 
-from .chain import classify_regime, validity_report
-from .config import (
-    RunConfig,
-    build_chain_params,
-    build_comm_params,
-    build_eom_params,
-    effective_model,
-)
+from .chain import classify_regime, reduce, validity_report
+from .config import RunConfig, build_params, effective_model, system_entry
 from .dynamics import (
-    DriftDiffusion,
     analytic_effective_cm,
     build_effective_drift_diffusion,
     characteristic_time,
@@ -44,12 +39,6 @@ from .dynamics import (
 from .errors import ConfigError
 from .gaussian import CovarianceMatrix, ModePartition, Regime, gaussian_steering, log_negativity
 from .stationary import stationary_entanglement, stationary_steering, steering_region
-from .systems import (
-    comm_full_drift_diffusion,
-    comm_to_chain,
-    eom_full_drift_diffusion,
-    eom_to_chain,
-)
 
 _MO_PARTITION = ModePartition({0}, {1})
 
@@ -135,14 +124,6 @@ def _sample_grid(cfg: RunConfig, tau: float) -> np.ndarray:
     return np.array(sorted(grid))
 
 
-def _full_drift_diffusion(cfg: RunConfig) -> DriftDiffusion:
-    if cfg.system == "eom":
-        return eom_full_drift_diffusion(build_eom_params(cfg.parameters))
-    if cfg.system == "comm":
-        return comm_full_drift_diffusion(build_comm_params(cfg.parameters))
-    raise ConfigError(f"system {cfg.system!r} has no full-system dynamics")
-
-
 def run_evolve(cfg: RunConfig) -> Table:
     """Resource time series for a single parameter set.
 
@@ -151,12 +132,15 @@ def run_evolve(cfg: RunConfig) -> Table:
     end modes; the platform systems propagate their full linearized dynamics
     exactly and reduce to the microwave-optical sub-state.
     """
+    if cfg.sweep:
+        raise ConfigError("run_evolve takes no sweep axes (use region or compare)")
     model = effective_model(cfg.system, cfg.parameters)
     regime = classify_regime(model)
     tau = characteristic_time(model)
     grid = _sample_grid(cfg, tau)
 
-    effective_route = cfg.system in ("effective", "chain")
+    full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
+    effective_route = full_drift_diffusion is None
     columns = ["t", "E", "S_ac_raw", "S_ca_raw", "regime"]
     if effective_route:
         columns += ["v11", "v44", "v14"]
@@ -166,7 +150,7 @@ def run_evolve(cfg: RunConfig) -> Table:
         states = [analytic_effective_cm(model, t) for t in grid]
     else:
         dd = (build_effective_drift_diffusion(model) if effective_route
-              else _full_drift_diffusion(cfg))
+              else full_drift_diffusion(build_params(cfg.system, cfg.parameters)))
         states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), grid)
 
     rows = []
@@ -191,7 +175,8 @@ def run_region(cfg: RunConfig) -> Table:
         raise ConfigError("run_region needs sweep.axis1 and sweep.axis2")
     axis1, axis2 = cfg.sweep
     values1, values2 = axis1.values(), axis2.values()
-    numeric = cfg.system in ("eom", "comm")
+    full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
+    numeric = full_drift_diffusion is not None
 
     columns = [axis1.name, axis2.name, "regime", "region", "E", "S_ac", "S_ca"]
     if numeric:
@@ -210,8 +195,7 @@ def run_region(cfg: RunConfig) -> Table:
         region = steering_region(model)
         row: list = [x1, x2, regime.value, region.value, e, s_ac, s_ca]
         if numeric:
-            sub_cfg = RunConfig(system=cfg.system, parameters=params)
-            dd = _full_drift_diffusion(sub_cfg)
+            dd = full_drift_diffusion(build_params(cfg.system, params))
             tau = characteristic_time(model)
             state = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), [tau])[0]
             e_full, s_ac_full, s_ca_full = _mo_resources(state)
@@ -237,8 +221,10 @@ def run_compare(cfg: RunConfig) -> Table:
     together with the worst coupling-to-gap validity ratio of the
     perturbative reduction.
     """
-    if cfg.system not in ("eom", "comm"):
-        raise ConfigError("run_compare needs a platform system ('eom' or 'comm')")
+    entry = system_entry(cfg.system)
+    if entry.full_drift_diffusion is None:
+        raise ConfigError(f"run_compare needs a platform system (one with full dynamics), "
+                          f"got {cfg.system!r}")
     if len(cfg.sweep) > 1:
         raise ConfigError("run_compare sweeps at most one axis")
     if cfg.sweep:
@@ -247,22 +233,22 @@ def run_compare(cfg: RunConfig) -> Table:
     else:
         axis_name, axis_values = "point", [math.nan]
 
-    builder = build_eom_params if cfg.system == "eom" else build_comm_params
-    to_chain = eom_to_chain if cfg.system == "eom" else comm_to_chain
     rows = []
     for value in axis_values:
         params = dict(cfg.parameters)
         if cfg.sweep:
             params[axis_name] = value
-        model = effective_model(cfg.system, params)
+        platform = build_params(cfg.system, params)
+        chain = entry.to_chain(platform)
+        model = reduce(chain)
         tau = characteristic_time(model)
-        dd = _full_drift_diffusion(RunConfig(system=cfg.system, parameters=params))
+        dd = entry.full_drift_diffusion(platform)
         v_tau, v_2tau = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), [tau, 2.0 * tau])
         at_tau, at_2tau = _mo_resources(v_tau), _mo_resources(v_2tau)
         e = stationary_entanglement(model)
         s_ac = stationary_steering(model, "ac")
         s_ca = stationary_steering(model, "ca")
-        report = validity_report(to_chain(builder(params)))
+        report = validity_report(chain)
         rows.append(
             (
                 params.get(axis_name, math.nan),

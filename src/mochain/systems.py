@@ -1,4 +1,4 @@
-"""Concrete platforms hosting the microwave-optical chain.
+"""Concrete platforms hosting the microwave-optical chain, and the system registry.
 
 Two builders are provided: the electro-optomechanical system (a mechanical
 mode bridges the microwave and optical cavities, one intermediary) and the
@@ -6,6 +6,14 @@ cavity optomagnomechanical system (a magnon mode couples the microwave cavity
 to the mechanics, which drives the optical cavity: two intermediaries). Each
 maps onto the general chain parameters, and each exposes the full linearized
 drift/diffusion pair for the numeric route that validates the reduction.
+
+SYSTEMS names every system a run configuration can select (the effective
+model, the general chain and the two platforms) and holds, for each, its
+parameter dataclass, its chain mapping and its full dynamics. The config
+schema and the sweep operations read everything system-specific from it, so
+a new platform is one parameter dataclass, two functions and one entry.
+EOM_FIG3 and COMM_FIG4 are the read-only reference parameter points of the
+paper's figures 3 and 4, shared by the demos, the verify suite and the tests.
 
 Mode ordering of the full systems is always (a, c, intermediaries), so the
 microwave-optical sub-state is rows/columns 0..3 of the covariance matrix.
@@ -18,13 +26,21 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Callable
 
 import numpy as np
 
-from .chain import ChainParams, matched_detunings
+from .chain import ChainParams, EffectiveModel, matched_detunings
 from .dynamics import DriftDiffusion
 
 _SQRT2 = math.sqrt(2.0)
+
+EOM_FIG3 = MappingProxyType(dict(omega_b=1.0, delta_a=5.0, g_a=0.12, g_c=0.12,
+                                 kappa_a=5e-4, kappa_c=1e-3, kappa_b=1e-6, n_b=10.0))
+COMM_FIG4 = MappingProxyType(dict(omega_b=1.0, delta_a=3.0, g_a=0.12, g_m=0.1, g_c=0.12,
+                                  kappa_a=1e-4, kappa_c=2e-4, kappa_m=1e-3, kappa_b=1e-6,
+                                  n_b=10.0))
 
 
 @dataclass(frozen=True)
@@ -192,3 +208,27 @@ def comm_full_drift_diffusion(p: CommParams) -> DriftDiffusion:
     )
     d = _thermal_diagonal((ka, p.n_a), (kc, p.n_c), (km, p.n_m), (kb, p.n_b))
     return DriftDiffusion(a, d)
+
+
+@dataclass(frozen=True)
+class System:
+    """A selectable system: parameter type, chain mapping, full linearized dynamics.
+
+    to_chain is None for the effective model, which is already reduced;
+    full_drift_diffusion is None where the effective model is the whole dynamics.
+    """
+
+    params: type
+    to_chain: Callable[[Any], ChainParams] | None = None
+    full_drift_diffusion: Callable[[Any], DriftDiffusion] | None = None
+
+
+# The platform entries look the module-level functions up at call time, so a
+# rebinding of those names (the layer tracer in perfbench/ does this) reaches
+# every dispatch through the registry.
+SYSTEMS: dict[str, System] = {
+    "effective": System(EffectiveModel),
+    "chain": System(ChainParams, to_chain=lambda p: p),
+    "eom": System(EomParams, lambda p: eom_to_chain(p), lambda p: eom_full_drift_diffusion(p)),
+    "comm": System(CommParams, lambda p: comm_to_chain(p), lambda p: comm_full_drift_diffusion(p)),
+}

@@ -17,13 +17,12 @@ import time
 import numpy as np
 import pytest
 
-from mochain.chain import EffectiveModel, classify_regime, reduce
+from mochain.chain import EffectiveModel, reduce
 from mochain.config import RunConfig, SweepAxis
 from mochain.dynamics import (
     analytic_effective_cm,
     build_effective_drift_diffusion,
     characteristic_time,
-    lyapunov_rk4,
     propagate_lti,
     squeeze_variances,
     steady_state,
@@ -31,24 +30,20 @@ from mochain.dynamics import (
 from mochain.gaussian import (
     CovarianceMatrix,
     ModePartition,
-    Regime,
     gaussian_steering,
-    local_phase_rotate,
     log_negativity,
     monogamy_residuals,
-    partial_transpose,
-    symplectic_eigenvalues,
-    two_mode_min_pt_eigenvalue,
 )
 from mochain.stationary import (
     SteeringRegion,
-    boundary_limits,
     stationary_entanglement,
     stationary_steering,
     steering_region,
 )
 from mochain.sweep import run_compare, run_region
 from mochain.systems import (
+    COMM_FIG4,
+    EOM_FIG3,
     CommParams,
     EomParams,
     comm_full_drift_diffusion,
@@ -57,50 +52,31 @@ from mochain.systems import (
     eom_to_chain,
 )
 from mochain.verify import (
+    check_analytic_vs_rk4,
+    check_boundary_continuity,
     check_chain_specializations,
     check_rk4_convergence,
+    check_rotation_invariance,
     check_symplectic_oracle,
-    random_physical_cm,
+    effective_parameter_sets,
     run_verify,
 )
 
 MO = ModePartition({0}, {1})
-
-EOM_FIG3 = dict(omega_b=1.0, delta_a=5.0, g_a=0.12, g_c=0.12,
-                kappa_a=5e-4, kappa_c=1e-3, kappa_b=1e-6, n_b=10.0)
-COMM_FIG4 = dict(omega_b=1.0, delta_a=3.0, g_a=0.12, g_m=0.1, g_c=0.12,
-                 kappa_a=1e-4, kappa_c=2e-4, kappa_m=1e-3, kappa_b=1e-6, n_b=10.0)
 
 
 def announce(number: int, detail: str) -> None:
     print(f"\n[acceptance] criterion {number:02d} PASS: {detail}")
 
 
-def effective_parameter_sets() -> list[EffectiveModel]:
-    models = []
-    for ka, kc in ((1.0, 1.0), (0.5, 1.0), (1.0, 0.4), (0.7, 1.3)):
-        for ratio in (0.1, 0.5, 0.9, 1.5, 3.0, 4.0):
-            models.append(EffectiveModel(math.sqrt(ratio * ka * kc), ka, kc))
-    return [m for m in models if classify_regime(m) is not Regime.CRITICAL]
-
-
 def test_criterion_01_analytic_vs_numeric_cm():
+    assert len(effective_parameter_sets()) >= 20
     start = time.time()
-    models = effective_parameter_sets()
-    assert len(models) >= 20
-    worst = 0.0
-    for m in models:
-        dd = build_effective_drift_diffusion(m)
-        tau = characteristic_time(m)
-        grid = np.linspace(0.0, 2.0 * tau, 9)
-        traj = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), grid, h=2.0 * tau / 4000.0)
-        for t, state in zip(traj.times, traj.states):
-            exact = analytic_effective_cm(m, float(t))
-            worst = max(worst, float(np.max(np.abs(exact.data - state.data))))
+    result = check_analytic_vs_rk4()
     elapsed = time.time() - start
-    assert worst < 1e-8
+    assert result.passed, result.line()
     assert elapsed < 5.0
-    announce(1, f"{len(models)} parameter sets, max |analytic - RK4| = {worst:.2e}, "
+    announce(1, f"{result.detail}, max |analytic - RK4| = {result.worst:.2e}, "
                 f"{elapsed:.2f} s")
 
 
@@ -139,19 +115,9 @@ def test_criterion_02b_dynamic_route_divergent_regime():
 
 
 def test_criterion_03_boundary_continuity():
-    worst = 0.0
-    for ka, kc in ((1.0, 1.0), (0.5, 1.0), (1.7, 0.4), (0.9, 0.9)):
-        e_lim, s_ac_lim, s_ca_lim = boundary_limits(ka, kc)
-        for side in (1.0 - 1e-9, 1.0 + 1e-9):
-            m = EffectiveModel(math.sqrt(side * ka * kc), ka, kc)
-            worst = max(worst, abs(stationary_entanglement(m) - e_lim))
-            worst = max(worst, abs(stationary_steering(m, "ac") - s_ac_lim))
-            worst = max(worst, abs(stationary_steering(m, "ca") - s_ca_lim))
-    assert worst < 1e-6
-    sym_gap = abs(boundary_limits(1.0, 1.0)[0] - math.log(2.0))
-    assert sym_gap < 1e-12
-    announce(3, f"branch gap at (1 +- 1e-9) ka kc = {worst:.2e}; "
-                f"symmetric limit ln 2 to {sym_gap:.1e}")
+    result = check_boundary_continuity()
+    assert result.passed, result.line()
+    announce(3, f"worst branch gap {result.worst:.2e}; {result.detail}")
 
 
 def test_criterion_04_squeezed_variance_saturation():
@@ -379,22 +345,11 @@ def test_criterion_10_oracle_suite():
     convergence = check_rk4_convergence()
     assert convergence.passed, convergence.line()
 
-    rng = np.random.default_rng(101)
-    worst = 0.0
-    for _ in range(200):
-        state, _ = random_physical_cm(rng)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        mode = int(rng.integers(0, 2))
-        rotated = local_phase_rotate(state, mode, angle)
-        worst = max(worst, abs(log_negativity(rotated, MO) - log_negativity(state, MO)))
-        worst = max(worst, abs(gaussian_steering(rotated, {0}, {1})[0]
-                               - gaussian_steering(state, {0}, {1})[0]))
-        worst = max(worst, abs(gaussian_steering(rotated, {1}, {0})[0]
-                               - gaussian_steering(state, {1}, {0})[0]))
-    assert worst < 1e-10
+    rotation = check_rotation_invariance(200)
+    assert rotation.passed, rotation.line()
     announce(10, f"1000-state eigenvalue oracle at {eig_check.worst:.2e}; "
                  f"convergence ratio {convergence.worst:.2f}; "
-                 f"rotation invariance at {worst:.2e}")
+                 f"rotation invariance at {rotation.worst:.2e}")
 
 
 def test_self_verification_suite():

@@ -8,14 +8,25 @@ import pytest
 
 from mochain.chain import EffectiveModel
 from mochain.cli import main
-from mochain.config import RunConfig, SweepAxis, load_config, parse_config
+from mochain.config import SweepAxis, load_config, parse_config
 from mochain.dynamics import characteristic_time
 from mochain.errors import ConfigError
 from mochain.sweep import parse_csv, render, run_compare, run_evolve, run_region
+from mochain.systems import COMM_FIG4, EOM_FIG3
 
 EFFECTIVE = {
     "system": "effective",
     "parameters": {"g_eff": 1.0, "kappa_a": 0.5, "kappa_c": 1.0},
+}
+CHAIN = {
+    "system": "chain",
+    "parameters": {
+        "n": 2, "delta_a": 3.0, "theta": 0.0, "phi": math.pi / 4,
+        "g_a": 0.12, "g_c": 0.17, "g_mid_1": 0.1,
+        "kappa_a": 1e-4, "kappa_c": 2e-4,
+        "omega_1": 1.0, "omega_2": 1.0,
+        "kappa_mid_1": 1e-3, "kappa_mid_2": 1e-6,
+    },
 }
 
 
@@ -92,17 +103,7 @@ class TestSchema:
             parse_config(config_with(outputs={"format": "yaml"}))
 
     def test_chain_indexed_parameters(self):
-        raw = {
-            "system": "chain",
-            "parameters": {
-                "n": 2, "delta_a": 3.0, "theta": 0.0, "phi": math.pi / 4,
-                "g_a": 0.12, "g_c": 0.17, "g_mid_1": 0.1,
-                "kappa_a": 1e-4, "kappa_c": 2e-4,
-                "omega_1": 1.0, "omega_2": 1.0,
-                "kappa_mid_1": 1e-3, "kappa_mid_2": 1e-6,
-            },
-        }
-        cfg = parse_config(raw)
+        cfg = parse_config(CHAIN)
         from mochain.config import build_chain_params
 
         chain = build_chain_params(cfg.parameters)
@@ -110,18 +111,19 @@ class TestSchema:
         assert chain.delta_c != -3.0  # matched, not the bare opposite
 
     def test_chain_missing_indexed_parameter(self):
-        raw = {
-            "system": "chain",
-            "parameters": {
-                "n": 2, "delta_a": 3.0, "theta": 0.0, "phi": 0.7,
-                "g_a": 0.12, "g_c": 0.17,
-                "kappa_a": 1e-4, "kappa_c": 2e-4,
-                "omega_1": 1.0, "omega_2": 1.0,
-                "kappa_mid_1": 1e-3, "kappa_mid_2": 1e-6,
-            },
-        }
+        params = {k: v for k, v in CHAIN["parameters"].items() if k != "g_mid_1"}
         with pytest.raises(ConfigError, match="g_mid_1"):
-            parse_config(raw)
+            parse_config({**CHAIN, "parameters": params})
+
+    def test_invalid_axis_end_point_is_config_error(self):
+        with pytest.raises(ConfigError, match="at n_a = -0.5"):
+            parse_config(config_with(sweep={"axis1": {
+                "name": "n_a", "min": -0.5, "max": 1.0, "points": 3}}))
+
+    def test_chain_length_cannot_be_swept(self):
+        sweep = {"axis1": {"name": "n", "min": 1, "max": 3, "points": 3}}
+        with pytest.raises(ConfigError, match="'n' cannot be swept"):
+            parse_config({**CHAIN, "sweep": sweep})
 
     def test_json_syntax_error_carries_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -131,6 +133,12 @@ class TestSchema:
 
 
 class TestRunEvolve:
+    def test_sweep_rejected(self):
+        cfg = parse_config(config_with(sweep={"axis1": {
+            "name": "g_eff", "min": 0.1, "max": 1.0, "points": 3}}))
+        with pytest.raises(ConfigError, match="no sweep"):
+            run_evolve(cfg)
+
     def test_columns_and_special_times(self):
         cfg = parse_config(config_with(times={"t_end_in_tau": 2.0, "samples": 7}))
         table = run_evolve(cfg)
@@ -170,12 +178,8 @@ class TestRunEvolve:
         assert all(np.isfinite(v) for v in table.column("E"))
 
     def test_platform_system_has_no_element_columns(self):
-        raw = {
-            "system": "eom",
-            "parameters": {"omega_b": 1.0, "delta_a": 5.0, "g_a": 0.12, "g_c": 0.12,
-                           "kappa_a": 5e-4, "kappa_c": 1e-3, "kappa_b": 1e-6},
-            "times": {"t_end_in_tau": 0.02, "samples": 3},
-        }
+        raw = {"system": "eom", "parameters": dict(EOM_FIG3),
+               "times": {"t_end_in_tau": 0.02, "samples": 3}}
         table = run_evolve(parse_config(raw))
         assert table.columns == ("t", "E", "S_ac_raw", "S_ca_raw", "regime")
         assert len(table.rows) >= 3
@@ -204,16 +208,8 @@ class TestRunCompare:
             run_compare(parse_config(config_with()))
 
     def test_single_point_report(self):
-        raw = {
-            "system": "comm",
-            "parameters": {"omega_b": 1.0, "delta_a": 3.0, "g_a": 0.12, "g_m": 0.1,
-                           "g_c": 0.12, "kappa_a": 1e-4, "kappa_m": 1e-3,
-                           "kappa_b": 1e-6, "kappa_c": 2e-4,
-                           # raise decay rates to keep tau short for the test
-                           },
-        }
-        raw["parameters"]["kappa_a"] = 5e-3
-        raw["parameters"]["kappa_c"] = 1e-2
+        # raised decay rates keep tau short for the test
+        raw = {"system": "comm", "parameters": dict(COMM_FIG4, kappa_a=5e-3, kappa_c=1e-2)}
         table = run_compare(parse_config(raw))
         assert len(table.rows) == 1
         record = dict(zip(table.columns, table.rows[0]))
@@ -276,6 +272,15 @@ class TestCli:
         config_path.write_text(json.dumps({"system": "effective", "parameters": {}}))
         assert main(["evolve", "--config", str(config_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [EFFECTIVE, {"system": "eom", "parameters": EOM_FIG3}],
+                             ids=["effective", "eom"])
+    def test_invalid_value_exit_code(self, tmp_path, capsys, raw):
+        raw = {**raw, "parameters": {**raw["parameters"], "kappa_a": -1.0}}
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["evolve", "--config", str(config_path)]) == 2
+        assert "decay rates must be positive" in capsys.readouterr().err
 
     def test_region_to_file(self, tmp_path):
         raw = config_with(sweep={

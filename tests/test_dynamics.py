@@ -22,6 +22,8 @@ from mochain.dynamics import (
 from mochain.errors import CriticalPoleError, RegimeError
 from mochain.gaussian import CovarianceMatrix
 from mochain.systems import (
+    COMM_FIG4,
+    EOM_FIG3,
     CommParams,
     EomParams,
     comm_full_drift_diffusion,
@@ -185,12 +187,8 @@ class TestPropagateLti:
             assert np.max(np.abs(state.data - reference.data)) < 1e-8 * scale
 
     @pytest.mark.parametrize("dd, modes", [
-        (eom_full_drift_diffusion(EomParams(
-            omega_b=1.0, delta_a=5.0, g_a=0.12, g_c=0.12,
-            kappa_a=5e-4, kappa_c=1e-3, kappa_b=1e-6, n_b=10.0)), 3),
-        (comm_full_drift_diffusion(CommParams(
-            omega_b=1.0, delta_a=3.0, g_a=0.12, g_m=0.1, g_c=0.12,
-            kappa_a=1e-4, kappa_c=2e-4, kappa_m=1e-3, kappa_b=1e-6, n_b=10.0)), 4),
+        (eom_full_drift_diffusion(EomParams(**EOM_FIG3)), 3),
+        (comm_full_drift_diffusion(CommParams(**COMM_FIG4)), 4),
     ], ids=["eom-fig3", "comm-fig4"])
     def test_full_platform_matches_rk4(self, dd, modes):
         # RK4 at its auto step is off by ~3e-8 here and converges at fourth

@@ -1,6 +1,6 @@
 """Platform builders: chain mappings, specialized couplings, full drift matrices."""
 
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,8 @@ from mochain.chain import effective_coupling, reduce
 from mochain.dynamics import lyapunov_rk4, steady_state
 from mochain.gaussian import CovarianceMatrix, ModePartition, log_negativity
 from mochain.systems import (
+    COMM_FIG4,
+    EOM_FIG3,
     CommParams,
     EomParams,
     comm_full_drift_diffusion,
@@ -17,10 +19,8 @@ from mochain.systems import (
     eom_to_chain,
 )
 
-FIG3_EOM = EomParams(omega_b=1.0, delta_a=5.0, g_a=0.12, g_c=0.12,
-                     kappa_a=5e-4, kappa_c=1e-3, kappa_b=1e-6)
-FIG4_COMM = CommParams(omega_b=1.0, delta_a=3.0, g_a=0.12, g_m=0.1, g_c=0.12,
-                       kappa_a=1e-4, kappa_c=2e-4, kappa_m=1e-3, kappa_b=1e-6)
+FIG3_EOM = EomParams(**EOM_FIG3)
+FIG4_COMM = CommParams(**COMM_FIG4)
 
 
 class TestEomMapping:
@@ -44,9 +44,7 @@ class TestEomMapping:
         assert model.kappa_a == 5e-4 and model.kappa_c == 1e-3
 
     def test_zero_coupling(self):
-        p = EomParams(omega_b=1.0, delta_a=5.0, g_a=0.0, g_c=0.12,
-                      kappa_a=1e-3, kappa_c=1e-3, kappa_b=1e-6)
-        assert reduce(eom_to_chain(p)).g_eff == 0.0
+        assert reduce(eom_to_chain(replace(FIG3_EOM, g_a=0.0))).g_eff == 0.0
 
     def test_matched_optical_detuning(self):
         chain = eom_to_chain(FIG3_EOM)
@@ -80,16 +78,11 @@ class TestCommMapping:
         assert abs(reduce(comm_to_chain(FIG4_COMM)).g_eff - 1.8e-4) < 1e-18
 
     def test_zero_magnomechanical_coupling(self):
-        p = CommParams(omega_b=1.0, delta_a=3.0, g_a=0.12, g_m=0.0, g_c=0.12,
-                       kappa_a=1e-4, kappa_m=1e-3, kappa_b=1e-6, kappa_c=2e-4)
-        assert reduce(comm_to_chain(p)).g_eff == 0.0
+        assert reduce(comm_to_chain(replace(FIG4_COMM, g_m=0.0))).g_eff == 0.0
 
     def test_magnon_detuning_defaults_to_mechanical_frequency(self):
         assert FIG4_COMM.delta_m == FIG4_COMM.omega_b
-        explicit = CommParams(omega_b=1.0, delta_a=3.0, g_a=0.12, g_m=0.1, g_c=0.12,
-                              kappa_a=1e-4, kappa_m=1e-3, kappa_b=1e-6, kappa_c=2e-4,
-                              delta_m=1.4)
-        assert explicit.delta_m == 1.4
+        assert CommParams(**dict(COMM_FIG4, delta_m=1.4)).delta_m == 1.4
 
 
 class TestEomDriftDiffusion:
@@ -112,8 +105,7 @@ class TestEomDriftDiffusion:
         assert dd.d[4, 4] == 1e-6 * 21.0  # ten phonons
 
     def test_decoupled_steady_state(self):
-        p = EomParams(omega_b=1.0, delta_a=5.0, g_a=0.0, g_c=0.0,
-                      kappa_a=1e-3, kappa_c=1e-3, kappa_b=1e-4, n_b=2.0)
+        p = replace(FIG3_EOM, g_a=0.0, g_c=0.0, kappa_a=1e-3, kappa_b=1e-4, n_b=2.0)
         v = steady_state(eom_full_drift_diffusion(p)).data
         expected = np.diag([0.5, 0.5, 0.5, 0.5, 2.5, 2.5])
         assert np.max(np.abs(v - expected)) < 1e-10
@@ -136,9 +128,7 @@ class TestCommDriftDiffusion:
         assert abs(np.trace(a) + 2 * (1e-4 + 2e-4 + 1e-3 + 1e-6)) < 1e-15
 
     def test_decoupled_microwave_stays_vacuum(self):
-        p = CommParams(omega_b=1.0, delta_a=3.0, g_a=0.0, g_m=0.1, g_c=0.12,
-                       kappa_a=1e-4, kappa_m=1e-3, kappa_b=1e-6, kappa_c=2e-4)
-        dd = comm_full_drift_diffusion(p)
+        dd = comm_full_drift_diffusion(replace(FIG4_COMM, g_a=0.0))
         traj = lyapunov_rk4(dd, CovarianceMatrix.vacuum(4), [0.0, 50.0])
         final = traj.states[-1]
         assert np.max(np.abs(final.reduced([0]).data - np.eye(2) / 2)) < 1e-8
@@ -147,11 +137,8 @@ class TestCommDriftDiffusion:
 
 def test_parameter_validation():
     with pytest.raises(ValueError):
-        EomParams(omega_b=0.0, delta_a=5.0, g_a=0.1, g_c=0.1,
-                  kappa_a=1e-3, kappa_c=1e-3, kappa_b=1e-6)
+        EomParams(**dict(EOM_FIG3, omega_b=0.0))
     with pytest.raises(ValueError):
-        CommParams(omega_b=1.0, delta_a=3.0, g_a=0.1, g_m=0.1, g_c=0.1,
-                   kappa_a=0.0, kappa_m=1e-3, kappa_b=1e-6, kappa_c=2e-4)
+        CommParams(**dict(COMM_FIG4, kappa_a=0.0))
     with pytest.raises(ValueError):
-        EomParams(omega_b=1.0, delta_a=5.0, g_a=0.1, g_c=0.1,
-                  kappa_a=1e-3, kappa_c=1e-3, kappa_b=1e-6, n_b=-1.0)
+        EomParams(**dict(EOM_FIG3, n_b=-1.0))
