@@ -31,7 +31,9 @@ from .dynamics import (
 )
 from .errors import (
     ConfigError,
+    CovarianceOverflowError,
     CriticalPoleError,
+    MochainError,
     NumericError,
     RegimeError,
     SingularCouplingError,
@@ -51,7 +53,7 @@ from .gaussian import (
     resource_report,
     symplectic_eigenvalues,
     symplectic_form,
-    two_mode_min_pt_eigenvalue,
+    two_mode_resources,
 )
 from .stationary import (
     SteeringRegion,
@@ -77,10 +79,12 @@ __all__ = [
     "CommParams",
     "ConfigError",
     "CovarianceMatrix",
+    "CovarianceOverflowError",
     "CriticalPoleError",
     "DriftDiffusion",
     "EffectiveModel",
     "EomParams",
+    "MochainError",
     "ModePartition",
     "NumericError",
     "Regime",
@@ -119,6 +123,6 @@ __all__ = [
     "steering_region",
     "symplectic_eigenvalues",
     "symplectic_form",
-    "two_mode_min_pt_eigenvalue",
+    "two_mode_resources",
     "validity_report",
 ]

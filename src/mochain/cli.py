@@ -2,7 +2,9 @@
 
 Every data-producing subcommand reads a JSON run configuration and writes a
 CSV (default) or JSON table to --out or stdout; verify runs the built-in
-property suite and exits nonzero when any check fails.
+property suite and exits nonzero when any check fails. A configuration error
+exits with 2 and any other library error with 3, each as one `config error:`
+or `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import sys
 
 from .config import load_config
-from .errors import ConfigError
+from .errors import ConfigError, MochainError
 from .sweep import run_compare, run_evolve, run_region, write_output
 from .verify import run_and_format
 
@@ -65,6 +67,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MochainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     out_path = args.out if args.out is not None else cfg.outputs.path
     fmt = args.format if args.format is not None else cfg.outputs.format
     write_output(table, out_path, fmt)

@@ -280,8 +280,16 @@ def build_params(system: str, params: dict[str, float]) -> Any:
     return _flat_schema(system, params)[2](params)
 
 
-def effective_model(system: str, params: dict[str, float]) -> EffectiveModel:
-    """Reduce any configured system to its effective two-mode model."""
+def reduce_point(system: str, params: dict[str, float]
+                 ) -> tuple[Any, ChainParams | None, EffectiveModel]:
+    """A configured point's parameter object, chain mapping and effective two-mode model.
+
+    The chain is None for the effective model, which is its own reduction;
+    every other system is mapped onto the chain once and reduced from it.
+    """
     p = build_params(system, params)
     to_chain = system_entry(system).to_chain
-    return p if to_chain is None else chain_mod.reduce(to_chain(p))
+    if to_chain is None:
+        return p, None, p
+    chain = to_chain(p)
+    return p, chain, chain_mod.reduce(chain)

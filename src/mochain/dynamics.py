@@ -3,7 +3,9 @@
 Every drift/diffusion pair (the effective two-mode model and the 6x6 and 8x8
 full platform systems) is propagated exactly by propagate_lti, which steps the
 solution of dv/dt = A v + v A^T + D along a time grid with Van Loan's block
-exponential. The effective model also has a fully analytic covariance from a
+exponential. It takes one pair, or a stack of pairs (the cells of a sweep)
+that it propagates together, each cell bit-identical to its own single-pair
+call. The effective model also has a fully analytic covariance from a
 vacuum start, and stable systems can be solved directly for their stationary
 covariance. A classical fixed-step RK4 integrator is kept as an independent
 oracle for tests and the verification suite.
@@ -17,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 from scipy.linalg import expm
 
 from .chain import EffectiveModel, classify_regime
-from .errors import CriticalPoleError, NumericError, RegimeError
+from .errors import CovarianceOverflowError, CriticalPoleError, NumericError, RegimeError
 from .gaussian import CovarianceMatrix, Regime
 
 STEPS_PER_PERIOD = 200
@@ -186,7 +189,7 @@ def analytic_effective_cm(m: EffectiveModel, t: float) -> CovarianceMatrix:
     total = m.kappa_a + m.kappa_c
     grow_exponent = (k.omega - total) * t
     if grow_exponent > 700.0:
-        raise OverflowError(
+        raise CovarianceOverflowError(
             f"unsteady covariance overflows double precision at t = {t:g}"
         )
     e_minus = math.exp(-(k.omega + total) * t)
@@ -298,36 +301,42 @@ def steady_state(dd: DriftDiffusion) -> CovarianceMatrix:
 
 
 def _van_loan_pair(
-    a: NDArray[np.float64], d: NDArray[np.float64], h: float
+    a: NDArray[np.float64], d: NDArray[np.float64], h: NDArray[np.float64]
 ) -> tuple[NDArray[np.longdouble], NDArray[np.longdouble]]:
-    """Phi = e^{Ah} and Q = int_0^h e^{As} D e^{A^T s} ds for one span h > 0.
+    """Phi = e^{Ah} and Q = int_0^h e^{As} D e^{A^T s} ds for a stack of cells.
 
+    a and d have shape (B, n, n) and the spans h > 0 shape (B,). For each cell,
     Van Loan's block M = [[-A, D], [0, A^T]] is exponentiated at h / 2^k, with
     k the smallest integer such that ||A||_1 h / 2^k <= 1, and the pair is then
-    doubled k times in extended precision. Exponentiating M over the whole
-    span instead cancels catastrophically in Q, because e^{-Ah} grows when A
-    is stable.
+    doubled k times in extended precision; a cell stops doubling after its own
+    k. Exponentiating M over the whole span instead cancels catastrophically
+    in Q, because e^{-Ah} grows when A is stable.
     """
-    n = a.shape[0]
-    scaled = float(np.linalg.norm(a, 1)) * h
-    k = math.ceil(math.log2(scaled)) if scaled > 1.0 else 0
-    block = np.zeros((2 * n, 2 * n))
-    block[:n, :n] = -a
-    block[:n, n:] = d
-    block[n:, n:] = a.T
-    e = expm(block * (h / 2.0**k))
-    phi = e[n:, n:].T.astype(np.longdouble)
-    q = phi @ e[:n, n:]
-    q = (q + q.T) / 2.0
-    for _ in range(k):
-        q = phi @ q @ phi.T + q
-        phi = phi @ phi
+    n = a.shape[-1]
+    scaled = np.max(np.sum(np.abs(a), axis=-2), axis=-1) * h
+    mantissa, exponent = np.frexp(scaled)
+    k = np.where(scaled > 1.0, exponent - (mantissa == 0.5), 0)
+    block = np.zeros((len(h), 2 * n, 2 * n))
+    block[:, :n, :n] = -a
+    block[:, :n, n:] = d
+    block[:, n:, n:] = np.swapaxes(a, -1, -2)
+    e = expm(block * np.ldexp(h, -k)[:, None, None])
+    phi = np.swapaxes(e[:, n:, n:], -1, -2).astype(np.longdouble)
+    q = phi @ e[:, :n, n:]
+    q = (q + np.swapaxes(q, -1, -2)) / 2.0
+    for j in range(int(k.max(initial=0))):
+        doubling = np.flatnonzero(k > j)
+        p = phi[doubling]
+        q[doubling] = p @ q[doubling] @ np.swapaxes(p, -1, -2) + q[doubling]
+        phi[doubling] = p @ p
     return phi, q
 
 
 def propagate_lti(
-    dd: DriftDiffusion, v0: CovarianceMatrix, times: NDArray[np.float64]
-) -> list[CovarianceMatrix]:
+    dd: DriftDiffusion | Sequence[DriftDiffusion],
+    v0: CovarianceMatrix,
+    times: ArrayLike,
+) -> list[CovarianceMatrix] | NDArray[np.float64]:
     """Exact covariance at each requested time, starting from v(0) = v0.
 
     Steps v <- Phi v Phi^T + Q along the grid, where (Phi, Q) of each distinct
@@ -336,7 +345,14 @@ def propagate_lti(
     SIAM J. Matrix Anal. Appl. 26(4), 2005). No fixed point is involved, so
     the critical coupling needs no special case. Times must be finite,
     non-negative and non-decreasing; a repeated time returns the same state.
-    Raises OverflowError, naming the time, when the state leaves double range.
+
+    One drift/diffusion pair with times of shape (T,) gives the list of T
+    states. A sequence of B pairs (one per cell, same mode count, all started
+    from v0) with times of shape (B, T), or (T,) shared by every cell, gives
+    the symmetrized covariances as one array of shape (B, T, 2M, 2M); every
+    cell's states are bit-identical to propagating that cell alone. Raises
+    CovarianceOverflowError, naming the time (and the cell of a batch, also
+    as `index`), when a state leaves double range.
 
     The state is carried in extended precision (np.longdouble; plain double
     where the platform has no wider type). In the divergent regime the
@@ -344,33 +360,53 @@ def propagate_lti(
     part, and double rounding at every step of a fine grid accumulates there:
     on a 401-point grid to 5 tau it moved the log-negativity by 1.2e-6.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or not np.all(np.isfinite(times)):
-        raise ValueError("times must be a 1-d array of finite values")
-    if np.any(times < 0.0) or np.any(np.diff(times) < 0.0):
-        raise ValueError("times must be non-negative and non-decreasing")
-    if v0.modes != dd.modes:
+    single = isinstance(dd, DriftDiffusion)
+    cells = [dd] if single else list(dd)
+    if not cells:
+        raise ValueError("propagate_lti needs at least one drift/diffusion pair")
+    if any(c.modes != v0.modes for c in cells):
         raise ValueError("initial state and drift matrix disagree on mode count")
-    pairs: dict[float, tuple[NDArray[np.longdouble], NDArray[np.longdouble]]] = {}
-    state, v, t_prev = v0, v0.data.astype(np.longdouble), 0.0
-    states = []
+    times = np.asarray(times, dtype=float)
+    if times.ndim == 1:
+        times = np.broadcast_to(times, (len(cells), len(times)))
+    if times.ndim != 2 or times.shape[0] != len(cells) or not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite, of shape (T,) or one row of T per cell")
+    spans = np.diff(times, axis=1, prepend=0.0)
+    if np.any(spans < 0.0):
+        raise ValueError("times must be non-negative and non-decreasing")
+
+    # one Van Loan pair per cell and distinct interval length
+    pair_of: dict[tuple[int, float], int] = {}
+    for cell, column in zip(*np.nonzero(spans > 0.0)):
+        pair_of.setdefault((int(cell), float(spans[cell, column])), len(pair_of))
+    keys = list(pair_of)
+    if keys:
+        owner = [cell for cell, _ in keys]
+        phi, q = _van_loan_pair(np.stack([cells[c].a for c in owner]),
+                                np.stack([cells[c].d for c in owner]),
+                                np.array([h for _, h in keys]))
+        phi_t = np.swapaxes(phi, -1, -2)
+
+    v = np.repeat(v0.data.astype(np.longdouble)[None], len(cells), axis=0)
+    out = np.empty((len(cells), times.shape[1], v0.data.shape[0], v0.data.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
-        for t in times.tolist():
-            h = t - t_prev
-            if h > 0.0:
-                if h not in pairs:
-                    pairs[h] = _van_loan_pair(dd.a, dd.d, h)
-                phi, q = pairs[h]
-                v = phi @ v @ phi.T + q
-                data = v.astype(float)
-                if not np.all(np.isfinite(data)):
-                    raise OverflowError(
-                        f"covariance overflows double precision at t = {t:g}"
-                    )
-                state = CovarianceMatrix(data)
-            states.append(state)
-            t_prev = t
-    return states
+        for column in range(times.shape[1]):
+            moving = np.flatnonzero(spans[:, column] > 0.0)
+            if moving.size:
+                p = [pair_of[(int(c), float(spans[c, column]))] for c in moving]
+                v[moving] = phi[p] @ v[moving] @ phi_t[p] + q[p]
+            data = v.astype(float)
+            finite = np.all(np.isfinite(data), axis=(-2, -1))
+            if not np.all(finite):
+                cell = int(np.flatnonzero(~finite)[0])
+                where = "" if single else f" in cell {cell}"
+                raise CovarianceOverflowError(
+                    f"covariance overflows double precision at t = {times[cell, column]:g}{where}",
+                    index=None if single else cell)
+            out[:, column] = (data + np.swapaxes(data, -1, -2)) / 2.0
+    if single:
+        return [CovarianceMatrix(state) for state in out[0]]
+    return out
 
 
 def characteristic_time(m: EffectiveModel) -> float:

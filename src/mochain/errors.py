@@ -1,15 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every library error derives from MochainError, which the command line prints
+as one line instead of a traceback. Each also keeps the built-in base it had
+before the common one (ValueError, ArithmeticError, ...), so callers that
+catch those still do. An error raised on a stack of states or cells carries
+the position of the offending one as `index` (None otherwise).
+"""
 
 
-class UnphysicalStateError(ValueError):
+class MochainError(Exception):
+    """Base of every error the library raises on purpose."""
+
+    def __init__(self, *args: object, index: int | None = None) -> None:
+        super().__init__(*args)
+        self.index = index
+
+
+class UnphysicalStateError(MochainError, ValueError):
     """Covariance matrix violates the uncertainty bound (a symplectic eigenvalue < 1/2)."""
 
 
-class SingularCouplingError(ValueError):
+class SingularCouplingError(MochainError, ValueError):
     """A perturbative denominator is (numerically) resonant."""
 
 
-class CriticalPoleError(ValueError):
+class CriticalPoleError(MochainError, ValueError):
     """Analytic covariance evaluation requested at the steady/unsteady boundary.
 
     The constant term of the cross correlation has a pole at g_eff^2 = kappa_a*kappa_c;
@@ -17,13 +32,17 @@ class CriticalPoleError(ValueError):
     """
 
 
-class RegimeError(RuntimeError):
+class RegimeError(MochainError, RuntimeError):
     """A steady state was requested for a drift matrix that is not Hurwitz stable."""
 
 
-class NumericError(ArithmeticError):
+class NumericError(MochainError, ArithmeticError):
     """A numeric routine failed its internal consistency check (residual reported)."""
 
 
-class ConfigError(ValueError):
+class CovarianceOverflowError(MochainError, OverflowError):
+    """A covariance entry left double range (deep in the divergent regime)."""
+
+
+class ConfigError(MochainError, ValueError):
     """Run configuration violates the schema; message carries the offending key path."""

@@ -10,6 +10,13 @@ On top of that single representation the module provides logarithmic
 negativity, directional Gaussian steering (Schur-complement form), monogamy
 residuals, and local phase rotations. All functions are pure; no routine
 mutates its input.
+
+Two routes compute the resources. two_mode_resources evaluates entanglement
+and both steering directions of a whole stack of two-mode states from 2x2
+determinant closed forms; every table row of the sweeps comes from it. The
+general route (log_negativity, gaussian_steering, symplectic_eigenvalues)
+diagonalizes Omega v and serves states of three or more modes (monogamy)
+and, on two modes, the tests and the verify suite as an independent oracle.
 """
 
 from __future__ import annotations
@@ -183,22 +190,76 @@ def partial_transpose(v: CovarianceMatrix, flipped: Iterable[int]) -> Covariance
     return CovarianceMatrix(v.data * np.outer(signs, signs))
 
 
-def two_mode_min_pt_eigenvalue(v: CovarianceMatrix) -> float:
-    """Minimum symplectic eigenvalue of the partial transpose, two-mode closed form.
+def _det2(m: NDArray[np.float64]) -> NDArray[np.float64]:
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
-    eta^- = sqrt(Gamma - sqrt(Gamma^2 - 4 det v)) / sqrt(2) with
-    Gamma = det v_a + det v_c - 2 det v_ac. Kept as an independent oracle for
-    the general eigenvalue route; computes determinants only.
+
+def _first_index(bad: NDArray[np.bool_]) -> int:
+    return int(np.flatnonzero(bad.reshape(-1))[0])
+
+
+def two_mode_resources(
+    v: NDArray[np.float64],
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Entanglement and both raw steerings of a stack of two-mode states.
+
+    v has shape (..., 4, 4), modes (a, c); the result is the arrays
+    (E, S_ac_raw, S_ca_raw) of shape v.shape[:-2]. Everything comes from 2x2
+    determinants (A. Serafini, Quantum Continuous Variables, CRC 2017; Vidal
+    & Werner, PRA 65, 032314, 2002): det v = det v_a det(v_c - v_ac^T v_a^-1 v_ac),
+    the smallest partial-transpose symplectic eigenvalue from the rationalized
+    eta^2 = 2 det v / (Gamma + sqrt(Gamma^2 - 4 det v)) with
+    Gamma = det v_a + det v_c - 2 det v_ac, which does not cancel when the
+    covariance is large and the state strongly squeezed, and
+    S_ij = ln(det v_i / (4 det v)) / 2.
+
+    Raises UnphysicalStateError when a state's smallest symplectic eigenvalue
+    is below 1/2 - PHYSICALITY_TOL, NumericError when a steerer block has a
+    condition number above 1e12 or an invariant leaves double range, and
+    ValueError on non-finite entries; each error names (and carries as
+    `index`) the flat position of the first offending state.
     """
-    if v.modes != 2:
-        raise ValueError("closed form applies to two-mode states only")
-    det_a = float(np.linalg.det(v.block(0, 0)))
-    det_c = float(np.linalg.det(v.block(1, 1)))
-    det_ac = float(np.linalg.det(v.block(0, 1)))
-    det_v = float(np.linalg.det(v.data))
-    gamma = det_a + det_c - 2.0 * det_ac
-    disc = max(gamma * gamma - 4.0 * det_v, 0.0)
-    return float(np.sqrt(max(gamma - np.sqrt(disc), 0.0) / 2.0))
+    v = np.asarray(v, dtype=float)
+    if v.shape[-2:] != (4, 4):
+        raise ValueError(f"two-mode states must be 4 x 4, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("covariance matrix has non-finite entries")
+    va, vc, vac = v[..., :2, :2], v[..., 2:, 2:], v[..., :2, 2:]
+    det_a, det_c, det_ac = _det2(va), _det2(vc), _det2(vac)
+    adj_a = np.stack([np.stack([va[..., 1, 1], -va[..., 0, 1]], -1),
+                      np.stack([-va[..., 1, 0], va[..., 0, 0]], -1)], -2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_a = adj_a / det_a[..., None, None]
+        det_v = det_a * _det2(vc - np.swapaxes(vac, -1, -2) @ inv_a @ vac)
+        # smallest symplectic eigenvalue of v itself (Gamma with + det v_ac)
+        delta = det_a + det_c + 2.0 * det_ac
+        nu2 = 2.0 * det_v / (delta + np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0)))
+        unphysical = ~(np.sqrt(nu2) >= 0.5 - PHYSICALITY_TOL)
+        if np.any(unphysical):
+            i = _first_index(unphysical)
+            raise UnphysicalStateError(
+                f"state {i} violates the uncertainty bound: min symplectic eigenvalue "
+                f"{np.sqrt(nu2.reshape(-1)[i]):.12g}", index=i)
+        for name, block, det in (("a", va, det_a), ("c", vc, det_c)):
+            frob2 = np.sum(block * block, axis=(-2, -1))
+            cond = (frob2 + np.sqrt(np.maximum(frob2 * frob2 - 4.0 * det * det, 0.0))) / (
+                2.0 * np.abs(det))
+            singular = ~(cond <= 1e12)
+            if np.any(singular):
+                i = _first_index(singular)
+                raise NumericError(
+                    f"state {i}: steerer block {name} is numerically singular "
+                    f"(condition number {cond.reshape(-1)[i]:.3e})", index=i)
+        gamma = det_a + det_c - 2.0 * det_ac
+        eta2 = 2.0 * det_v / (gamma + np.sqrt(np.maximum(gamma * gamma - 4.0 * det_v, 0.0)))
+        e_raw = -np.log(4.0 * eta2) / 2.0
+        s_ac = np.log(det_a / (4.0 * det_v)) / 2.0
+        s_ca = np.log(det_c / (4.0 * det_v)) / 2.0
+    overflowed = ~(np.isfinite(e_raw) & np.isfinite(s_ac) & np.isfinite(s_ca))
+    if np.any(overflowed):
+        i = _first_index(overflowed)
+        raise NumericError(f"state {i}: two-mode invariants left double range", index=i)
+    return np.where(e_raw > 0.0, e_raw, 0.0), s_ac, s_ca
 
 
 def log_negativity(v: CovarianceMatrix, partition: ModePartition) -> float:

@@ -12,35 +12,45 @@ with full dynamics gets the numeric columns and is propagated in full, any
 other system is propagated as its effective two-mode model. Every numeric
 covariance comes from the exact propagator dynamics.propagate_lti, except for
 effective models with vacuum input away from the critical coupling, where the
-analytic covariance is used. All tables serialize to CSV (LF line endings,
-shortest round-trip float representation) or JSON.
+analytic covariance is used. Each cell is mapped onto the chain once; region
+and compare cells are then propagated in chunks of CHUNK_CELLS through one
+propagate_lti call per chunk, and every table's resource columns come from
+the batched two-mode kernel gaussian.two_mode_resources. A library error
+raised for a sweep cell names the cell's axis values. All tables serialize to
+CSV (LF line endings, shortest round-trip float representation) or JSON.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
-from .chain import classify_regime, reduce, validity_report
-from .config import RunConfig, build_params, effective_model, system_entry
+from .chain import classify_regime, validity_report
+from .config import RunConfig, reduce_point, system_entry
 from .dynamics import (
+    DriftDiffusion,
     analytic_effective_cm,
     build_effective_drift_diffusion,
     characteristic_time,
     propagate_lti,
 )
-from .errors import ConfigError
-from .gaussian import CovarianceMatrix, ModePartition, Regime, gaussian_steering, log_negativity
+from .errors import ConfigError, MochainError
+from .gaussian import CovarianceMatrix, Regime, two_mode_resources
 from .stationary import stationary_entanglement, stationary_steering, steering_region
 
-_MO_PARTITION = ModePartition({0}, {1})
+# Cells propagated and evaluated together: large enough that the per-call
+# overhead of the stacked linear algebra is spread thin, small enough that a
+# chunk's drift and state stacks stay a few hundred kB (the whole 50 x 50
+# region grid stacked at once raised the peak RSS by ~30 MB).
+CHUNK_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -106,14 +116,6 @@ def parse_csv(text: str) -> Table:
     return Table(columns=columns, rows=tuple(rows))
 
 
-def _mo_resources(v: CovarianceMatrix) -> tuple[float, float, float]:
-    sub = v.reduced([0, 1]) if v.modes > 2 else v
-    e = log_negativity(sub, _MO_PARTITION)
-    s_ac = gaussian_steering(sub, {0}, {1})[0]
-    s_ca = gaussian_steering(sub, {1}, {0})[0]
-    return e, s_ac, s_ca
-
-
 def _sample_grid(cfg: RunConfig, tau: float) -> np.ndarray:
     """Requested samples on [0, t_end], always containing tau and 2*tau exactly."""
     t_end = cfg.t_end_in_tau * tau
@@ -124,17 +126,53 @@ def _sample_grid(cfg: RunConfig, tau: float) -> np.ndarray:
     return np.array(sorted(grid))
 
 
+def _mo_block(states: np.ndarray) -> np.ndarray:
+    """The microwave-optical (modes 0 and 1) sub-states of a covariance stack."""
+    return states[..., :4, :4]
+
+
+@contextlib.contextmanager
+def _naming_cell(names: tuple[str, ...], cells: list[tuple]) -> Iterator[None]:
+    """Re-raise a library error with the axis values of the cell it concerns.
+
+    cells are the axis values of the cells the block works on; an error from
+    a call on a stack of cells tells which one through its index.
+    """
+    try:
+        yield
+    except MochainError as exc:
+        index = 0 if len(cells) == 1 else exc.index
+        if not names or index is None:
+            raise
+        where = ", ".join(f"{name} = {value!r}" for name, value in zip(names, cells[index]))
+        raise type(exc)(f"{exc} at {where}") from exc
+
+
+def _chunk_resources(dds: list[DriftDiffusion], times: np.ndarray, names: tuple[str, ...],
+                     chunk: list[tuple]) -> tuple[np.ndarray, ...]:
+    """(E, S_ac, S_ca) of a chunk's cells propagated from the vacuum, each of shape times.shape."""
+    with _naming_cell(names, chunk):
+        states = propagate_lti(dds, CovarianceMatrix.vacuum(dds[0].modes), times)
+        return two_mode_resources(_mo_block(states))
+
+
+def _chunks(cells: list[tuple]) -> Iterator[list[tuple]]:
+    for start in range(0, len(cells), CHUNK_CELLS):
+        yield cells[start:start + CHUNK_CELLS]
+
+
 def run_evolve(cfg: RunConfig) -> Table:
     """Resource time series for a single parameter set.
 
     Effective (and chain-reduced) systems use the analytic covariance when it
     exists and the exact propagator at the critical coupling or for thermal
     end modes; the platform systems propagate their full linearized dynamics
-    exactly and reduce to the microwave-optical sub-state.
+    exactly and reduce to the microwave-optical sub-state. The resources of
+    all rows come from one two_mode_resources call.
     """
     if cfg.sweep:
         raise ConfigError("run_evolve takes no sweep axes (use region or compare)")
-    model = effective_model(cfg.system, cfg.parameters)
+    platform, chain, model = reduce_point(cfg.system, cfg.parameters)
     regime = classify_regime(model)
     tau = characteristic_time(model)
     grid = _sample_grid(cfg, tau)
@@ -150,15 +188,16 @@ def run_evolve(cfg: RunConfig) -> Table:
         states = [analytic_effective_cm(model, t) for t in grid]
     else:
         dd = (build_effective_drift_diffusion(model) if effective_route
-              else full_drift_diffusion(build_params(cfg.system, cfg.parameters)))
+              else full_drift_diffusion(platform, chain))
         states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), grid)
 
+    data = np.stack([state.data for state in states])
+    resources = zip(*(r.tolist() for r in two_mode_resources(_mo_block(data))))
     rows = []
-    for t, state in zip(grid, states):
-        e, s_ac, s_ca = _mo_resources(state)
-        row: list = [float(t), e, s_ac, s_ca, regime.value]
+    for t, v, (e, s_ac, s_ca) in zip(grid.tolist(), data, resources):
+        row: list = [t, e, s_ac, s_ca, regime.value]
         if effective_route:
-            row += [float(state.data[0, 0]), float(state.data[3, 3]), float(state.data[0, 3])]
+            row += [float(v[0, 0]), float(v[3, 3]), float(v[0, 3])]
         rows.append(tuple(row))
     return Table(columns=tuple(columns), rows=tuple(rows))
 
@@ -170,11 +209,14 @@ def run_region(cfg: RunConfig) -> Table:
     systems the table carries a full-system numeric pass: the covariance at
     the cell's characteristic time (exact propagation) and a flag recording
     whether the numeric steering signs agree with the closed-form directions.
+    Cells are mapped and reduced one by one and propagated and evaluated in
+    chunks of CHUNK_CELLS, each chunk's drift matrices built when it runs. A
+    library error raised for a cell names the cell's axis values.
     """
     if len(cfg.sweep) != 2:
         raise ConfigError("run_region needs sweep.axis1 and sweep.axis2")
     axis1, axis2 = cfg.sweep
-    values1, values2 = axis1.values(), axis2.values()
+    names = (axis1.name, axis2.name)
     full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
     numeric = full_drift_diffusion is not None
 
@@ -183,25 +225,25 @@ def run_region(cfg: RunConfig) -> Table:
         columns += ["E_full", "S_ac_full", "S_ca_full", "agree"]
 
     rows = []
-    for x1, x2 in itertools.product(values1, values2):
-        params = dict(cfg.parameters)
-        params[axis1.name] = x1
-        params[axis2.name] = x2
-        model = effective_model(cfg.system, params)
-        regime = classify_regime(model)
-        e = stationary_entanglement(model)
-        s_ac = stationary_steering(model, "ac")
-        s_ca = stationary_steering(model, "ca")
-        region = steering_region(model)
-        row: list = [x1, x2, regime.value, region.value, e, s_ac, s_ca]
+    for chunk in _chunks(list(itertools.product(axis1.values(), axis2.values()))):
+        closed, dds, taus = [], [], []
+        for cell in chunk:
+            with _naming_cell(names, [cell]):
+                platform, chain, model = reduce_point(cfg.system, {**cfg.parameters,
+                                                                   **dict(zip(names, cell))})
+                closed.append([*cell, classify_regime(model).value, steering_region(model).value,
+                               stationary_entanglement(model), stationary_steering(model, "ac"),
+                               stationary_steering(model, "ca")])
+                if numeric:
+                    dds.append(full_drift_diffusion(platform, chain))
+                    taus.append(characteristic_time(model))
         if numeric:
-            dd = full_drift_diffusion(build_params(cfg.system, params))
-            tau = characteristic_time(model)
-            state = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), [tau])[0]
-            e_full, s_ac_full, s_ca_full = _mo_resources(state)
-            agree = ((s_ac_full > 0) == (s_ac > 0)) and ((s_ca_full > 0) == (s_ca > 0))
-            row += [e_full, s_ac_full, s_ca_full, agree]
-        rows.append(tuple(row))
+            full = _chunk_resources(dds, np.array(taus)[:, None], names, chunk)
+            for row, e_full, s_ac_full, s_ca_full in zip(closed, *(r[:, 0].tolist() for r in full)):
+                s_ac, s_ca = row[5], row[6]
+                agree = ((s_ac_full > 0) == (s_ac > 0)) and ((s_ca_full > 0) == (s_ca > 0))
+                row += [e_full, s_ac_full, s_ca_full, agree]
+        rows += map(tuple, closed)
     return Table(columns=tuple(columns), rows=tuple(rows))
 
 
@@ -219,58 +261,48 @@ def run_compare(cfg: RunConfig) -> Table:
     time and to twice it; deviations are reported relative to the closed
     forms (for steering only where the closed-form direction is present),
     together with the worst coupling-to-gap validity ratio of the
-    perturbative reduction.
+    perturbative reduction. Cells are propagated and evaluated in chunks of
+    CHUNK_CELLS, and a library error raised for a cell names its axis value.
     """
-    entry = system_entry(cfg.system)
-    if entry.full_drift_diffusion is None:
+    full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
+    if full_drift_diffusion is None:
         raise ConfigError(f"run_compare needs a platform system (one with full dynamics), "
                           f"got {cfg.system!r}")
     if len(cfg.sweep) > 1:
         raise ConfigError("run_compare sweeps at most one axis")
     if cfg.sweep:
-        axis = cfg.sweep[0]
-        axis_name, axis_values = axis.name, axis.values()
+        names, axis_values = (cfg.sweep[0].name,), cfg.sweep[0].values()
     else:
-        axis_name, axis_values = "point", [math.nan]
+        names, axis_values = (), [math.nan]
+    axis_name = names[0] if names else "point"
 
     rows = []
-    for value in axis_values:
-        params = dict(cfg.parameters)
-        if cfg.sweep:
-            params[axis_name] = value
-        platform = build_params(cfg.system, params)
-        chain = entry.to_chain(platform)
-        model = reduce(chain)
-        tau = characteristic_time(model)
-        dd = entry.full_drift_diffusion(platform)
-        v_tau, v_2tau = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), [tau, 2.0 * tau])
-        at_tau, at_2tau = _mo_resources(v_tau), _mo_resources(v_2tau)
-        e = stationary_entanglement(model)
-        s_ac = stationary_steering(model, "ac")
-        s_ca = stationary_steering(model, "ca")
-        report = validity_report(chain)
-        rows.append(
-            (
-                params.get(axis_name, math.nan),
-                model.g_eff,
-                classify_regime(model).value,
-                e,
-                s_ac,
-                s_ca,
-                at_tau[0],
-                at_tau[1],
-                at_tau[2],
-                at_2tau[0],
-                at_2tau[1],
-                at_2tau[2],
-                _positive_dev(at_tau[0], e),
-                _positive_dev(at_2tau[0], e),
-                _positive_dev(at_tau[1], s_ac),
-                _positive_dev(at_tau[2], s_ca),
-                max(ratio for _, ratio, _ in report),
-                all(ok for _, _, ok in report),
-            )
-        )
+    for chunk in _chunks([(value,) for value in axis_values]):
+        closed, dds, taus = [], [], []
+        for cell in chunk:
+            with _naming_cell(names, [cell]):
+                params = {**cfg.parameters, **dict(zip(names, cell))}
+                platform, chain, model = reduce_point(cfg.system, params)
+                report = validity_report(chain)
+                closed.append((params.get(axis_name, math.nan), model.g_eff,
+                               classify_regime(model).value, stationary_entanglement(model),
+                               stationary_steering(model, "ac"), stationary_steering(model, "ca"),
+                               max(ratio for _, ratio, _ in report),
+                               all(ok for _, _, ok in report)))
+                dds.append(full_drift_diffusion(platform, chain))
+                taus.append(characteristic_time(model))
+        tau = np.array(taus)[:, None]
+        full = _chunk_resources(dds, np.hstack([tau, 2.0 * tau]), names, chunk)
+        for (value, g_eff, regime, e, s_ac, s_ca, ratio, valid), e_full, s_ac_full, s_ca_full \
+                in zip(closed, *(r.tolist() for r in full)):
+            rows.append((
+                value, g_eff, regime, e, s_ac, s_ca,
+                e_full[0], s_ac_full[0], s_ca_full[0],
+                e_full[1], s_ac_full[1], s_ca_full[1],
+                _positive_dev(e_full[0], e), _positive_dev(e_full[1], e),
+                _positive_dev(s_ac_full[0], s_ac), _positive_dev(s_ca_full[0], s_ca),
+                ratio, valid,
+            ))
     columns = (
         axis_name, "g_eff", "regime", "E", "S_ac", "S_ca",
         "E_full_tau", "S_ac_full_tau", "S_ca_full_tau",

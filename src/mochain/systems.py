@@ -163,13 +163,14 @@ def _thermal_diagonal(*pairs: tuple[float, float]) -> np.ndarray:
     return np.diag(entries)
 
 
-def eom_full_drift_diffusion(p: EomParams) -> DriftDiffusion:
+def eom_full_drift_diffusion(p: EomParams, chain: ChainParams | None = None) -> DriftDiffusion:
     """Linearized 6x6 dynamics of the full electro-optomechanical system, ordering (a, c, b).
 
-    The optical detuning comes from the matched pair (figure captions quote
-    only delta_a); pass an explicit ChainParams route to override.
+    The optical detuning comes from the matched pair of the chain mapping
+    (figure captions quote only delta_a); pass the already mapped
+    eom_to_chain(p) as `chain` to reuse it instead of mapping again.
     """
-    delta_c = eom_to_chain(p).delta_c
+    delta_c = (eom_to_chain(p) if chain is None else chain).delta_c
     da, dc, wb = p.delta_a, delta_c, p.omega_b
     ka, kc, kb = p.kappa_a, p.kappa_c, p.kappa_b
     ga2, gc2 = 2.0 * p.g_a, 2.0 * p.g_c
@@ -187,9 +188,13 @@ def eom_full_drift_diffusion(p: EomParams) -> DriftDiffusion:
     return DriftDiffusion(a, d)
 
 
-def comm_full_drift_diffusion(p: CommParams) -> DriftDiffusion:
-    """Linearized 8x8 dynamics of the full optomagnomechanical system, ordering (a, c, m, b)."""
-    delta_c = comm_to_chain(p).delta_c
+def comm_full_drift_diffusion(p: CommParams, chain: ChainParams | None = None) -> DriftDiffusion:
+    """Linearized 8x8 dynamics of the full optomagnomechanical system, ordering (a, c, m, b).
+
+    The optical detuning is the matched one of comm_to_chain(p); pass that
+    mapping as `chain` when it is already at hand.
+    """
+    delta_c = (comm_to_chain(p) if chain is None else chain).delta_c
     da, dc, dm, wb = p.delta_a, delta_c, float(p.delta_m), p.omega_b
     ka, kc, km, kb = p.kappa_a, p.kappa_c, p.kappa_m, p.kappa_b
     ga = p.g_a
@@ -216,11 +221,13 @@ class System:
 
     to_chain is None for the effective model, which is already reduced;
     full_drift_diffusion is None where the effective model is the whole dynamics.
+    full_drift_diffusion(params, chain) takes the chain that to_chain(params)
+    returned, so a cell is mapped onto the chain once.
     """
 
     params: type
     to_chain: Callable[[Any], ChainParams] | None = None
-    full_drift_diffusion: Callable[[Any], DriftDiffusion] | None = None
+    full_drift_diffusion: Callable[[Any, ChainParams], DriftDiffusion] | None = None
 
 
 # The platform entries look the module-level functions up at call time, so a
@@ -229,6 +236,8 @@ class System:
 SYSTEMS: dict[str, System] = {
     "effective": System(EffectiveModel),
     "chain": System(ChainParams, to_chain=lambda p: p),
-    "eom": System(EomParams, lambda p: eom_to_chain(p), lambda p: eom_full_drift_diffusion(p)),
-    "comm": System(CommParams, lambda p: comm_to_chain(p), lambda p: comm_full_drift_diffusion(p)),
+    "eom": System(EomParams, lambda p: eom_to_chain(p),
+                  lambda p, chain: eom_full_drift_diffusion(p, chain)),
+    "comm": System(CommParams, lambda p: comm_to_chain(p),
+                   lambda p, chain: comm_full_drift_diffusion(p, chain)),
 }

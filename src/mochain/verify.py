@@ -1,8 +1,9 @@
 """Self-verification: every library-level invariant as one reproducible suite.
 
-Each check pins a tolerance and reports its worst measured residual; the suite
-uses fixed seeds, so repeated runs print identical reports. The acceptance
-tests call these checks rather than restating them, some with more samples.
+Each check pins a tolerance and reports its worst measured residual and the
+seconds it took; the suite uses fixed seeds, so repeated runs print identical
+reports apart from those timings. The acceptance tests call these checks
+rather than restating them, some with more samples.
 The heavier full-system checks run on shortened horizons or sweeps here to
 keep the suite within seconds; the acceptance tests run their full-length
 versions.
@@ -11,7 +12,7 @@ versions.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -39,7 +40,7 @@ from .gaussian import (
     monogamy_residuals,
     partial_transpose,
     symplectic_eigenvalues,
-    two_mode_min_pt_eigenvalue,
+    two_mode_resources,
 )
 from .stationary import (
     SteeringRegion,
@@ -69,11 +70,14 @@ class CheckResult:
     worst: float
     tolerance: float
     detail: str = ""
+    seconds: float = 0.0
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         text = f"{status} {self.name}: worst={self.worst:.3e} tol={self.tolerance:.1e}"
-        return f"{text} ({self.detail})" if self.detail else text
+        if self.detail:
+            text += f" ({self.detail})"
+        return f"{text} [{self.seconds:.2f} s]"
 
 
 def two_mode_squeeze_symplectic(r: float) -> np.ndarray:
@@ -115,16 +119,25 @@ def effective_parameter_sets() -> list[EffectiveModel]:
 
 
 def check_symplectic_oracle(n_samples: int = 1000) -> CheckResult:
-    """General eigenvalue route vs the two-mode determinant closed form."""
+    """General eigenvalue route vs the two-mode determinant closed forms.
+
+    The symplectic spectrum is checked against the construction, and the
+    entanglement and both raw steerings of the general route against one
+    two_mode_resources call on the whole stack of states.
+    """
     rng = np.random.default_rng(SEED)
     worst = 0.0
+    states = []
     for _ in range(n_samples):
         state, nu = random_physical_cm(rng)
+        states.append(state)
         spectrum = symplectic_eigenvalues(state)
         worst = max(worst, float(np.max(np.abs(spectrum - nu))))
-        eta_general = symplectic_eigenvalues(partial_transpose(state, {0}))[0]
-        eta_closed = two_mode_min_pt_eigenvalue(state)
-        worst = max(worst, abs(eta_general - eta_closed))
+    closed = two_mode_resources(np.stack([state.data for state in states]))
+    for i, state in enumerate(states):
+        general = (log_negativity(state, _MO), gaussian_steering(state, {0}, {1})[0],
+                   gaussian_steering(state, {1}, {0})[0])
+        worst = max(worst, max(abs(g - float(c[i])) for g, c in zip(general, closed)))
     return CheckResult("symplectic-eigenvalues-vs-closed-form", worst < 1e-10, worst, 1e-10,
                        f"{n_samples} random states, construction spectrum included")
 
@@ -517,7 +530,9 @@ def run_verify(names: tuple[str, ...] | None = None) -> list[CheckResult]:
         (name, fn) for name, fn in ALL_CHECKS if name in names)
     results = []
     for _, fn in selected:
-        results.append(fn())
+        start = time.perf_counter()
+        result = fn()
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results
 
 

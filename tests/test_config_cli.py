@@ -282,6 +282,38 @@ class TestCli:
         assert main(["evolve", "--config", str(config_path)]) == 2
         assert "decay rates must be positive" in capsys.readouterr().err
 
+    def test_library_error_is_one_line(self, tmp_path, capsys):
+        # divergent thermal model far past double range: no traceback, exit 3
+        raw = {"system": "effective",
+               "parameters": {"g_eff": 3.0, "kappa_a": 0.5, "kappa_c": 1.0, "n_a": 0.1},
+               "times": {"t_end_in_tau": 100.0}}
+        config_path = tmp_path / "divergent.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["evolve", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows double precision at t = " in err
+
+    @pytest.mark.parametrize("command", ["region", "compare"])
+    def test_sweep_error_names_the_cell(self, tmp_path, capsys, command):
+        # the middle delta_a cell sits on the chain resonance omega_1 = delta_a
+        if command == "region":
+            params = {"n": 1, "delta_a": 0.5, "theta": math.pi / 4, "phi": math.pi / 4,
+                      "g_a": 0.1, "g_c": 0.1, "kappa_a": 1e-3, "kappa_c": 1e-3,
+                      "omega_1": 1.0, "kappa_mid_1": 1e-6}
+            raw = {"system": "chain", "parameters": params, "sweep": {
+                "axis1": {"name": "delta_a", "min": 0.5, "max": 1.5, "points": 3},
+                "axis2": {"name": "g_a", "min": 0.1, "max": 0.2, "points": 2}}}
+        else:
+            raw = {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
+                "axis1": {"name": "delta_a", "min": 0.5, "max": 1.5, "points": 3}}}
+        config_path = tmp_path / "resonant.json"
+        config_path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "at delta_a = 1.0" in err
+
     def test_region_to_file(self, tmp_path):
         raw = config_with(sweep={
             "axis1": {"name": "kappa_a", "min": 0.4, "max": 2.0, "points": 3},

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mochain.chain import EffectiveModel
+from mochain.chain import EffectiveModel, reduce
 from mochain.dynamics import (
     AnalyticConstants,
     DriftDiffusion,
@@ -19,14 +19,17 @@ from mochain.dynamics import (
     squeeze_variances,
     steady_state,
 )
-from mochain.errors import CriticalPoleError, RegimeError
-from mochain.gaussian import CovarianceMatrix
+from mochain import sweep
+from mochain.config import RunConfig, SweepAxis
+from mochain.errors import CovarianceOverflowError, CriticalPoleError, RegimeError
+from mochain.gaussian import CovarianceMatrix, two_mode_resources
 from mochain.systems import (
     COMM_FIG4,
     EOM_FIG3,
     CommParams,
     EomParams,
     comm_full_drift_diffusion,
+    comm_to_chain,
     eom_full_drift_diffusion,
 )
 
@@ -246,6 +249,67 @@ class TestPropagateLti:
                 propagate_lti(dd, CovarianceMatrix.vacuum(2), times)
         with pytest.raises(ValueError):
             propagate_lti(dd, CovarianceMatrix.vacuum(3), [1.0])
+
+
+class TestBatchedPropagation:
+    """A stack of cells through propagate_lti equals each cell propagated alone."""
+
+    @staticmethod
+    def comm_grid():
+        axes = (SweepAxis("kappa_a", 5e-5, 2e-4, 7), SweepAxis("kappa_c", 1e-4, 4e-4, 5))
+        cells = [(x1, x2) for x1 in axes[0].values() for x2 in axes[1].values()]
+        dds, taus = [], []
+        for x1, x2 in cells:
+            params = CommParams(**dict(COMM_FIG4, kappa_a=x1, kappa_c=x2))
+            chain = comm_to_chain(params)
+            dds.append(comm_full_drift_diffusion(params, chain))
+            taus.append(characteristic_time(reduce(chain)))
+        return axes, cells, dds, taus
+
+    def test_stack_is_bit_identical_to_single_cells(self):
+        _, _, dds, taus = self.comm_grid()
+        vacuum = CovarianceMatrix.vacuum(4)
+        times = np.array([[tau, 2.0 * tau] for tau in taus])
+        batch = propagate_lti(dds, vacuum, times)
+        assert batch.shape == (35, 2, 8, 8)
+        for dd, row, states in zip(dds, times, batch):
+            single = propagate_lti(dd, vacuum, row)
+            for state, data in zip(single, states):
+                assert np.array_equal(state.data, data)
+
+    def test_chunked_region_rows_match_single_cells(self, monkeypatch):
+        # 35 cells in chunks of 8: four full chunks and a remainder of three
+        monkeypatch.setattr(sweep, "CHUNK_CELLS", 8)
+        axes, cells, dds, taus = self.comm_grid()
+        table = sweep.run_region(RunConfig("comm", dict(COMM_FIG4), sweep=axes))
+        assert [row[:2] for row in table.rows] == cells
+        vacuum = CovarianceMatrix.vacuum(4)
+        single = np.stack([propagate_lti(dd, vacuum, [tau])[0].data[:4, :4]
+                           for dd, tau in zip(dds, taus)])
+        expected = np.stack(two_mode_resources(single), axis=1)
+        columns = [table.column(name) for name in ("E_full", "S_ac_full", "S_ca_full")]
+        assert np.array_equal(np.array(columns).T, expected)
+
+    def test_shared_time_grid_and_validation(self):
+        dds = [build_effective_drift_diffusion(STEADY), build_effective_drift_diffusion(UNSTEADY)]
+        batch = propagate_lti(dds, CovarianceMatrix.vacuum(2), [0.0, 1.0])
+        assert batch.shape == (2, 2, 4, 4)
+        assert np.array_equal(batch[1, 1], propagate_lti(dds[1], CovarianceMatrix.vacuum(2),
+                                                         [0.0, 1.0])[1].data)
+        with pytest.raises(ValueError):
+            propagate_lti(dds, CovarianceMatrix.vacuum(2), [[1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError):
+            propagate_lti(dds, CovarianceMatrix.vacuum(2), [[1.0, 0.5], [1.0, 2.0]])
+        with pytest.raises(ValueError):
+            propagate_lti([dds[0], eom_full_drift_diffusion(EomParams(**EOM_FIG3))],
+                          CovarianceMatrix.vacuum(2), [1.0])
+
+    def test_overflow_names_the_cell(self):
+        dds = [build_effective_drift_diffusion(STEADY),
+               build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))]
+        with pytest.raises(CovarianceOverflowError, match="t = 100 in cell 1") as info:
+            propagate_lti(dds, CovarianceMatrix.vacuum(2), [10.0, 100.0])
+        assert info.value.index == 1
 
 
 class TestCharacteristicTime:

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 from mochain.chain import EffectiveModel
-from mochain.dynamics import analytic_effective_cm, build_effective_drift_diffusion, steady_state
+from mochain.dynamics import (
+    analytic_effective_cm,
+    build_effective_drift_diffusion,
+    characteristic_time,
+    propagate_lti,
+    steady_state,
+)
 from mochain.errors import NumericError, UnphysicalStateError
 from mochain.gaussian import (
     CovarianceMatrix,
@@ -26,7 +32,7 @@ from mochain.gaussian import (
     resource_report,
     symplectic_eigenvalues,
     symplectic_form,
-    two_mode_min_pt_eigenvalue,
+    two_mode_resources,
 )
 from mochain.verify import random_physical_cm, two_mode_squeeze_symplectic
 
@@ -88,10 +94,11 @@ class TestSymplecticEigenvalues:
 
     def test_closed_form_oracle(self):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            state, _ = random_physical_cm(rng)
+        states = [random_physical_cm(rng)[0] for _ in range(50)]
+        closed = two_mode_resources(np.stack([state.data for state in states]))[0]
+        for state, e in zip(states, closed):
             eta = symplectic_eigenvalues(partial_transpose(state, {0}))[0]
-            assert abs(eta - two_mode_min_pt_eigenvalue(state)) < 1e-10
+            assert abs(max(0.0, -np.log(2 * eta)) - e) < 1e-10
 
     def test_nonfinite_rejected(self):
         v = CovarianceMatrix.vacuum(2)
@@ -142,12 +149,16 @@ class TestLogNegativity:
         assert abs(e_3tau - 0.786988) < 2e-4
 
     def test_two_mode_closed_form_agreement(self):
+        # the batched determinant kernel against the general eigenvalue route
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            state, _ = random_physical_cm(rng)
-            eta = two_mode_min_pt_eigenvalue(state)
-            expected = max(0.0, -np.log(2 * eta))
-            assert abs(log_negativity(state, MO) - expected) < 1e-10
+        states = [random_physical_cm(rng)[0] for _ in range(100)]
+        stack = np.stack([state.data for state in states]).reshape(10, 10, 4, 4)
+        e, s_ac, s_ca = two_mode_resources(stack)
+        assert e.shape == s_ac.shape == s_ca.shape == (10, 10)
+        for state, closed in zip(states, zip(e.ravel(), s_ac.ravel(), s_ca.ravel())):
+            general = (log_negativity(state, MO), gaussian_steering(state, {0}, {1})[0],
+                       gaussian_steering(state, {1}, {0})[0])
+            assert np.max(np.abs(np.subtract(general, closed))) < 1e-10
 
     def test_one_vs_rest_and_reduction(self):
         v = CovarianceMatrix(np.kron(np.eye(3), np.eye(2)) * 0.5)
@@ -162,6 +173,63 @@ class TestLogNegativity:
             log_negativity(v, ModePartition({0, 1}, {0}))  # overlapping sides
         with pytest.raises(ValueError):
             log_negativity(v, ModePartition({0}, {1, 2}))  # references extra modes
+
+
+class TestTwoModeResources:
+    def test_worked_example_and_vacuum(self):
+        e, s_ac, s_ca = two_mode_resources(np.stack([symmetric_steady_cm().data, np.eye(4) / 2]))
+        assert abs(e[0] - np.log(1.5)) < 1e-12 and abs(s_ac[0]) < 1e-12
+        assert e[1] == 0.0 and not np.signbit(e[1]) and s_ac[1] == s_ca[1] == 0.0
+
+    def test_divergent_state_against_mpmath(self):
+        # evolve-effective seed 5, job 15 at 5 tau: entries ~6e8, while E
+        # depends on the O(0.1) squeezed part; rounding the exact covariance
+        # to double alone moves E by ~1e-7, and the determinant route must
+        # stay at least as close as the eigenvalue route (2.2e-7 vs 4.0e-7)
+        mp = pytest.importorskip("mpmath")
+        m = EffectiveModel(1.9923732904068676, 1.0, 1.0, n_a=0.1)
+        dd = build_effective_drift_diffusion(m)
+        t = 5.0 * characteristic_time(m)
+        state = propagate_lti(dd, CovarianceMatrix.vacuum(2), [t])[0]
+        assert np.max(np.abs(state.data)) > 5e8
+        with mp.workdps(40):
+            block = mp.zeros(8, 8)
+            for i in range(4):
+                for j in range(4):
+                    block[i, j] = -dd.a[i, j]
+                    block[i, 4 + j] = dd.d[i, j]
+                    block[4 + i, 4 + j] = dd.a[j, i]
+            e = mp.expm(block * mp.mpf(t))
+            phi = e[4:8, 4:8].T
+            v = phi * phi.T / 2 + phi * e[0:4, 4:8]
+            det_v = mp.det(v)
+            gamma = mp.det(v[0:2, 0:2]) + mp.det(v[2:4, 2:4]) - 2 * mp.det(v[0:2, 2:4])
+            exact = float(-mp.log(8 * det_v / (gamma + mp.sqrt(gamma**2 - 4 * det_v))) / 2)
+        kernel_error = abs(float(two_mode_resources(state.data)[0]) - exact)
+        general_error = abs(log_negativity(state, MO) - exact)
+        assert kernel_error <= general_error
+        assert kernel_error < 3e-7
+
+    def test_unphysical_state_in_batch_is_named(self):
+        stack = np.stack([np.eye(4) / 2, np.eye(4) / 2, np.eye(4) * 0.1])
+        with pytest.raises(UnphysicalStateError, match="state 2") as info:
+            two_mode_resources(stack)
+        assert info.value.index == 2
+
+    def test_singular_steerer_in_batch_is_named(self):
+        # physical (det v_a = 1) but the a block has condition number 1e14
+        stack = np.stack([np.eye(4) / 2, np.diag([1e7, 1e-7, 0.5, 0.5])])
+        with pytest.raises(NumericError, match="state 1") as info:
+            two_mode_resources(stack)
+        assert info.value.index == 1
+        with pytest.raises(NumericError):
+            gaussian_steering(CovarianceMatrix(stack[1]), {0}, {1})
+
+    def test_rejects_bad_shapes_and_values(self):
+        with pytest.raises(ValueError):
+            two_mode_resources(np.eye(6) / 2)
+        with pytest.raises(ValueError):
+            two_mode_resources(np.full((4, 4), np.nan))
 
 
 class TestGaussianSteering:
