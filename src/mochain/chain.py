@@ -10,7 +10,7 @@ the resulting dynamical regime.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +29,13 @@ class ChainParams:
     Frequencies and rates are in units of a reference frequency (the demos use
     the mechanical frequency). theta and phi set the rotating/counter-rotating
     mixture of the two end couplings; g_mid holds the N-1 intermediary-pair
-    couplings.
+    couplings. delta_c = None is resolved, after the field checks, to the
+    matched optical detuning of matched_detunings.
     """
 
     n: int
     delta_a: float
-    delta_c: float
+    delta_c: float | None
     omegas: tuple[float, ...]
     g_a: float
     g_c: float
@@ -67,9 +68,13 @@ class ChainParams:
             raise ValueError("all decay rates must be positive")
         if any(x < 0 for x in (self.n_a, self.n_c, *self.n_mid)):
             raise ValueError("thermal occupations must be non-negative")
-        values = (self.delta_a, self.delta_c, self.theta, self.phi, self.g_a, self.g_c,
+        values = (self.delta_a, self.theta, self.phi, self.g_a, self.g_c,
                   *self.omegas, *self.g_mid, *rates)
-        if not all(np.isfinite(values)):
+        if not all(map(math.isfinite, values)):
+            raise ValueError("chain parameters must be finite")
+        if self.delta_c is None:
+            object.__setattr__(self, "delta_c", _matched_delta_c(self))
+        if not math.isfinite(self.delta_c):
             raise ValueError("chain parameters must be finite")
 
 
@@ -127,18 +132,27 @@ def effective_coupling(p: ChainParams) -> float:
     return p.g_a * p.g_mid[0] * p.g_c * middle * left * right
 
 
+def _energy_shift_at(p: ChainParams, delta_c: float) -> float:
+    w1, wn = p.omegas[0], p.omegas[-1]
+    den_a = _checked_gap(w1 * w1 - p.delta_a * p.delta_a, "omega_1^2 - delta_a^2")
+    den_c = _checked_gap(wn * wn - delta_c * delta_c, "omega_N^2 - delta_c^2")
+    term_a = p.g_a**2 * (w1 + p.delta_a * np.cos(2.0 * p.theta)) / den_a
+    term_c = p.g_c**2 * (wn + delta_c * np.cos(2.0 * p.phi)) / den_c
+    return float(term_a + term_c)
+
+
+def _matched_delta_c(p: ChainParams) -> float:
+    delta_c = -p.delta_a + _energy_shift_at(p, -p.delta_a)
+    return float(-p.delta_a + _energy_shift_at(p, delta_c))
+
+
 def energy_shift(p: ChainParams) -> float:
     """Second-order energy shift of the end modes from their nearest chain neighbours.
 
     delta = g_a^2 [w_1 + D_a cos(2 theta)]/(w_1^2 - D_a^2)
           + g_c^2 [w_N + D_c cos(2 phi)]/(w_N^2 - D_c^2)
     """
-    w1, wn = p.omegas[0], p.omegas[-1]
-    den_a = _checked_gap(w1 * w1 - p.delta_a * p.delta_a, "omega_1^2 - delta_a^2")
-    den_c = _checked_gap(wn * wn - p.delta_c * p.delta_c, "omega_N^2 - delta_c^2")
-    term_a = p.g_a**2 * (w1 + p.delta_a * np.cos(2.0 * p.theta)) / den_a
-    term_c = p.g_c**2 * (wn + p.delta_c * np.cos(2.0 * p.phi)) / den_c
-    return float(term_a + term_c)
+    return _energy_shift_at(p, p.delta_c)
 
 
 def matched_detunings(p: ChainParams) -> tuple[float, float]:
@@ -146,12 +160,10 @@ def matched_detunings(p: ChainParams) -> tuple[float, float]:
 
     The shift is evaluated at the zeroth-order guess delta_c = -delta_a and
     refined once with the updated value; the refinement is a contraction for
-    every perturbatively valid parameter set, so one pass suffices.
+    every perturbatively valid parameter set, so one pass suffices. The
+    delta_c of p plays no part.
     """
-    guess = dataclasses.replace(p, delta_c=-p.delta_a)
-    delta_c = -p.delta_a + energy_shift(guess)
-    delta_c = -p.delta_a + energy_shift(dataclasses.replace(p, delta_c=delta_c))
-    return p.delta_a, float(delta_c)
+    return p.delta_a, _matched_delta_c(p)
 
 
 def validity_report(p: ChainParams, threshold: float = 0.2) -> list[tuple[str, float, bool]]:

@@ -2,15 +2,17 @@
 
 Every data-producing subcommand reads a JSON run configuration and writes a
 CSV (default) or JSON table to --out or stdout; verify runs the built-in
-property suite and exits nonzero when any check fails. A configuration error
-exits with 2 and any other library error with 3, each as one `config error:`
-or `error:` line on stderr.
+property suite and exits nonzero when any check fails. A configuration error,
+an unreadable config file included, exits with 2 and any other library error,
+or an output that cannot be written, with 3, each as one `config error:` or
+`error:` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError, MochainError
@@ -32,18 +34,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    evolve = sub.add_parser("evolve", help="resource time series for one parameter set")
-    _add_io_arguments(evolve)
-
-    region = sub.add_parser("region", help="two-axis regime and steering map")
-    _add_io_arguments(region)
-
-    compare = sub.add_parser("compare", help="closed form vs full dynamics along one axis")
-    _add_io_arguments(compare)
-
+    for name, text in (("evolve", "resource time series for one parameter set"),
+                       ("region", "two-axis regime and steering map"),
+                       ("compare", "closed form vs full dynamics along one axis")):
+        _add_io_arguments(sub.add_parser(name, help=text))
     verify = sub.add_parser("verify", help="run the invariant suite, nonzero exit on failure")
     verify.add_argument("--out", default=None, help="also write the report to this path")
     return parser
+
+
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 3
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -52,18 +54,16 @@ def main(argv: list[str] | None = None) -> int:
         report, status = run_and_format()
         print(report)
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(report + "\n")
+            try:
+                Path(args.out).write_text(report + "\n", encoding="utf-8", newline="\n")
+            except OSError as exc:
+                return _cannot_write(args.out, exc)
         return status
 
     try:
         cfg = load_config(args.config)
-        if args.command == "evolve":
-            table = run_evolve(cfg)
-        elif args.command == "region":
-            table = run_region(cfg)
-        else:
-            table = run_compare(cfg)
+        run = {"evolve": run_evolve, "region": run_region, "compare": run_compare}[args.command]
+        table = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -71,8 +71,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     out_path = args.out if args.out is not None else cfg.outputs.path
-    fmt = args.format if args.format is not None else cfg.outputs.format
-    write_output(table, out_path, fmt)
+    try:
+        write_output(table, out_path, args.format or cfg.outputs.format)
+    except OSError as exc:
+        return _cannot_write("stdout" if out_path is None else out_path, exc)
     return 0
 
 

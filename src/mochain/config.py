@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from .chain import ChainParams, EffectiveModel, matched_detunings
+from .chain import ChainParams, EffectiveModel
 from . import chain as chain_mod
 from .errors import ConfigError
 # comm_to_chain and eom_to_chain stay bound here as before the registry:
@@ -233,8 +233,11 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Read and validate a JSON config file."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and validate a JSON config file; an unreadable file is a ConfigError too."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -245,10 +248,10 @@ def load_config(path: str | Path) -> RunConfig:
 def build_chain_params(params: dict[str, float]) -> ChainParams:
     """Chain parameters from the flat map; delta_c is matched when not given."""
     n = int(params["n"])
-    base = ChainParams(
+    return ChainParams(
         n=n,
         delta_a=params["delta_a"],
-        delta_c=params.get("delta_c", -params["delta_a"]),
+        delta_c=params.get("delta_c"),
         omegas=tuple(params[f"omega_{s}"] for s in range(1, n + 1)),
         g_a=params["g_a"],
         g_c=params["g_c"],
@@ -262,10 +265,6 @@ def build_chain_params(params: dict[str, float]) -> ChainParams:
         n_c=params.get("n_c", 0.0),
         n_mid=tuple(params.get(f"n_mid_{s}", 0.0) for s in range(1, n + 1)),
     )
-    if "delta_c" in params:
-        return base
-    _, delta_c = matched_detunings(base)
-    return dataclasses.replace(base, delta_c=delta_c)
 
 
 def system_entry(system: str, path: str = "system") -> System:

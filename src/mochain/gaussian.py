@@ -79,11 +79,6 @@ class CovarianceMatrix:
         idx = _quadrature_indices(modes, self.modes)
         return CovarianceMatrix(self.data[np.ix_(idx, idx)])
 
-    def block(self, row_mode: int, col_mode: int) -> NDArray[np.float64]:
-        """The 2x2 block coupling two modes (or one mode's own block)."""
-        r, c = 2 * row_mode, 2 * col_mode
-        return self.data[r : r + 2, c : c + 2].copy()
-
 
 @dataclass(frozen=True)
 class ModePartition:

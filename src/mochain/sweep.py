@@ -12,12 +12,14 @@ with full dynamics gets the numeric columns and is propagated in full, any
 other system is propagated as its effective two-mode model. Every numeric
 covariance comes from the exact propagator dynamics.propagate_lti, except for
 effective models with vacuum input away from the critical coupling, where the
-analytic covariance is used. Each cell is mapped onto the chain once; region
-and compare cells are then propagated in chunks of CHUNK_CELLS through one
-propagate_lti call per chunk, and every table's resource columns come from
-the batched two-mode kernel gaussian.two_mode_resources. A library error
-raised for a sweep cell names the cell's axis values. All tables serialize to
-CSV (LF line endings, shortest round-trip float representation) or JSON.
+analytic covariance is used. region and compare share one cell loop that
+maps each cell onto the chain once and propagates chunks of CHUNK_CELLS cells
+through one propagate_lti call, at tau (region) or tau and 2 tau (compare);
+the two only assemble rows. Every table's resource columns come from the
+batched two-mode kernel gaussian.two_mode_resources. A library error raised
+for a sweep cell names the cell's axis values. All tables serialize to CSV
+(LF line endings, shortest round-trip float representation) or JSON (a
+non-finite float as null).
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import numpy as np
 from .chain import classify_regime, validity_report
 from .config import RunConfig, reduce_point, system_entry
 from .dynamics import (
-    DriftDiffusion,
     analytic_effective_cm,
     build_effective_drift_diffusion,
     characteristic_time,
@@ -66,9 +67,7 @@ class Table:
 
 
 def _format_cell(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
@@ -81,8 +80,10 @@ def write_csv(table: Table, stream) -> None:
 
 
 def write_json(table: Table, stream) -> None:
-    records = [dict(zip(table.columns, row)) for row in table.rows]
-    json.dump(records, stream, indent=1)
+    """Emit a list of records; a non-finite float (nan, inf) is written as null."""
+    records = [{name: None if isinstance(v, float) and not math.isfinite(v) else v
+                for name, v in zip(table.columns, row)} for row in table.rows]
+    json.dump(records, stream, indent=1, allow_nan=False)
     stream.write("\n")
 
 
@@ -148,17 +149,36 @@ def _naming_cell(names: tuple[str, ...], cells: list[tuple]) -> Iterator[None]:
         raise type(exc)(f"{exc} at {where}") from exc
 
 
-def _chunk_resources(dds: list[DriftDiffusion], times: np.ndarray, names: tuple[str, ...],
-                     chunk: list[tuple]) -> tuple[np.ndarray, ...]:
-    """(E, S_ac, S_ca) of a chunk's cells propagated from the vacuum, each of shape times.shape."""
-    with _naming_cell(names, chunk):
-        states = propagate_lti(dds, CovarianceMatrix.vacuum(dds[0].modes), times)
-        return two_mode_resources(_mo_block(states))
+def _swept_cells(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
+                 multiples: tuple[float, ...]) -> Iterator[tuple]:
+    """(params, chain, model, full) of each cell, in order; params is its flat map.
 
-
-def _chunks(cells: list[tuple]) -> Iterator[list[tuple]]:
+    full is None for a system without full dynamics, else (E, S_ac, S_ca) of
+    the full system propagated exactly from the vacuum, each a list over the
+    multiples of the cell's characteristic time. Each chunk of CHUNK_CELLS
+    cells is mapped cell by cell, then propagated and evaluated in one call.
+    """
+    full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
     for start in range(0, len(cells), CHUNK_CELLS):
-        yield cells[start:start + CHUNK_CELLS]
+        chunk = cells[start:start + CHUNK_CELLS]
+        points, dds, taus = [], [], []
+        for cell in chunk:
+            params = {**cfg.parameters, **dict(zip(names, cell))}
+            with _naming_cell(names, [cell]):
+                platform, chain, model = reduce_point(cfg.system, params)
+                if full_drift_diffusion is not None:
+                    dds.append(full_drift_diffusion(platform, chain))
+                    taus.append(characteristic_time(model))
+            points.append((params, chain, model))
+        if full_drift_diffusion is None:
+            yield from ((*point, None) for point in points)
+            continue
+        with _naming_cell(names, chunk):
+            states = propagate_lti(dds, CovarianceMatrix.vacuum(dds[0].modes),
+                                   np.outer(taus, multiples))
+            full = two_mode_resources(_mo_block(states))
+        yield from ((*point, resources)
+                    for point, *resources in zip(points, *(r.tolist() for r in full)))
 
 
 def run_evolve(cfg: RunConfig) -> Table:
@@ -209,41 +229,30 @@ def run_region(cfg: RunConfig) -> Table:
     systems the table carries a full-system numeric pass: the covariance at
     the cell's characteristic time (exact propagation) and a flag recording
     whether the numeric steering signs agree with the closed-form directions.
-    Cells are mapped and reduced one by one and propagated and evaluated in
-    chunks of CHUNK_CELLS, each chunk's drift matrices built when it runs. A
-    library error raised for a cell names the cell's axis values.
+    The cells come from _swept_cells (chunks of CHUNK_CELLS); a library error
+    raised for a cell names the cell's axis values.
     """
     if len(cfg.sweep) != 2:
         raise ConfigError("run_region needs sweep.axis1 and sweep.axis2")
     axis1, axis2 = cfg.sweep
     names = (axis1.name, axis2.name)
-    full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
-    numeric = full_drift_diffusion is not None
+    numeric = system_entry(cfg.system).full_drift_diffusion is not None
 
     columns = [axis1.name, axis2.name, "regime", "region", "E", "S_ac", "S_ca"]
     if numeric:
         columns += ["E_full", "S_ac_full", "S_ca_full", "agree"]
 
     rows = []
-    for chunk in _chunks(list(itertools.product(axis1.values(), axis2.values()))):
-        closed, dds, taus = [], [], []
-        for cell in chunk:
-            with _naming_cell(names, [cell]):
-                platform, chain, model = reduce_point(cfg.system, {**cfg.parameters,
-                                                                   **dict(zip(names, cell))})
-                closed.append([*cell, classify_regime(model).value, steering_region(model).value,
-                               stationary_entanglement(model), stationary_steering(model, "ac"),
-                               stationary_steering(model, "ca")])
-                if numeric:
-                    dds.append(full_drift_diffusion(platform, chain))
-                    taus.append(characteristic_time(model))
+    cells = list(itertools.product(axis1.values(), axis2.values()))
+    for cell, (_, _, model, full) in zip(cells, _swept_cells(cfg, names, cells, (1.0,))):
+        s_ac, s_ca = stationary_steering(model, "ac"), stationary_steering(model, "ca")
+        row = [*cell, classify_regime(model).value, steering_region(model).value,
+               stationary_entanglement(model), s_ac, s_ca]
         if numeric:
-            full = _chunk_resources(dds, np.array(taus)[:, None], names, chunk)
-            for row, e_full, s_ac_full, s_ca_full in zip(closed, *(r[:, 0].tolist() for r in full)):
-                s_ac, s_ca = row[5], row[6]
-                agree = ((s_ac_full > 0) == (s_ac > 0)) and ((s_ca_full > 0) == (s_ca > 0))
-                row += [e_full, s_ac_full, s_ca_full, agree]
-        rows += map(tuple, closed)
+            (e_full,), (s_ac_full,), (s_ca_full,) = full
+            agree = ((s_ac_full > 0) == (s_ac > 0)) and ((s_ca_full > 0) == (s_ca > 0))
+            row += [e_full, s_ac_full, s_ca_full, agree]
+        rows.append(tuple(row))
     return Table(columns=tuple(columns), rows=tuple(rows))
 
 
@@ -261,8 +270,8 @@ def run_compare(cfg: RunConfig) -> Table:
     time and to twice it; deviations are reported relative to the closed
     forms (for steering only where the closed-form direction is present),
     together with the worst coupling-to-gap validity ratio of the
-    perturbative reduction. Cells are propagated and evaluated in chunks of
-    CHUNK_CELLS, and a library error raised for a cell names its axis value.
+    perturbative reduction. The cells come from _swept_cells, as for
+    run_region, and a library error raised for a cell names its axis value.
     """
     full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
     if full_drift_diffusion is None:
@@ -277,32 +286,19 @@ def run_compare(cfg: RunConfig) -> Table:
     axis_name = names[0] if names else "point"
 
     rows = []
-    for chunk in _chunks([(value,) for value in axis_values]):
-        closed, dds, taus = [], [], []
-        for cell in chunk:
-            with _naming_cell(names, [cell]):
-                params = {**cfg.parameters, **dict(zip(names, cell))}
-                platform, chain, model = reduce_point(cfg.system, params)
-                report = validity_report(chain)
-                closed.append((params.get(axis_name, math.nan), model.g_eff,
-                               classify_regime(model).value, stationary_entanglement(model),
-                               stationary_steering(model, "ac"), stationary_steering(model, "ca"),
-                               max(ratio for _, ratio, _ in report),
-                               all(ok for _, _, ok in report)))
-                dds.append(full_drift_diffusion(platform, chain))
-                taus.append(characteristic_time(model))
-        tau = np.array(taus)[:, None]
-        full = _chunk_resources(dds, np.hstack([tau, 2.0 * tau]), names, chunk)
-        for (value, g_eff, regime, e, s_ac, s_ca, ratio, valid), e_full, s_ac_full, s_ca_full \
-                in zip(closed, *(r.tolist() for r in full)):
-            rows.append((
-                value, g_eff, regime, e, s_ac, s_ca,
-                e_full[0], s_ac_full[0], s_ca_full[0],
-                e_full[1], s_ac_full[1], s_ca_full[1],
-                _positive_dev(e_full[0], e), _positive_dev(e_full[1], e),
-                _positive_dev(s_ac_full[0], s_ac), _positive_dev(s_ca_full[0], s_ca),
-                ratio, valid,
-            ))
+    for params, chain, model, full in _swept_cells(cfg, names, [(value,) for value in axis_values],
+                                                   (1.0, 2.0)):
+        e, s_ac, s_ca = (stationary_entanglement(model), stationary_steering(model, "ac"),
+                         stationary_steering(model, "ca"))
+        (e_tau, e_2tau), (s_ac_tau, s_ac_2tau), (s_ca_tau, s_ca_2tau) = full
+        report = validity_report(chain)
+        rows.append((
+            params.get(axis_name, math.nan), model.g_eff, classify_regime(model).value,
+            e, s_ac, s_ca, e_tau, s_ac_tau, s_ca_tau, e_2tau, s_ac_2tau, s_ca_2tau,
+            _positive_dev(e_tau, e), _positive_dev(e_2tau, e),
+            _positive_dev(s_ac_tau, s_ac), _positive_dev(s_ca_tau, s_ca),
+            max(ratio for _, ratio, _ in report), all(ok for _, _, ok in report),
+        ))
     columns = (
         axis_name, "g_eff", "regime", "E", "S_ac", "S_ca",
         "E_full_tau", "S_ac_full_tau", "S_ca_full_tau",

@@ -4,8 +4,10 @@ Two builders are provided: the electro-optomechanical system (a mechanical
 mode bridges the microwave and optical cavities, one intermediary) and the
 cavity optomagnomechanical system (a magnon mode couples the microwave cavity
 to the mechanics, which drives the optical cavity: two intermediaries). Each
-maps onto the general chain parameters, and each exposes the full linearized
-drift/diffusion pair for the numeric route that validates the reduction.
+maps onto the general chain parameters with one ChainParams construction
+(delta_c = None, so the chain itself resolves the matched optical detuning),
+and each exposes the full linearized drift/diffusion pair for the numeric
+route that validates the reduction.
 
 SYSTEMS names every system a run configuration can select (the effective
 model, the general chain and the two platforms) and holds, for each, its
@@ -23,7 +25,6 @@ demos: zero everywhere except ten phonons in the mechanics.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -31,7 +32,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .chain import ChainParams, EffectiveModel, matched_detunings
+from .chain import ChainParams, EffectiveModel
 from .dynamics import DriftDiffusion
 
 _SQRT2 = math.sqrt(2.0)
@@ -102,13 +103,13 @@ def eom_to_chain(p: EomParams) -> ChainParams:
 
     Position-position end couplings: equal rotating/counter-rotating mixture
     (both angles pi/4) with couplings scaled by sqrt(2); the single
-    intermediary is the mechanical mode. The optical detuning is matched to
-    -delta_a plus the energy shift.
+    intermediary is the mechanical mode. The optical detuning is left to
+    ChainParams to match (-delta_a plus the energy shift).
     """
-    base = ChainParams(
+    return ChainParams(
         n=1,
         delta_a=p.delta_a,
-        delta_c=-p.delta_a,
+        delta_c=None,
         omegas=(p.omega_b,),
         g_a=_SQRT2 * p.g_a,
         g_c=_SQRT2 * p.g_c,
@@ -122,8 +123,6 @@ def eom_to_chain(p: EomParams) -> ChainParams:
         n_c=p.n_c,
         n_mid=(p.n_b,),
     )
-    _, delta_c = matched_detunings(base)
-    return dataclasses.replace(base, delta_c=delta_c)
 
 
 def comm_to_chain(p: CommParams) -> ChainParams:
@@ -132,12 +131,13 @@ def comm_to_chain(p: CommParams) -> ChainParams:
     The microwave-magnon coupling is beam-splitter-like (theta = 0) with the
     magnon playing intermediary one at frequency delta_m; the mechanics is
     intermediary two at omega_b, and the optical end coupling is the
-    position-position form (phi = pi/4, coupling scaled by sqrt(2)).
+    position-position form (phi = pi/4, coupling scaled by sqrt(2)). The
+    optical detuning is matched by ChainParams, as for eom_to_chain.
     """
-    base = ChainParams(
+    return ChainParams(
         n=2,
         delta_a=p.delta_a,
-        delta_c=-p.delta_a,
+        delta_c=None,
         omegas=(float(p.delta_m), p.omega_b),
         g_a=p.g_a,
         g_c=_SQRT2 * p.g_c,
@@ -151,8 +151,6 @@ def comm_to_chain(p: CommParams) -> ChainParams:
         n_c=p.n_c,
         n_mid=(p.n_m, p.n_b),
     )
-    _, delta_c = matched_detunings(base)
-    return dataclasses.replace(base, delta_c=delta_c)
 
 
 def _thermal_diagonal(*pairs: tuple[float, float]) -> np.ndarray:

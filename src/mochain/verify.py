@@ -279,11 +279,7 @@ def check_coupling_sign_irrelevant() -> CheckResult:
         g_a=0.17, g_c=0.17, g_mid=(), theta=np.pi / 4, phi=np.pi / 4,
         kappa_a=5e-4, kappa_c=1e-3, kappa_mid=(1e-6,),
     )
-    flipped = ChainParams(
-        n=1, delta_a=5.0, delta_c=-5.0, omegas=(1.0,),
-        g_a=0.17, g_c=0.17, g_mid=(), theta=np.pi / 4 + np.pi, phi=np.pi / 4,
-        kappa_a=5e-4, kappa_c=1e-3, kappa_mid=(1e-6,),
-    )
+    flipped = replace(chain, theta=chain.theta + np.pi)
     g1, g2 = effective_coupling(chain), effective_coupling(flipped)
     worst = abs(g1 + g2)
     m1, m2 = reduce_chain(chain), reduce_chain(flipped)

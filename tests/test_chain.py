@@ -134,6 +134,34 @@ class TestMatchedDetunings:
         assert matched_detunings(chain)[1] == second
 
 
+class TestMatchedChainParams:
+    """delta_c = None resolves, inside ChainParams, to the matched optical detuning."""
+
+    @pytest.mark.parametrize("chain", [
+        single_mode_chain(),
+        two_mode_chain(),
+        ChainParams(n=3, delta_a=4.0, delta_c=-4.0, omegas=(1.0, 1.5, 1.0),
+                    g_a=0.1, g_c=0.2, g_mid=(0.1, 0.2), theta=0.0, phi=math.pi / 4,
+                    kappa_a=1e-3, kappa_c=1e-3, kappa_mid=(1e-4, 1e-4, 1e-4)),
+    ], ids=["n1", "n2", "n3"])
+    def test_none_is_the_matched_value(self, chain):
+        matched = dataclasses.replace(chain, delta_c=None)
+        assert matched.delta_c == matched_detunings(chain)[1]
+        assert matched == dataclasses.replace(chain, delta_c=matched_detunings(chain)[1])
+
+    def test_explicit_value_is_kept(self):
+        assert single_mode_chain(delta_c=-4.5).delta_c == -4.5
+
+    @pytest.mark.parametrize("overrides", [
+        dict(delta_a=1.0),                                 # omega_1^2 - delta_a^2 = 0
+        dict(n=2, omegas=(1.0, 2.0), delta_a=2.0, g_mid=(0.1,),
+             kappa_mid=(1e-3, 1e-6)),                      # omega_N^2 - delta_c^2 = 0
+    ], ids=["delta_a", "delta_c"])
+    def test_resonant_matched_denominator_raises(self, overrides):
+        with pytest.raises(SingularCouplingError):
+            single_mode_chain(**{**overrides, "delta_c": None})
+
+
 class TestValidityReport:
     def test_typical_ratio(self):
         chain = single_mode_chain(g_a=0.12, g_c=0.12)

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from mochain.chain import EffectiveModel
+from mochain import cli
 from mochain.cli import main
 from mochain.config import SweepAxis, load_config, parse_config
 from mochain.dynamics import characteristic_time
 from mochain.errors import ConfigError
-from mochain.sweep import parse_csv, render, run_compare, run_evolve, run_region
+from mochain.sweep import Table, parse_csv, render, run_compare, run_evolve, run_region
 from mochain.systems import COMM_FIG4, EOM_FIG3
 
 EFFECTIVE = {
@@ -217,6 +218,16 @@ class TestRunCompare:
         assert abs(record["g_eff"] - 1.8e-4) < 1e-18
         assert record["validity_pass"] is True
 
+    def test_single_point_json_is_valid(self):
+        raw = {"system": "comm", "parameters": dict(COMM_FIG4, kappa_a=5e-3, kappa_c=1e-2)}
+        text = render(run_compare(parse_config(raw)), "json")
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        (record,) = json.loads(text, parse_constant=reject)
+        assert record["point"] is None
+
 
 class TestSerialization:
     def test_csv_round_trip_exact(self):
@@ -233,6 +244,10 @@ class TestSerialization:
         cfg = parse_config(config_with(times={"samples": 3}))
         text = render(run_evolve(cfg), "csv")
         assert "\r" not in text and text.endswith("\n")
+
+    def test_numpy_scalar_is_a_plain_float(self):
+        table = Table(("x",), ((np.float64(0.1),),))
+        assert render(table, "csv") == "x\n0.1\n"
 
     def test_json_records(self):
         cfg = parse_config(config_with(times={"samples": 3}))
@@ -313,6 +328,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "at delta_a = 1.0" in err
+
+    @staticmethod
+    def assert_one_line(err: str, prefix: str) -> None:
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_missing_config_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["evolve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        self.assert_one_line(err, "config error: ")
+        assert str(path) in err
+
+    def test_non_utf8_config_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(EFFECTIVE).encode() + b" \xff")
+        assert main(["evolve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        self.assert_one_line(err, "config error: ")
+        assert str(path) in err
+
+    def test_unwritable_output_is_one_line(self, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config_with(times={"samples": 3})))
+        out_path = tmp_path / "missing" / "out.csv"
+        assert main(["evolve", "--config", str(config_path), "--out", str(out_path)]) == 3
+        err = capsys.readouterr().err
+        self.assert_one_line(err, f"error: cannot write {out_path}: ")
+
+    def test_unwritable_verify_report_is_one_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_and_format", lambda: ("PASS stub", 0))
+        out_path = tmp_path / "missing" / "report.txt"
+        assert main(["verify", "--out", str(out_path)]) == 3
+        err = capsys.readouterr().err
+        self.assert_one_line(err, f"error: cannot write {out_path}: ")
 
     def test_region_to_file(self, tmp_path):
         raw = config_with(sweep={

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mochain.chain import EffectiveModel, reduce
+from mochain.chain import ChainParams, EffectiveModel, reduce
 from mochain.dynamics import (
     AnalyticConstants,
     DriftDiffusion,
@@ -310,6 +310,34 @@ class TestBatchedPropagation:
         with pytest.raises(CovarianceOverflowError, match="t = 100 in cell 1") as info:
             propagate_lti(dds, CovarianceMatrix.vacuum(2), [10.0, 100.0])
         assert info.value.index == 1
+
+
+class TestOneConstructionPerCell:
+    """region and compare build each cell's ChainParams exactly once."""
+
+    @staticmethod
+    def count_constructions(monkeypatch) -> list:
+        calls = []
+        original = ChainParams.__post_init__
+
+        def counting(self):
+            calls.append(self)
+            original(self)
+
+        monkeypatch.setattr(ChainParams, "__post_init__", counting)
+        return calls
+
+    def test_region(self, monkeypatch):
+        calls = self.count_constructions(monkeypatch)
+        axes = (SweepAxis("kappa_a", 1e-4, 2e-4, 3), SweepAxis("kappa_c", 2e-4, 4e-4, 2))
+        table = sweep.run_region(RunConfig("comm", dict(COMM_FIG4), sweep=axes))
+        assert len(table.rows) == 6 and len(calls) == 6
+
+    def test_compare(self, monkeypatch):
+        calls = self.count_constructions(monkeypatch)
+        axes = (SweepAxis("g_a", 0.1, 0.2, 3),)
+        table = sweep.run_compare(RunConfig("eom", dict(EOM_FIG3), sweep=axes))
+        assert len(table.rows) == 3 and len(calls) == 3
 
 
 class TestCharacteristicTime:
