@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from .chain import ChainParams, EffectiveModel
 from . import chain as chain_mod
@@ -112,26 +112,25 @@ def _parse_axis(raw: Any, path: str) -> SweepAxis:
     return SweepAxis(name=name, minimum=lo, maximum=hi, points=points, scale=scale)
 
 
-def _flat_schema(system: str, params: dict[str, float]
-                 ) -> tuple[set[str], set[str], Callable[[dict[str, float]], Any]]:
-    """Required names, allowed names and builder of a system's flat parameter map.
+def _flat_schema(system: str, n: int) -> tuple[set[str], set[str]]:
+    """Required and allowed names of a system's flat parameter map.
 
     The names are the fields of the system's parameter dataclass (a field with
     a default is optional), except for the chain, whose per-mode tuples are
-    indexed names whose count follows n.
+    indexed names whose count follows n. The per-cell build_params needs no
+    names, so a sweep computes them once, when its config is parsed.
     """
     kind = system_entry(system).params
     if kind is ChainParams:
-        n = int(params.get("n", 0))
         required = {"n", "delta_a", "theta", "phi", "g_a", "g_c", "kappa_a", "kappa_c"}
         required |= {f"omega_{s}" for s in range(1, n + 1)}
         required |= {f"kappa_mid_{s}" for s in range(1, n + 1)}
         required |= {f"g_mid_{s}" for s in range(1, n)}
         optional = {"delta_c", "n_a", "n_c"} | {f"n_mid_{s}" for s in range(1, n + 1)}
-        return required, required | optional, build_chain_params
+        return required, required | optional
     fields = dataclasses.fields(kind)
     required = {f.name for f in fields if f.default is dataclasses.MISSING}
-    return required, {f.name for f in fields}, lambda flat: kind(**flat)
+    return required, {f.name for f in fields}
 
 
 def parse_config(raw: dict, source: str = "config") -> RunConfig:
@@ -150,7 +149,7 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
             params[key] = float(_count(value, f"{source}.parameters.n", 1))
         else:
             params[key] = _number(value, f"{source}.parameters.{key}")
-    required, allowed, _ = _flat_schema(system, params)
+    required, allowed = _flat_schema(system, int(params.get("n", 0)))
     _reject_unknown(params, allowed, f"{source}.parameters")
     missing = required - set(params)
     if missing:
@@ -276,7 +275,8 @@ def system_entry(system: str, path: str = "system") -> System:
 
 def build_params(system: str, params: dict[str, float]) -> Any:
     """The parameter object of a registered system from its flat parameter map."""
-    return _flat_schema(system, params)[2](params)
+    kind = system_entry(system).params
+    return build_chain_params(params) if kind is ChainParams else kind(**params)
 
 
 def reduce_point(system: str, params: dict[str, float]

@@ -2,12 +2,15 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mochain.chain import EffectiveModel
-from mochain import cli
+from mochain import cli, config
 from mochain.cli import main
 from mochain.config import SweepAxis, load_config, parse_config
 from mochain.dynamics import characteristic_time
@@ -202,6 +205,18 @@ class TestRunRegion:
         record = dict(zip(table.columns, table.rows[0]))
         assert record["regime"] in ("Steady", "Critical", "Unsteady")
 
+    def test_schema_is_computed_once_per_sweep(self, monkeypatch):
+        calls = []
+        original = config._flat_schema
+        monkeypatch.setattr(config, "_flat_schema",
+                            lambda *args: calls.append(args) or original(*args))
+        raw = {**CHAIN, "sweep": {
+            "axis1": {"name": "kappa_a", "min": 1e-4, "max": 2e-4, "points": 3},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 3},
+        }}
+        assert len(run_region(parse_config(raw)).rows) == 9
+        assert calls == [("chain", 2)]
+
 
 class TestRunCompare:
     def test_platform_only(self):
@@ -374,6 +389,15 @@ class TestCli:
         out_path = tmp_path / "region.csv"
         assert main(["region", "--config", str(config_path), "--out", str(out_path)]) == 0
         assert len(parse_csv(out_path.read_text()).rows) == 9
+
+    def test_import_needs_no_scipy(self):
+        # a fresh interpreter, so that modules the tests loaded do not count
+        probe = ("import sys; sys.path.insert(0, sys.argv[1]); import mochain.cli; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        run = subprocess.run([sys.executable, "-E", "-c", probe, src],
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert run.stdout.strip() == "[]"
 
     def test_output_path_from_config(self, tmp_path):
         out_path = tmp_path / "from_config.csv"

@@ -36,10 +36,10 @@ def test_demo_exits_cleanly(demo_runs, name):
 def test_region_map_csv_unchanged(demo_runs):
     """Byte-identical to the tracked file.
 
-    The numbers are shortest round-trip floats computed through scipy's expm
-    and LAPACK, so the tracked file belongs to the numpy/scipy/BLAS build that
-    wrote it: on another build a mismatch in the last bits only is drift of the
-    numeric stack, not a change of the program.
+    The numbers are shortest round-trip floats computed through the package's
+    own Pade exponential, numpy and LAPACK, so the tracked file belongs to the
+    numpy/BLAS build that wrote it: on another build a mismatch in the last
+    bits only is drift of the numeric stack, not a change of the program.
     """
     written = (demo_runs[0] / "comm_region_map.csv").read_bytes()
     assert written == (ROOT / "demos" / "comm_region_map.csv").read_bytes()

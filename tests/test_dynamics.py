@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from mochain.chain import ChainParams, EffectiveModel, reduce
+from mochain import dynamics
 from mochain.dynamics import (
+    THETA9,
     AnalyticConstants,
     DriftDiffusion,
     Trajectory,
@@ -60,6 +62,17 @@ class TestDriftDiffusionBuilder:
             DriftDiffusion(np.eye(4), np.eye(3))
         with pytest.raises(ValueError):
             DriftDiffusion(np.eye(4), -np.eye(4))  # negative diffusion
+
+    def test_indefinite_diffusion_rejected(self):
+        # one negative diagonal entry; a non-diagonal d with a positive
+        # diagonal and eigenvalues (3, -1)
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            DriftDiffusion(-np.eye(4), np.diag([1.0, 1.0, -1e-6, 1.0]))
+        indefinite = np.eye(4)
+        indefinite[0, 1] = indefinite[1, 0] = 2.0
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            DriftDiffusion(-np.eye(4), indefinite)
+        DriftDiffusion(-np.eye(4), np.diag([1.0, 1.0, -1e-13, 0.0]))  # within the bound
 
 
 class TestAnalyticCovariance:
@@ -310,6 +323,60 @@ class TestBatchedPropagation:
         with pytest.raises(CovarianceOverflowError, match="t = 100 in cell 1") as info:
             propagate_lti(dds, CovarianceMatrix.vacuum(2), [10.0, 100.0])
         assert info.value.index == 1
+
+
+class TestPadeExponential:
+    """The in-package exponential against scipy's expm, an independent oracle."""
+
+    @staticmethod
+    def captured_blocks(monkeypatch, dds, times) -> np.ndarray:
+        blocks = []
+        original = dynamics._expm
+
+        def capturing(m):
+            blocks.append(m.copy())
+            return original(m)
+
+        monkeypatch.setattr(dynamics, "_expm", capturing)
+        propagate_lti(dds, CovarianceMatrix.vacuum(dds[0].modes), times)
+        return np.concatenate(blocks)
+
+    @staticmethod
+    def assert_matches_scipy(blocks):
+        expm = pytest.importorskip("scipy.linalg").expm
+        for block, ours in zip(blocks, dynamics._expm(blocks)):
+            reference = expm(block)
+            assert np.linalg.norm(ours - reference, 1) <= 1e-14 * np.linalg.norm(reference, 1)
+
+    def test_region_blocks(self, monkeypatch):
+        # the COMM region map's grid: ||A h||_1 <= 1 keeps every scaled block
+        # (1-norm at most 1.00002 over the 50 x 50 map) well inside THETA9
+        dds, taus = [], []
+        for kappa_a in (1e-4, 3e-4, 1e-3):
+            for kappa_c in (1e-4, 3e-4, 1e-3):
+                params = CommParams(**dict(COMM_FIG4, kappa_a=kappa_a, kappa_c=kappa_c))
+                chain = comm_to_chain(params)
+                dds.append(comm_full_drift_diffusion(params, chain))
+                taus.append([characteristic_time(reduce(chain))])
+        blocks = self.captured_blocks(monkeypatch, dds, taus)
+        assert len(blocks) == 9 and np.all(dynamics._norm1(blocks) < 1.0001)
+        self.assert_matches_scipy(blocks)
+
+    def test_large_diffusion_blocks_are_squared(self, monkeypatch):
+        # ||A h||_1 sets the scaling; the n_a = 50 diffusion alone puts the
+        # block's 1-norm past THETA9, so the exponential scales it again
+        dd = build_effective_drift_diffusion(EffectiveModel(0.5, 1.0, 0.4, n_a=50.0))
+        blocks = self.captured_blocks(monkeypatch, [dd], np.linspace(0.0, 5.0, 7))
+        assert np.all(dynamics._norm1(blocks) > THETA9)
+        self.assert_matches_scipy(blocks)
+
+    def test_zero_and_dense_blocks(self):
+        # one stack, squared 0 and 4 times: unscaled, the degree-9 approximant
+        # of the dense block (1-norm 20) is off by ~1e-6
+        dense = np.random.default_rng(1).standard_normal((1, 8, 8))
+        blocks = np.concatenate([np.zeros((1, 8, 8)), dense * 20.0 / dynamics._norm1(dense)])
+        assert np.array_equal(dynamics._expm(blocks)[0], np.eye(8))
+        self.assert_matches_scipy(blocks)
 
 
 class TestOneConstructionPerCell:

@@ -183,15 +183,23 @@ class TestTwoModeResources:
 
     def test_divergent_state_against_mpmath(self):
         # evolve-effective seed 5, job 15 at 5 tau: entries ~6e8, while E
-        # depends on the O(0.1) squeezed part; rounding the exact covariance
-        # to double alone moves E by ~1e-7, and the determinant route must
-        # stay at least as close as the eigenvalue route (2.2e-7 vs 4.0e-7)
+        # depends on the O(0.1) squeezed part. Rounding the exact covariance to
+        # double alone moves E by ~1e-7, so which route lands closer to the
+        # exact E is luck; against the E of the double state each route is
+        # given, the determinant route is exact to ~2.5e-10 and the eigenvalue
+        # route is off by ~1.8e-7.
         mp = pytest.importorskip("mpmath")
         m = EffectiveModel(1.9923732904068676, 1.0, 1.0, n_a=0.1)
         dd = build_effective_drift_diffusion(m)
         t = 5.0 * characteristic_time(m)
         state = propagate_lti(dd, CovarianceMatrix.vacuum(2), [t])[0]
         assert np.max(np.abs(state.data)) > 5e8
+
+        def entanglement(v):
+            det_v = mp.det(v)
+            gamma = mp.det(v[0:2, 0:2]) + mp.det(v[2:4, 2:4]) - 2 * mp.det(v[0:2, 2:4])
+            return float(-mp.log(8 * det_v / (gamma + mp.sqrt(gamma**2 - 4 * det_v))) / 2)
+
         with mp.workdps(40):
             block = mp.zeros(8, 8)
             for i in range(4):
@@ -201,14 +209,14 @@ class TestTwoModeResources:
                     block[4 + i, 4 + j] = dd.a[j, i]
             e = mp.expm(block * mp.mpf(t))
             phi = e[4:8, 4:8].T
-            v = phi * phi.T / 2 + phi * e[0:4, 4:8]
-            det_v = mp.det(v)
-            gamma = mp.det(v[0:2, 0:2]) + mp.det(v[2:4, 2:4]) - 2 * mp.det(v[0:2, 2:4])
-            exact = float(-mp.log(8 * det_v / (gamma + mp.sqrt(gamma**2 - 4 * det_v))) / 2)
-        kernel_error = abs(float(two_mode_resources(state.data)[0]) - exact)
-        general_error = abs(log_negativity(state, MO) - exact)
-        assert kernel_error <= general_error
-        assert kernel_error < 3e-7
+            exact = entanglement(phi * phi.T / 2 + phi * e[0:4, 4:8])
+        with mp.workdps(60):
+            of_input = entanglement(mp.matrix(state.data.tolist()))
+        kernel = float(two_mode_resources(state.data)[0])
+        general = log_negativity(state, MO)
+        assert abs(kernel - of_input) <= abs(general - of_input)
+        assert abs(kernel - of_input) < 1e-8
+        assert abs(kernel - exact) < 3e-7
 
     def test_unphysical_state_in_batch_is_named(self):
         stack = np.stack([np.eye(4) / 2, np.eye(4) / 2, np.eye(4) * 0.1])
