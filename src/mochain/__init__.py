@@ -43,14 +43,11 @@ from .gaussian import (
     CovarianceMatrix,
     ModePartition,
     Regime,
-    ResourceReport,
     gaussian_steering,
-    is_physical,
     local_phase_rotate,
     log_negativity,
     monogamy_residuals,
     partial_transpose,
-    resource_report,
     symplectic_eigenvalues,
     symplectic_form,
     two_mode_resources,
@@ -89,7 +86,6 @@ __all__ = [
     "NumericError",
     "Regime",
     "RegimeError",
-    "ResourceReport",
     "SingularCouplingError",
     "SteeringRegion",
     "Trajectory",
@@ -106,7 +102,6 @@ __all__ = [
     "eom_full_drift_diffusion",
     "eom_to_chain",
     "gaussian_steering",
-    "is_physical",
     "local_phase_rotate",
     "log_negativity",
     "lyapunov_rk4",
@@ -115,7 +110,6 @@ __all__ = [
     "partial_transpose",
     "propagate_lti",
     "reduce",
-    "resource_report",
     "squeeze_variances",
     "stationary_entanglement",
     "stationary_steering",

@@ -5,11 +5,11 @@ full platform systems) is propagated exactly by propagate_lti, which steps the
 solution of dv/dt = A v + v A^T + D along a time grid with Van Loan's block
 exponential, evaluated by the module's own degree-9 Pade approximant with
 scaling and squaring (N. J. Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005),
-so the runtime needs numpy alone. It takes one pair, or a stack of pairs
-(the cells of a sweep) that it propagates together, each cell bit-identical to
-its own single-pair call. The effective model also has a fully analytic
-covariance from a vacuum start, and stable systems can be solved directly for
-their stationary covariance. A classical fixed-step RK4 integrator is kept as
+so the runtime needs numpy alone. It takes one DriftDiffusion, a single pair
+or a stack of pairs (the cells of a sweep chunk) that it propagates together,
+each cell bit-identical to its own single-pair call. The effective model also
+has a fully analytic covariance from a vacuum start, and stable systems can be
+solved directly for their stationary covariance. A classical fixed-step RK4 integrator is kept as
 an independent oracle for tests and the verification suite.
 
 All rates are in units of the reference frequency; the RK4 auto step size
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -40,9 +39,25 @@ PADE9 = (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
 THETA9 = 2.097847961257068
 
 
+def _first_bad(bad: NDArray[np.bool_], stacked: bool, what: str) -> None:
+    """Raise ValueError(what) if any cell is bad, naming the first one of a stack."""
+    if np.any(bad):
+        where = f" (cell {int(np.flatnonzero(bad)[0])})" if stacked else ""
+        raise ValueError(f"{what}{where}")
+
+
 @dataclass(frozen=True)
 class DriftDiffusion:
-    """Drift/diffusion pair (A, D) generating dv/dt = A v + v A^T + D."""
+    """Drift/diffusion pair (A, D) generating dv/dt = A v + v A^T + D.
+
+    a and d have shape (2M, 2M) for one pair, or (B, 2M, 2M) for a stack of B
+    pairs (the cells of a sweep chunk). The checks run once over the whole
+    stack as array tests: every entry finite, D symmetric and positive
+    semidefinite (to -1e-12 max(1, max|D|) per cell). A diagonal diffusion
+    (every platform's) is checked by its diagonal; eigvalsh runs only on the
+    cells whose D has off-diagonal entries. A failure in a stack names the
+    first bad cell.
+    """
 
     a: NDArray[np.float64]
     d: NDArray[np.float64]
@@ -50,20 +65,28 @@ class DriftDiffusion:
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=float)
         d = np.asarray(self.d, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] % 2:
-            raise ValueError(f"drift matrix must be 2M x 2M, got {a.shape}")
+        if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] % 2:
+            raise ValueError(f"drift matrix must be 2M x 2M or a stack of them, got {a.shape}")
         if d.shape != a.shape:
             raise ValueError(f"diffusion shape {d.shape} does not match drift {a.shape}")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
-            raise ValueError("drift/diffusion entries must be finite")
-        if np.max(np.abs(d - d.T)) > 1e-12 * max(1.0, float(np.max(np.abs(d)))):
-            raise ValueError("diffusion matrix must be symmetric")
-        d = (d + d.T) / 2.0
-        # the eigenvalues of a diagonal diffusion (every platform's) are its entries
-        diagonal = np.count_nonzero(d) == np.count_nonzero(np.diagonal(d))
-        lowest = np.min(np.diagonal(d)) if diagonal else np.linalg.eigvalsh(d)[0]
-        if float(lowest) < -1e-12 * max(1.0, float(np.max(np.abs(d)))):
-            raise ValueError("diffusion matrix must be positive semidefinite")
+        stacked = a.ndim == 3
+        cells_a, cells_d = a.reshape(-1, *a.shape[-2:]), d.reshape(-1, *d.shape[-2:])
+        _first_bad(~(np.all(np.isfinite(cells_a), axis=(1, 2))
+                     & np.all(np.isfinite(cells_d), axis=(1, 2))),
+                   stacked, "drift/diffusion entries must be finite")
+        transpose = np.swapaxes(cells_d, 1, 2)
+        bound = 1e-12 * np.maximum(1.0, np.max(np.abs(cells_d), axis=(1, 2)))
+        _first_bad(np.max(np.abs(cells_d - transpose), axis=(1, 2)) > bound,
+                   stacked, "diffusion matrix must be symmetric")
+        cells_d = (cells_d + transpose) / 2.0
+        # the eigenvalues of a diagonal diffusion are its entries
+        diagonal = np.diagonal(cells_d, axis1=1, axis2=2)
+        lowest = np.min(diagonal, axis=1)
+        dense = np.count_nonzero(cells_d, axis=(1, 2)) != np.count_nonzero(diagonal, axis=1)
+        if np.any(dense):
+            lowest[dense] = np.linalg.eigvalsh(cells_d[dense])[:, 0]
+        _first_bad(lowest < -bound, stacked, "diffusion matrix must be positive semidefinite")
+        d = cells_d.reshape(d.shape)
         a.flags.writeable = False
         d.flags.writeable = False
         object.__setattr__(self, "a", a)
@@ -71,7 +94,7 @@ class DriftDiffusion:
 
     @property
     def modes(self) -> int:
-        return self.a.shape[0] // 2
+        return self.a.shape[-1] // 2
 
 
 @dataclass(frozen=True)
@@ -352,17 +375,25 @@ def _expm(m: NDArray[np.float64]) -> NDArray[np.float64]:
 
 def _van_loan_pair(
     a: NDArray[np.float64], d: NDArray[np.float64], h: NDArray[np.float64]
-) -> tuple[NDArray[np.longdouble], NDArray[np.longdouble]]:
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Phi = e^{Ah} and Q = int_0^h e^{As} D e^{A^T s} ds for a stack of cells.
 
     a and d have shape (B, n, n) and the spans h > 0 shape (B,). For each cell,
     Van Loan's block M = [[-A, D], [0, A^T]] is exponentiated at h / 2^k, with
     k the smallest integer such that ||A||_1 h / 2^k <= 1, and the pair is then
-    doubled k times in extended precision; a cell stops doubling after its own
-    k. Exponentiating M over the whole span instead cancels catastrophically
-    in Q, because e^{-Ah} grows when A is stable. The scaled block's 1-norm
-    also counts D, so a large diffusion can still put it past THETA9, where
-    _expm scales and squares it once more.
+    doubled k times; a cell stops doubling after its own k. Exponentiating M
+    over the whole span instead cancels catastrophically in Q, because e^{-Ah}
+    grows when A is stable. The scaled block's 1-norm also counts D, so a
+    large diffusion can still put it past THETA9, where _expm scales and
+    squares it once more.
+
+    The doublings run in double: they amplify the error of the double
+    precision exponential they start from by ||A|| h ~ 2^k in any precision,
+    so extended precision here buys no accuracy (on 28 COMM region cells, E
+    and S were 1.7e-12 from a 40-digit reference with long-double doublings
+    and 2.8e-12 with double ones) and costs ~25x, numpy having no BLAS for it.
+    A pair that overflows means the state overflows too, which propagate_lti
+    reports, so overflow here is silent.
     """
     n = a.shape[-1]
     k = _halvings(_norm1(a) * h)
@@ -371,19 +402,20 @@ def _van_loan_pair(
     block[:, :n, n:] = d
     block[:, n:, n:] = np.swapaxes(a, -1, -2)
     e = _expm(block * np.ldexp(h, -k)[:, None, None])
-    phi = np.swapaxes(e[:, n:, n:], -1, -2).astype(np.longdouble)
+    phi = np.swapaxes(e[:, n:, n:], -1, -2)
     q = phi @ e[:, :n, n:]
     q = (q + np.swapaxes(q, -1, -2)) / 2.0
-    for j in range(int(k.max(initial=0))):
-        doubling = np.flatnonzero(k > j)
-        p = phi[doubling]
-        q[doubling] = p @ q[doubling] @ np.swapaxes(p, -1, -2) + q[doubling]
-        phi[doubling] = p @ p
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(int(k.max(initial=0))):
+            doubling = np.flatnonzero(k > j)
+            p = phi[doubling]
+            q[doubling] = p @ q[doubling] @ np.swapaxes(p, -1, -2) + q[doubling]
+            phi[doubling] = p @ p
     return phi, q
 
 
 def propagate_lti(
-    dd: DriftDiffusion | Sequence[DriftDiffusion],
+    dd: DriftDiffusion,
     v0: CovarianceMatrix,
     times: ArrayLike,
 ) -> list[CovarianceMatrix] | NDArray[np.float64]:
@@ -397,29 +429,31 @@ def propagate_lti(
     non-negative and non-decreasing; a repeated time returns the same state.
 
     One drift/diffusion pair with times of shape (T,) gives the list of T
-    states. A sequence of B pairs (one per cell, same mode count, all started
-    from v0) with times of shape (B, T), or (T,) shared by every cell, gives
-    the symmetrized covariances as one array of shape (B, T, 2M, 2M); every
-    cell's states are bit-identical to propagating that cell alone. Raises
-    CovarianceOverflowError, naming the time (and the cell of a batch, also
+    states. A stacked pair of B cells (all started from v0) with times of
+    shape (B, T), or (T,) shared by every cell, gives the symmetrized
+    covariances as one array of shape (B, T, 2M, 2M); every cell's states are
+    bit-identical to propagating that cell alone. Raises
+    CovarianceOverflowError, naming the time (and the cell of a stack, also
     as `index`), when a state leaves double range.
 
     The state is carried in extended precision (np.longdouble; plain double
-    where the platform has no wider type). In the divergent regime the
-    covariance grows to ~1e8 while the resources depend on its O(1) squeezed
-    part, and double rounding at every step of a fine grid accumulates there:
-    on a 401-point grid to 5 tau it moved the log-negativity by 1.2e-6.
+    where the platform has no wider type), while (Phi, Q) are double. In the
+    divergent regime the covariance grows to ~1e8 while the resources depend
+    on its O(1) squeezed part, and double rounding at every step of a fine
+    grid accumulates there: on a 401-point grid to 5 tau it moved the
+    log-negativity by 1.2e-6.
     """
-    single = isinstance(dd, DriftDiffusion)
-    cells = [dd] if single else list(dd)
+    if v0.modes != dd.modes:
+        raise ValueError("initial state and drift matrix disagree on mode count")
+    single = dd.a.ndim == 2
+    a, d = (dd.a[None], dd.d[None]) if single else (dd.a, dd.d)
+    cells = len(a)
     if not cells:
         raise ValueError("propagate_lti needs at least one drift/diffusion pair")
-    if any(c.modes != v0.modes for c in cells):
-        raise ValueError("initial state and drift matrix disagree on mode count")
     times = np.asarray(times, dtype=float)
     if times.ndim == 1:
-        times = np.broadcast_to(times, (len(cells), len(times)))
-    if times.ndim != 2 or times.shape[0] != len(cells) or not np.all(np.isfinite(times)):
+        times = np.broadcast_to(times, (cells, len(times)))
+    if times.ndim != 2 or times.shape[0] != cells or not np.all(np.isfinite(times)):
         raise ValueError("times must be finite, of shape (T,) or one row of T per cell")
     spans = np.diff(times, axis=1, prepend=0.0)
     if np.any(spans < 0.0):
@@ -429,16 +463,13 @@ def propagate_lti(
     pair_of: dict[tuple[int, float], int] = {}
     for cell, column in zip(*np.nonzero(spans > 0.0)):
         pair_of.setdefault((int(cell), float(spans[cell, column])), len(pair_of))
-    keys = list(pair_of)
-    if keys:
-        owner = [cell for cell, _ in keys]
-        phi, q = _van_loan_pair(np.stack([cells[c].a for c in owner]),
-                                np.stack([cells[c].d for c in owner]),
-                                np.array([h for _, h in keys]))
+    if pair_of:
+        owner = [cell for cell, _ in pair_of]
+        phi, q = _van_loan_pair(a[owner], d[owner], np.array([h for _, h in pair_of]))
         phi_t = np.swapaxes(phi, -1, -2)
 
-    v = np.repeat(v0.data.astype(np.longdouble)[None], len(cells), axis=0)
-    out = np.empty((len(cells), times.shape[1], v0.data.shape[0], v0.data.shape[0]))
+    v = np.repeat(v0.data.astype(np.longdouble)[None], cells, axis=0)
+    out = np.empty((cells, times.shape[1], *v0.data.shape))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
         for column in range(times.shape[1]):
             moving = np.flatnonzero(spans[:, column] > 0.0)

@@ -21,7 +21,7 @@ and, on two modes, the tests and the verify suite as an independent oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -105,29 +105,6 @@ class Regime(Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class ResourceReport:
-    """Entanglement, steering, and monogamy diagnostics at one evaluation point.
-
-    Raw steering values are preserved because their sign carries the
-    directionality information; the clamped fields apply max(0, .).
-    Monogamy residuals are None for states with fewer than three modes.
-    """
-
-    entanglement: float
-    steering_ac_raw: float
-    steering_ca_raw: float
-    steering_ac: float = field(init=False)
-    steering_ca: float = field(init=False)
-    regime: Regime = Regime.NOT_APPLICABLE
-    monogamy_ent_residual: float | None = None
-    monogamy_steer_residual: float | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "steering_ac", max(0.0, self.steering_ac_raw))
-        object.__setattr__(self, "steering_ca", max(0.0, self.steering_ca_raw))
-
-
 def _quadrature_indices(modes: Sequence[int], n_modes: int) -> list[int]:
     idx: list[int] = []
     for m in modes:
@@ -157,11 +134,6 @@ def symplectic_eigenvalues(v: CovarianceMatrix) -> NDArray[np.float64]:
             f"symplectic eigenvalue pairing failed, relative residual {residual:.3e}"
         )
     return (lo + hi) / 2.0
-
-
-def is_physical(v: CovarianceMatrix, tol: float = PHYSICALITY_TOL) -> bool:
-    """Whether every symplectic eigenvalue is >= 1/2 - tol."""
-    return bool(symplectic_eigenvalues(v)[0] >= 0.5 - tol)
 
 
 def _require_physical(v: CovarianceMatrix) -> None:
@@ -344,30 +316,3 @@ def local_phase_rotate(v: CovarianceMatrix, mode: int, angle: float) -> Covarian
     g[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [[c, s], [-s, c]]
     return CovarianceMatrix(g @ v.data @ g.T)
 
-
-def resource_report(
-    v: CovarianceMatrix,
-    mode_a: int = 0,
-    mode_c: int = 1,
-    regime: Regime = Regime.NOT_APPLICABLE,
-) -> ResourceReport:
-    """Evaluate all resource functionals between two target modes of a state.
-
-    For states with three or more modes the entanglement/steering are computed
-    on the reduced two-mode state and the monogamy residuals on the full state
-    with mode_a as the focus.
-    """
-    e = log_negativity(v, ModePartition({mode_a}, {mode_c}))
-    s_ac_raw, _ = gaussian_steering(v, {mode_a}, {mode_c})
-    s_ca_raw, _ = gaussian_steering(v, {mode_c}, {mode_a})
-    ent_res = steer_res = None
-    if v.modes >= 3:
-        ent_res, steer_res = monogamy_residuals(v, mode_a)
-    return ResourceReport(
-        entanglement=e,
-        steering_ac_raw=s_ac_raw,
-        steering_ca_raw=s_ca_raw,
-        regime=regime,
-        monogamy_ent_residual=ent_res,
-        monogamy_steer_residual=steer_res,
-    )

@@ -13,13 +13,14 @@ other system is propagated as its effective two-mode model. Every numeric
 covariance comes from the exact propagator dynamics.propagate_lti, except for
 effective models with vacuum input away from the critical coupling, where the
 analytic covariance is used. region and compare share one cell loop that
-maps each cell onto the chain once and propagates chunks of CHUNK_CELLS cells
-through one propagate_lti call, at tau (region) or tau and 2 tau (compare);
-the two only assemble rows. Every table's resource columns come from the
-batched two-mode kernel gaussian.two_mode_resources. A library error raised
-for a sweep cell names the cell's axis values. All tables serialize to CSV
-(LF line endings, shortest round-trip float representation) or JSON (a
-non-finite float as null).
+maps each cell onto the chain once and, per chunk of CHUNK_CELLS cells, makes
+one call to the platform's drift/diffusion builder (one stacked pair) and one
+propagate_lti call, at tau (region) or tau and 2 tau (compare); the two only
+assemble rows. Every table's resource columns come from the batched two-mode
+kernel gaussian.two_mode_resources. A library error raised for a sweep cell
+names the cell's axis values. All tables serialize to CSV (LF line endings,
+shortest round-trip float representation) or JSON (a non-finite float as
+null).
 """
 
 from __future__ import annotations
@@ -156,25 +157,26 @@ def _swept_cells(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
     full is None for a system without full dynamics, else (E, S_ac, S_ca) of
     the full system propagated exactly from the vacuum, each a list over the
     multiples of the cell's characteristic time. Each chunk of CHUNK_CELLS
-    cells is mapped cell by cell, then propagated and evaluated in one call.
+    cells is mapped cell by cell, then built as one stacked drift/diffusion
+    pair, propagated and evaluated in one call each.
     """
     full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
     for start in range(0, len(cells), CHUNK_CELLS):
         chunk = cells[start:start + CHUNK_CELLS]
-        points, dds, taus = [], [], []
+        points, platforms = [], []
         for cell in chunk:
             params = {**cfg.parameters, **dict(zip(names, cell))}
             with _naming_cell(names, [cell]):
                 platform, chain, model = reduce_point(cfg.system, params)
-                if full_drift_diffusion is not None:
-                    dds.append(full_drift_diffusion(platform, chain))
-                    taus.append(characteristic_time(model))
             points.append((params, chain, model))
+            platforms.append(platform)
         if full_drift_diffusion is None:
             yield from ((*point, None) for point in points)
             continue
         with _naming_cell(names, chunk):
-            states = propagate_lti(dds, CovarianceMatrix.vacuum(dds[0].modes),
+            dd = full_drift_diffusion(platforms, [chain for _, chain, _ in points])
+            taus = [characteristic_time(model) for _, _, model in points]
+            states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes),
                                    np.outer(taus, multiples))
             full = two_mode_resources(_mo_block(states))
         yield from ((*point, resources)

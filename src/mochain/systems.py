@@ -7,7 +7,9 @@ to the mechanics, which drives the optical cavity: two intermediaries). Each
 maps onto the general chain parameters with one ChainParams construction
 (delta_c = None, so the chain itself resolves the matched optical detuning),
 and each exposes the full linearized drift/diffusion pair for the numeric
-route that validates the reduction.
+route that validates the reduction: one pair for one parameter object, or
+one stacked pair for a sequence of them (the cells of a sweep chunk), built
+by the same code.
 
 SYSTEMS names every system a run configuration can select (the effective
 model, the general chain and the two platforms) and holds, for each, its
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -153,64 +155,86 @@ def comm_to_chain(p: CommParams) -> ChainParams:
     )
 
 
-def _thermal_diagonal(*pairs: tuple[float, float]) -> np.ndarray:
-    entries: list[float] = []
-    for kappa, occupation in pairs:
-        heat = kappa * (2.0 * occupation + 1.0)
-        entries.extend((heat, heat))
-    return np.diag(entries)
+def _columns(p: Any, chain: Any, kind: type, to_chain: Callable[[Any], ChainParams],
+             names: tuple[str, ...]) -> tuple[bool, np.ndarray]:
+    """Whether p is one parameter object, and one (B,) row per named field of the
+    B cells, followed by the matched delta_c of their chains (mapped when None)."""
+    single = isinstance(p, kind)
+    params = [p] if single else list(p)
+    chains = [chain] if single and chain is not None else chain
+    chains = [to_chain(q) for q in params] if chains is None else list(chains)
+    if len(chains) != len(params):
+        raise ValueError(f"{len(params)} parameter objects but {len(chains)} chains")
+    return single, np.array([[getattr(q, name) for name in names] + [c.delta_c]
+                             for q, c in zip(params, chains)], dtype=float).T
 
 
-def eom_full_drift_diffusion(p: EomParams, chain: ChainParams | None = None) -> DriftDiffusion:
+def _drift_diffusion(rows: list[list], thermal: tuple, single: bool) -> DriftDiffusion:
+    """The pair of a drift written as rows of scalars and (B,) arrays, and of the
+    diagonal diffusion kappa (2 n + 1) of both quadratures of each (kappa, n) mode."""
+    heat = np.stack([kappa * (2.0 * n + 1.0) for kappa, n in thermal], axis=-1)
+    a = np.empty((len(heat), len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            a[:, i, j] = entry
+    d = np.zeros_like(a)
+    d[:, range(len(rows)), range(len(rows))] = np.repeat(heat, 2, axis=-1)
+    return DriftDiffusion(a[0], d[0]) if single else DriftDiffusion(a, d)
+
+
+def eom_full_drift_diffusion(p: EomParams | Sequence[EomParams],
+                             chain: ChainParams | Sequence[ChainParams] | None = None
+                             ) -> DriftDiffusion:
     """Linearized 6x6 dynamics of the full electro-optomechanical system, ordering (a, c, b).
 
     The optical detuning comes from the matched pair of the chain mapping
     (figure captions quote only delta_a); pass the already mapped
-    eom_to_chain(p) as `chain` to reuse it instead of mapping again.
+    eom_to_chain(p) as `chain` to reuse it instead of mapping again. One
+    parameter object gives one 6x6 pair; a sequence of them (and of their
+    chains) gives the stacked (B, 6, 6) pair of a sweep chunk, filled entry
+    by entry from the field values of all cells at once.
     """
-    delta_c = (eom_to_chain(p) if chain is None else chain).delta_c
-    da, dc, wb = p.delta_a, delta_c, p.omega_b
-    ka, kc, kb = p.kappa_a, p.kappa_c, p.kappa_b
-    ga2, gc2 = 2.0 * p.g_a, 2.0 * p.g_c
-    a = np.array(
-        [
-            [-ka, da, 0.0, 0.0, 0.0, 0.0],
-            [-da, -ka, 0.0, 0.0, -ga2, 0.0],
-            [0.0, 0.0, -kc, dc, 0.0, 0.0],
-            [0.0, 0.0, -dc, -kc, -gc2, 0.0],
-            [0.0, 0.0, 0.0, 0.0, -kb, wb],
-            [-ga2, 0.0, -gc2, 0.0, -wb, -kb],
-        ]
-    )
-    d = _thermal_diagonal((ka, p.n_a), (kc, p.n_c), (kb, p.n_b))
-    return DriftDiffusion(a, d)
+    single, (da, wb, ka, kc, kb, ga, gc, n_a, n_c, n_b, dc) = _columns(
+        p, chain, EomParams, eom_to_chain,
+        ("delta_a", "omega_b", "kappa_a", "kappa_c", "kappa_b", "g_a", "g_c", "n_a", "n_c", "n_b"))
+    ga2, gc2 = 2.0 * ga, 2.0 * gc
+    rows = [
+        [-ka, da, 0.0, 0.0, 0.0, 0.0],
+        [-da, -ka, 0.0, 0.0, -ga2, 0.0],
+        [0.0, 0.0, -kc, dc, 0.0, 0.0],
+        [0.0, 0.0, -dc, -kc, -gc2, 0.0],
+        [0.0, 0.0, 0.0, 0.0, -kb, wb],
+        [-ga2, 0.0, -gc2, 0.0, -wb, -kb],
+    ]
+    return _drift_diffusion(rows, ((ka, n_a), (kc, n_c), (kb, n_b)), single)
 
 
-def comm_full_drift_diffusion(p: CommParams, chain: ChainParams | None = None) -> DriftDiffusion:
+def comm_full_drift_diffusion(p: CommParams | Sequence[CommParams],
+                              chain: ChainParams | Sequence[ChainParams] | None = None
+                              ) -> DriftDiffusion:
     """Linearized 8x8 dynamics of the full optomagnomechanical system, ordering (a, c, m, b).
 
     The optical detuning is the matched one of comm_to_chain(p); pass that
-    mapping as `chain` when it is already at hand.
+    mapping as `chain` when it is already at hand. A sequence of parameter
+    objects and chains gives the stacked (B, 8, 8) pair, as for
+    eom_full_drift_diffusion.
     """
-    delta_c = (comm_to_chain(p) if chain is None else chain).delta_c
-    da, dc, dm, wb = p.delta_a, delta_c, float(p.delta_m), p.omega_b
-    ka, kc, km, kb = p.kappa_a, p.kappa_c, p.kappa_m, p.kappa_b
-    ga = p.g_a
-    gm2, gc2 = 2.0 * p.g_m, 2.0 * p.g_c
-    a = np.array(
-        [
-            [-ka, da, 0.0, 0.0, 0.0, ga, 0.0, 0.0],
-            [-da, -ka, 0.0, 0.0, -ga, 0.0, 0.0, 0.0],
-            [0.0, 0.0, -kc, dc, 0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, -dc, -kc, 0.0, 0.0, -gc2, 0.0],
-            [0.0, ga, 0.0, 0.0, -km, dm, 0.0, 0.0],
-            [-ga, 0.0, 0.0, 0.0, -dm, -km, -gm2, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -kb, wb],
-            [0.0, 0.0, -gc2, 0.0, -gm2, 0.0, -wb, -kb],
-        ]
-    )
-    d = _thermal_diagonal((ka, p.n_a), (kc, p.n_c), (km, p.n_m), (kb, p.n_b))
-    return DriftDiffusion(a, d)
+    single, (da, dm, wb, ka, kc, km, kb, ga, gm, gc, n_a, n_c, n_m, n_b, dc) = _columns(
+        p, chain, CommParams, comm_to_chain,
+        ("delta_a", "delta_m", "omega_b", "kappa_a", "kappa_c", "kappa_m", "kappa_b",
+         "g_a", "g_m", "g_c", "n_a", "n_c", "n_m", "n_b"))
+    gm2, gc2 = 2.0 * gm, 2.0 * gc
+    rows = [
+        [-ka, da, 0.0, 0.0, 0.0, ga, 0.0, 0.0],
+        [-da, -ka, 0.0, 0.0, -ga, 0.0, 0.0, 0.0],
+        [0.0, 0.0, -kc, dc, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, -dc, -kc, 0.0, 0.0, -gc2, 0.0],
+        [0.0, ga, 0.0, 0.0, -km, dm, 0.0, 0.0],
+        [-ga, 0.0, 0.0, 0.0, -dm, -km, -gm2, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -kb, wb],
+        [0.0, 0.0, -gc2, 0.0, -gm2, 0.0, -wb, -kb],
+    ]
+    return _drift_diffusion(rows, ((ka, n_a), (kc, n_c), (km, n_m), (kb, n_b)), single)
 
 
 @dataclass(frozen=True)
@@ -219,8 +243,9 @@ class System:
 
     to_chain is None for the effective model, which is already reduced;
     full_drift_diffusion is None where the effective model is the whole dynamics.
-    full_drift_diffusion(params, chain) takes the chain that to_chain(params)
-    returned, so a cell is mapped onto the chain once.
+    full_drift_diffusion(params, chains) takes the chains that to_chain
+    returned, so a cell is mapped onto the chain once; given sequences of
+    both, it builds the stacked pair of all their cells in one call.
     """
 
     params: type

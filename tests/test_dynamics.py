@@ -39,6 +39,11 @@ STEADY = EffectiveModel(0.5, 1.0, 1.0)
 UNSTEADY = EffectiveModel(1.0, 0.5, 1.0)
 
 
+def stack(dds) -> DriftDiffusion:
+    """One stacked pair holding the given single pairs as its cells, in order."""
+    return DriftDiffusion(np.stack([dd.a for dd in dds]), np.stack([dd.d for dd in dds]))
+
+
 class TestDriftDiffusionBuilder:
     def test_decoupled_vacuum(self):
         dd = build_effective_drift_diffusion(EffectiveModel(0.0, 1.0, 1.0))
@@ -73,6 +78,59 @@ class TestDriftDiffusionBuilder:
         with pytest.raises(ValueError, match="positive semidefinite"):
             DriftDiffusion(-np.eye(4), indefinite)
         DriftDiffusion(-np.eye(4), np.diag([1.0, 1.0, -1e-13, 0.0]))  # within the bound
+
+
+class TestStackedDriftDiffusion:
+    """A (B, 2M, 2M) stack is checked once, with the verdicts of its cells' own checks."""
+
+    @staticmethod
+    def cells():
+        return [build_effective_drift_diffusion(m) for m in (STEADY, UNSTEADY, STEADY, UNSTEADY)]
+
+    def test_valid_stack_is_accepted(self):
+        dds = self.cells()
+        dense = np.eye(4)
+        dense[0, 1] = dense[1, 0] = 0.5  # positive definite, checked by eigvalsh
+        dds[3] = DriftDiffusion(dds[3].a, dense)
+        stacked = stack(dds)
+        assert stacked.a.shape == stacked.d.shape == (4, 4, 4) and stacked.modes == 2
+        for cell, dd in enumerate(dds):
+            assert np.array_equal(stacked.a[cell], dd.a)
+            assert np.array_equal(stacked.d[cell], dd.d)
+
+    @pytest.mark.parametrize("cell", [0, 2])
+    @pytest.mark.parametrize("defect, message", [
+        ("nan-drift", "finite"), ("inf-diffusion", "finite"),
+        ("asymmetric", "symmetric"), ("negative-diagonal", "positive semidefinite"),
+        ("indefinite", "positive semidefinite"),
+    ])
+    def test_bad_cell_is_named(self, cell, defect, message):
+        # the defect is put into the given cell and into the last one
+        a = np.stack([dd.a for dd in self.cells()])
+        d = np.stack([dd.d for dd in self.cells()])
+        for bad in (cell, 3):
+            if defect == "nan-drift":
+                a[bad, 1, 2] = np.nan
+            elif defect == "inf-diffusion":
+                d[bad, 3, 3] = np.inf
+            elif defect == "asymmetric":
+                d[bad, 0, 1] = 1e-6
+            elif defect == "negative-diagonal":
+                d[bad, 2, 2] = -1e-6
+            else:
+                d[bad, 0, 1] = d[bad, 1, 0] = 2.0  # eigenvalues (3, -1)
+        with pytest.raises(ValueError, match=f"{message} \\(cell {cell}\\)"):
+            DriftDiffusion(a, d)
+
+    def test_single_pair_names_no_cell(self):
+        with pytest.raises(ValueError, match="positive semidefinite$"):
+            DriftDiffusion(-np.eye(4), -np.eye(4))
+
+    def test_shape_validation(self):
+        with pytest.raises(ValueError):
+            DriftDiffusion(np.zeros((2, 4, 4)), np.zeros((3, 4, 4)))
+        with pytest.raises(ValueError):
+            DriftDiffusion(np.zeros((2, 2, 4, 4)), np.zeros((2, 2, 4, 4)))
 
 
 class TestAnalyticCovariance:
@@ -283,7 +341,7 @@ class TestBatchedPropagation:
         _, _, dds, taus = self.comm_grid()
         vacuum = CovarianceMatrix.vacuum(4)
         times = np.array([[tau, 2.0 * tau] for tau in taus])
-        batch = propagate_lti(dds, vacuum, times)
+        batch = propagate_lti(stack(dds), vacuum, times)
         assert batch.shape == (35, 2, 8, 8)
         for dd, row, states in zip(dds, times, batch):
             single = propagate_lti(dd, vacuum, row)
@@ -305,23 +363,26 @@ class TestBatchedPropagation:
 
     def test_shared_time_grid_and_validation(self):
         dds = [build_effective_drift_diffusion(STEADY), build_effective_drift_diffusion(UNSTEADY)]
-        batch = propagate_lti(dds, CovarianceMatrix.vacuum(2), [0.0, 1.0])
+        batch = propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [0.0, 1.0])
         assert batch.shape == (2, 2, 4, 4)
         assert np.array_equal(batch[1, 1], propagate_lti(dds[1], CovarianceMatrix.vacuum(2),
                                                          [0.0, 1.0])[1].data)
         with pytest.raises(ValueError):
-            propagate_lti(dds, CovarianceMatrix.vacuum(2), [[1.0], [2.0], [3.0]])
+            propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [[1.0], [2.0], [3.0]])
         with pytest.raises(ValueError):
-            propagate_lti(dds, CovarianceMatrix.vacuum(2), [[1.0, 0.5], [1.0, 2.0]])
+            propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [[1.0, 0.5], [1.0, 2.0]])
         with pytest.raises(ValueError):
-            propagate_lti([dds[0], eom_full_drift_diffusion(EomParams(**EOM_FIG3))],
+            propagate_lti(stack([eom_full_drift_diffusion(EomParams(**EOM_FIG3))] * 2),
                           CovarianceMatrix.vacuum(2), [1.0])
 
+    @pytest.mark.filterwarnings("error")
     def test_overflow_names_the_cell(self):
+        # the (Phi, Q) pair of the 90-unit span overflows double in its
+        # doublings; that is reported as the state's overflow, with no warning
         dds = [build_effective_drift_diffusion(STEADY),
                build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))]
         with pytest.raises(CovarianceOverflowError, match="t = 100 in cell 1") as info:
-            propagate_lti(dds, CovarianceMatrix.vacuum(2), [10.0, 100.0])
+            propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [10.0, 100.0])
         assert info.value.index == 1
 
 
@@ -338,7 +399,7 @@ class TestPadeExponential:
             return original(m)
 
         monkeypatch.setattr(dynamics, "_expm", capturing)
-        propagate_lti(dds, CovarianceMatrix.vacuum(dds[0].modes), times)
+        propagate_lti(stack(dds), CovarianceMatrix.vacuum(dds[0].modes), times)
         return np.concatenate(blocks)
 
     @staticmethod
@@ -377,6 +438,55 @@ class TestPadeExponential:
         blocks = np.concatenate([np.zeros((1, 8, 8)), dense * 20.0 / dynamics._norm1(dense)])
         assert np.array_equal(dynamics._expm(blocks)[0], np.eye(8))
         self.assert_matches_scipy(blocks)
+
+
+class TestDoublingPrecision:
+    """Doubling (Phi, Q) in double keeps region cells at the accuracy of their Pade block."""
+
+    @staticmethod
+    def van_loan_resources(mp, dd, t):
+        """(E, S_ac, S_ca) at t from the vacuum by a 40-digit Van Loan reference."""
+        n = dd.a.shape[0]
+        k = max(0, math.ceil(math.log2(float(dynamics._norm1(dd.a)) * t)))
+        with mp.workdps(40):
+            block = mp.zeros(2 * n, 2 * n)
+            for i in range(n):
+                for j in range(n):
+                    block[i, j] = -dd.a[i, j]
+                    block[i, n + j] = dd.d[i, j]
+                    block[n + i, n + j] = dd.a[j, i]
+            e = mp.expm(block * (mp.mpf(t) / 2**k))
+            phi = e[n:2 * n, n:2 * n].T
+            q = phi * e[0:n, n:2 * n]
+            for _ in range(k):
+                q = phi * q * phi.T + q
+                phi = phi * phi
+            v = phi * phi.T / 2 + q
+            v = (v + v.T) / 2
+
+            def det2(m):
+                return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+            det_a, det_c, det_v = det2(v[0:2, 0:2]), det2(v[2:4, 2:4]), mp.det(v[0:4, 0:4])
+            gamma = det_a + det_c - 2 * det2(v[0:2, 2:4])
+            eta2 = 2 * det_v / (gamma + mp.sqrt(gamma * gamma - 4 * det_v))
+            return [float(max(0, -mp.log(4 * eta2) / 2)),
+                    float(mp.log(det_a / (4 * det_v)) / 2), float(mp.log(det_c / (4 * det_v)) / 2)]
+
+    @pytest.mark.parametrize("kappa_a, kappa_c", [(1e-4, 1e-4), (1e-4, 1e-3), (1e-3, 1e-3)])
+    def test_region_corner_against_mpmath(self, kappa_a, kappa_c):
+        # tau is 5e3-2.2e4 here, so k = 16-18 doublings amplify the Pade
+        # block's rounding; measured 1.5e-13-5.1e-12 (2.1e-12 at worst with
+        # long-double doublings)
+        mp = pytest.importorskip("mpmath")
+        params = CommParams(**dict(COMM_FIG4, kappa_a=kappa_a, kappa_c=kappa_c))
+        chain = comm_to_chain(params)
+        dd = comm_full_drift_diffusion(params, chain)
+        tau = characteristic_time(reduce(chain))
+        state = propagate_lti(dd, CovarianceMatrix.vacuum(4), [tau])[0].data[:4, :4]
+        got = [float(r[0]) for r in two_mode_resources(state[None])]
+        want = self.van_loan_resources(mp, dd, tau)
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-11
 
 
 class TestOneConstructionPerCell:

@@ -21,15 +21,11 @@ from mochain.errors import NumericError, UnphysicalStateError
 from mochain.gaussian import (
     CovarianceMatrix,
     ModePartition,
-    Regime,
-    ResourceReport,
     gaussian_steering,
-    is_physical,
     local_phase_rotate,
     log_negativity,
     monogamy_residuals,
     partial_transpose,
-    resource_report,
     symplectic_eigenvalues,
     symplectic_form,
     two_mode_resources,
@@ -233,6 +229,13 @@ class TestTwoModeResources:
         with pytest.raises(NumericError):
             gaussian_steering(CovarianceMatrix(stack[1]), {0}, {1})
 
+    def test_two_mode_dominance(self):
+        # states with positive raw steering carry strictly more entanglement
+        for g, ka, kc in ((0.5, 0.5, 1.0), (0.8, 0.6, 1.2)):
+            v = steady_state(build_effective_drift_diffusion(EffectiveModel(g, ka, kc)))
+            (e,), (s_ac,), (s_ca,) = two_mode_resources(v.data[None])
+            assert e > max(0.0, s_ac, s_ca)
+
     def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(ValueError):
             two_mode_resources(np.eye(6) / 2)
@@ -314,33 +317,3 @@ class TestLocalPhaseRotate:
             assert abs(log_negativity(rotated, MO) - log_negativity(state, MO)) < 1e-10
             assert np.allclose(symplectic_eigenvalues(rotated),
                                symplectic_eigenvalues(state), atol=1e-10)
-
-
-class TestResourceReport:
-    def test_clamping_and_regime(self):
-        report = ResourceReport(entanglement=0.3, steering_ac_raw=-0.2, steering_ca_raw=0.1)
-        assert report.steering_ac == 0.0
-        assert report.steering_ca == 0.1
-        assert report.regime is Regime.NOT_APPLICABLE
-
-    def test_builder_on_two_mode_state(self):
-        report = resource_report(symmetric_steady_cm(), regime=Regime.STEADY)
-        assert abs(report.entanglement - np.log(1.5)) < 1e-12
-        assert report.monogamy_ent_residual is None
-
-    def test_builder_on_three_mode_state(self):
-        report = resource_report(CovarianceMatrix(np.eye(6) * 0.5))
-        assert report.monogamy_ent_residual == 0.0
-        assert report.entanglement == 0.0
-
-    def test_two_mode_dominance(self):
-        # states with positive raw steering carry strictly more entanglement
-        for g, ka, kc in ((0.5, 0.5, 1.0), (0.8, 0.6, 1.2)):
-            v = steady_state(build_effective_drift_diffusion(EffectiveModel(g, ka, kc)))
-            report = resource_report(v)
-            assert report.entanglement > max(report.steering_ac, report.steering_ca)
-
-
-def test_is_physical():
-    assert is_physical(CovarianceMatrix.vacuum(2))
-    assert not is_physical(CovarianceMatrix(np.eye(4) * 0.3))

@@ -135,6 +135,28 @@ class TestCommDriftDiffusion:
         assert log_negativity(final, ModePartition({0}, {1})) == 0.0
 
 
+class TestStackedBuilders:
+    """A sequence of parameter objects gives the stack of their single-cell pairs."""
+
+    @pytest.mark.parametrize("builder, to_chain, cells", [
+        (eom_full_drift_diffusion, eom_to_chain,
+         [FIG3_EOM, replace(FIG3_EOM, g_a=0.2, n_a=0.5), replace(FIG3_EOM, kappa_c=3e-3)]),
+        (comm_full_drift_diffusion, comm_to_chain,
+         [FIG4_COMM, replace(FIG4_COMM, delta_m=1.2, n_m=1.0), replace(FIG4_COMM, g_m=0.0)]),
+    ], ids=["eom", "comm"])
+    def test_stack_is_bit_identical_to_single_cells(self, builder, to_chain, cells):
+        chains = [to_chain(p) for p in cells]
+        stacked = builder(cells, chains)
+        assert stacked.a.shape == (len(cells), *builder(cells[0]).a.shape)
+        assert np.array_equal(builder(tuple(cells)).a, stacked.a)  # chains mapped here
+        for cell, (p, chain) in enumerate(zip(cells, chains)):
+            single = builder(p, chain)
+            assert np.array_equal(stacked.a[cell], single.a)
+            assert np.array_equal(stacked.d[cell], single.d)
+        with pytest.raises(ValueError, match="3 parameter objects but 2 chains"):
+            builder(cells, chains[:2])
+
+
 def test_parameter_validation():
     with pytest.raises(ValueError):
         EomParams(**dict(EOM_FIG3, omega_b=0.0))
