@@ -1,8 +1,8 @@
 """Time evolution of covariance matrices under Lyapunov dynamics.
 
 Every drift/diffusion pair (the effective two-mode model and the 6x6 and 8x8
-full platform systems) is propagated exactly by propagate_lti, which steps the
-solution of dv/dt = A v + v A^T + D along a time grid with Van Loan's block
+full platform systems) is propagated exactly by propagate_lti, which composes
+the solution of dv/dt = A v + v A^T + D along a time grid from Van Loan's block
 exponential, evaluated by the module's own degree-9 Pade approximant with
 scaling and squaring (N. J. Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005),
 so the runtime needs numpy alone. It takes one DriftDiffusion, a single pair
@@ -63,7 +63,7 @@ class DriftDiffusion:
     d: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
+        a = np.array(self.a, dtype=float)  # a copy: the caller's array stays writeable
         d = np.asarray(self.d, dtype=float)
         if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2] or a.shape[-1] % 2:
             raise ValueError(f"drift matrix must be 2M x 2M or a stack of them, got {a.shape}")
@@ -199,7 +199,8 @@ def _require_vacuum_noise(m: EffectiveModel, what: str) -> None:
         )
 
 
-def analytic_effective_cm(m: EffectiveModel, t: float) -> CovarianceMatrix:
+def analytic_effective_cm(m: EffectiveModel,
+                          t: ArrayLike) -> CovarianceMatrix | NDArray[np.float64]:
     """Closed-form covariance of the effective model at time t, from v(0) = I/2.
 
     Only the (X_a, Y_c) and (Y_a, X_c) quadrature pairs correlate:
@@ -207,42 +208,42 @@ def analytic_effective_cm(m: EffectiveModel, t: float) -> CovarianceMatrix:
     Not available at the critical point g_eff^2 = kappa_a kappa_c, where the
     stationary cross constant has a pole (use propagate_lti instead). At t = 0
     the start state is returned exactly: the closed form would leave a
-    cancellation residue there.
+    cancellation residue there. A float t gives one CovarianceMatrix, an array
+    of T times the (T, 4, 4) array of them (the same code, row for row
+    bit-identical); CovarianceOverflowError names the first time past double range.
     """
     _require_vacuum_noise(m, "the analytic covariance")
-    if t < 0:
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim != 1 or not np.all(times >= 0.0):
         raise ValueError("time must be non-negative")
-    if m.g_eff == 0.0 or t == 0.0:
-        return CovarianceMatrix.vacuum(2)
-    if classify_regime(m) is Regime.CRITICAL:
-        raise CriticalPoleError(
-            "analytic covariance has a pole at g_eff^2 = kappa_a kappa_c; use propagate_lti"
-        )
-    k = AnalyticConstants.from_model(m)
-    total = m.kappa_a + m.kappa_c
-    grow_exponent = (k.omega - total) * t
-    if grow_exponent > 700.0:
-        raise CovarianceOverflowError(
-            f"unsteady covariance overflows double precision at t = {t:g}"
-        )
-    e_minus = math.exp(-(k.omega + total) * t)
-    e_zero = math.exp(-total * t)
-    e_plus = math.exp(grow_exponent)
-    v11 = ((1.0 + k.sin_varphi) * k.c_minus * e_minus - k.c0 * e_zero
-           + (1.0 - k.sin_varphi) * k.c_plus * e_plus + k.c1)
-    v44 = ((1.0 - k.sin_varphi) * k.c_minus * e_minus + k.c0 * e_zero
-           + (1.0 + k.sin_varphi) * k.c_plus * e_plus + k.c2)
-    v14 = k.g_sign * (
-        k.cos_varphi * k.c_minus * e_minus
-        + k.c0 * k.sin_varphi / k.cos_varphi * e_zero
-        - k.cos_varphi * k.c_plus * e_plus
-        + k.c3
-    )
-    v = np.zeros((4, 4))
-    v[0, 0] = v[1, 1] = v11
-    v[2, 2] = v[3, 3] = v44
-    v[0, 3] = v[3, 0] = v[1, 2] = v[2, 1] = v14
-    return CovarianceMatrix(v)
+    v = np.zeros((len(times), 4, 4))
+    if m.g_eff != 0.0 and np.any(times != 0.0):
+        if classify_regime(m) is Regime.CRITICAL:
+            raise CriticalPoleError("analytic covariance has a pole at "
+                                    "g_eff^2 = kappa_a kappa_c; use propagate_lti")
+        k = AnalyticConstants.from_model(m)
+        total = m.kappa_a + m.kappa_c
+        grow_exponent = (k.omega - total) * times
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+            e_minus = np.exp(-(k.omega + total) * times)
+            e_zero = np.exp(-total * times)
+            e_plus = np.exp(grow_exponent)
+            v11 = ((1.0 + k.sin_varphi) * k.c_minus * e_minus - k.c0 * e_zero
+                   + (1.0 - k.sin_varphi) * k.c_plus * e_plus + k.c1)
+            v44 = ((1.0 - k.sin_varphi) * k.c_minus * e_minus + k.c0 * e_zero
+                   + (1.0 + k.sin_varphi) * k.c_plus * e_plus + k.c2)
+            v14 = k.g_sign * (k.cos_varphi * k.c_minus * e_minus
+                              + k.c0 * k.sin_varphi / k.cos_varphi * e_zero
+                              - k.cos_varphi * k.c_plus * e_plus + k.c3)
+            over = (grow_exponent > 700.0) | ~np.isfinite(v11 + v44 + v14)
+        if np.any(over):
+            raise CovarianceOverflowError("unsteady covariance overflows double precision "
+                                          f"at t = {times[np.argmax(over)]:g}")
+        v[:, 0, 0] = v[:, 1, 1] = v11
+        v[:, 2, 2] = v[:, 3, 3] = v44
+        v[:, 0, 3] = v[:, 3, 0] = v[:, 1, 2] = v[:, 2, 1] = v14
+    v[(times == 0.0) | (m.g_eff == 0.0)] = np.eye(4) / 2.0
+    return CovarianceMatrix(v[0]) if np.ndim(t) == 0 else v
 
 
 def auto_step(a: NDArray[np.float64]) -> float:
@@ -421,26 +422,32 @@ def propagate_lti(
 ) -> list[CovarianceMatrix] | NDArray[np.float64]:
     """Exact covariance at each requested time, starting from v(0) = v0.
 
-    Steps v <- Phi v Phi^T + Q along the grid, where (Phi, Q) of each distinct
-    interval length comes from Van Loan's block exponential (C. F. Van Loan,
-    IEEE TAC 23(3):395-404, 1978) with scaling and squaring (N. J. Higham,
-    SIAM J. Matrix Anal. Appl. 26(4), 2005). No fixed point is involved, so
-    the critical coupling needs no special case. Times must be finite,
-    non-negative and non-decreasing; a repeated time returns the same state.
+    Each interval maps v -> Phi v Phi^T + Q, with (Phi, Q) of each cell and
+    distinct interval length from Van Loan's block exponential (C. F. Van
+    Loan, IEEE TAC 23(3):395-404, 1978) with scaling and squaring (N. J.
+    Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), and (I, 0) for a zero
+    interval; no fixed point is involved, so the critical coupling is no
+    special case. A log-depth prefix scan (W. D. Hillis and G. L. Steele,
+    CACM 29(12), 1986) composes the maps: the first is folded into its state,
+    then round s = 1, 2, 4, ... sets (Phi_j, Q_j) <- (Phi_j Phi_{j-s}, Phi_j
+    Q_{j-s} Phi_j^T + Q_j) for all cells and columns j >= s, and Q_j is the
+    state after ceil(log2 T) rounds (one or two columns take exactly the
+    operations of stepping). Times must be finite, non-negative and
+    non-decreasing; a repeated time returns the same state.
 
     One drift/diffusion pair with times of shape (T,) gives the list of T
     states. A stacked pair of B cells (all started from v0) with times of
     shape (B, T), or (T,) shared by every cell, gives the symmetrized
     covariances as one array of shape (B, T, 2M, 2M); every cell's states are
     bit-identical to propagating that cell alone. Raises
-    CovarianceOverflowError, naming the time (and the cell of a stack, also
-    as `index`), when a state leaves double range.
+    CovarianceOverflowError, naming the first time (and the first cell of a
+    stack at that time, also as `index`) at which a state leaves double range.
 
-    The state is carried in extended precision (np.longdouble; plain double
+    The composition runs in extended precision (np.longdouble; plain double
     where the platform has no wider type), while (Phi, Q) are double. In the
     divergent regime the covariance grows to ~1e8 while the resources depend
-    on its O(1) squeezed part, and double rounding at every step of a fine
-    grid accumulates there: on a 401-point grid to 5 tau it moved the
+    on its O(1) squeezed part, and double rounding at every composition of a
+    fine grid accumulates there: on a 401-point grid to 5 tau it moved the
     log-negativity by 1.2e-6.
     """
     if v0.modes != dd.modes:
@@ -459,35 +466,40 @@ def propagate_lti(
     if np.any(spans < 0.0):
         raise ValueError("times must be non-negative and non-decreasing")
 
-    # one Van Loan pair per cell and distinct interval length
-    pair_of: dict[tuple[int, float], int] = {}
-    for cell, column in zip(*np.nonzero(spans > 0.0)):
-        pair_of.setdefault((int(cell), float(spans[cell, column])), len(pair_of))
-    if pair_of:
-        owner = [cell for cell, _ in pair_of]
-        phi, q = _van_loan_pair(a[owner], d[owner], np.array([h for _, h in pair_of]))
-        phi_t = np.swapaxes(phi, -1, -2)
+    # one Van Loan pair per cell and distinct interval length, found as the distinct
+    # keys cell + i span (exact in complex128); a zero span keeps (I, 0)
+    columns, n = times.shape[1], a.shape[-1]
+    phi = np.broadcast_to(np.eye(n, dtype=np.longdouble), (cells, columns, n, n)).copy()
+    q = np.zeros_like(phi)
+    moving = spans > 0.0
+    keys, pair = np.unique(np.nonzero(moving)[0] + 1j * spans[moving], return_inverse=True)
+    owner = keys.real.astype(int)
+    phi_h, q_h = _van_loan_pair(a[owner], d[owner], keys.imag)
+    phi[moving], q[moving] = phi_h[pair], q_h[pair]
 
-    v = np.repeat(v0.data.astype(np.longdouble)[None], cells, axis=0)
-    out = np.empty((cells, times.shape[1], *v0.data.shape))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
-        for column in range(times.shape[1]):
-            moving = np.flatnonzero(spans[:, column] > 0.0)
-            if moving.size:
-                p = [pair_of[(int(c), float(spans[c, column]))] for c in moving]
-                v[moving] = phi[p] @ v[moving] @ phi_t[p] + q[p]
-            data = v.astype(float)
-            finite = np.all(np.isfinite(data), axis=(-2, -1))
-            if not np.all(finite):
-                cell = int(np.flatnonzero(~finite)[0])
-                where = "" if single else f" in cell {cell}"
-                raise CovarianceOverflowError(
-                    f"covariance overflows double precision at t = {times[cell, column]:g}{where}",
-                    index=None if single else cell)
-            out[:, column] = (data + np.swapaxes(data, -1, -2)) / 2.0
-    if single:
-        return [CovarianceMatrix(state) for state in out[0]]
-    return out
+        first = phi[:, 0]
+        q[:, 0] = first @ v0.data.astype(np.longdouble) @ np.swapaxes(first, -1, -2) + q[:, 0]
+        shift = 1
+        while shift < columns:
+            later = phi[:, shift:]
+            q[:, shift:] = later @ q[:, :-shift] @ np.swapaxes(later, -1, -2) + q[:, shift:]
+            # a column below 2 shift is complete now, so its Phi is not needed again
+            phi[:, 2 * shift:] = phi[:, 2 * shift:] @ phi[:, shift:-shift]
+            shift *= 2
+        data = q.astype(float)
+    if not np.all(moving[:, 1:]):  # a repeated time copies its predecessor exactly
+        source = np.maximum.accumulate(np.where(moving, np.arange(columns), 0), axis=1)
+        data = data[np.arange(cells)[:, None], source]
+    bad = ~np.all(np.isfinite(data), axis=(-2, -1))
+    if np.any(bad):
+        column, cell = divmod(int(np.argmax(bad.T)), cells)  # first column, then first cell
+        where = f" in cell {cell}" if cells > 1 else ""
+        raise CovarianceOverflowError(
+            f"covariance overflows double precision at t = {times[cell, column]:g}{where}",
+            index=None if single else cell)
+    out = (data + np.swapaxes(data, -1, -2)) / 2.0
+    return [CovarianceMatrix(state) for state in out[0]] if single else out
 
 
 def characteristic_time(m: EffectiveModel) -> float:

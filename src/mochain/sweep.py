@@ -39,6 +39,7 @@ import numpy as np
 from .chain import classify_regime, validity_report
 from .config import RunConfig, reduce_point, system_entry
 from .dynamics import (
+    DriftDiffusion,
     analytic_effective_cm,
     build_effective_drift_diffusion,
     characteristic_time,
@@ -189,8 +190,9 @@ def run_evolve(cfg: RunConfig) -> Table:
     Effective (and chain-reduced) systems use the analytic covariance when it
     exists and the exact propagator at the critical coupling or for thermal
     end modes; the platform systems propagate their full linearized dynamics
-    exactly and reduce to the microwave-optical sub-state. The resources of
-    all rows come from one two_mode_resources call.
+    exactly and reduce to the microwave-optical sub-state. Either route gives
+    the whole grid's covariances as one array (the propagator on a one-cell
+    stack), and the resources of all rows come from one two_mode_resources call.
     """
     if cfg.sweep:
         raise ConfigError("run_evolve takes no sweep axes (use region or compare)")
@@ -207,20 +209,18 @@ def run_evolve(cfg: RunConfig) -> Table:
 
     if (effective_route and regime is not Regime.CRITICAL
             and model.n_a == 0.0 and model.n_c == 0.0):
-        states = [analytic_effective_cm(model, t) for t in grid]
+        data = analytic_effective_cm(model, grid)
     else:
         dd = (build_effective_drift_diffusion(model) if effective_route
               else full_drift_diffusion(platform, chain))
-        states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), grid)
+        data = propagate_lti(DriftDiffusion(dd.a[None], dd.d[None]),
+                             CovarianceMatrix.vacuum(dd.modes), grid)[0]
 
-    data = np.stack([state.data for state in states])
-    resources = zip(*(r.tolist() for r in two_mode_resources(_mo_block(data))))
-    rows = []
-    for t, v, (e, s_ac, s_ca) in zip(grid.tolist(), data, resources):
-        row: list = [t, e, s_ac, s_ca, regime.value]
-        if effective_route:
-            row += [float(v[0, 0]), float(v[3, 3]), float(v[0, 3])]
-        rows.append(tuple(row))
+    values = [grid, *two_mode_resources(_mo_block(data))]
+    if effective_route:
+        values += [data[:, 0, 0], data[:, 3, 3], data[:, 0, 3]]
+    rows = [(t, e, s_ac, s_ca, regime.value, *v)
+            for t, e, s_ac, s_ca, *v in zip(*(column.tolist() for column in values))]
     return Table(columns=tuple(columns), rows=tuple(rows))
 
 

@@ -36,6 +36,7 @@ import numpy as np
 
 from .chain import ChainParams, EffectiveModel
 from .dynamics import DriftDiffusion
+from .errors import CovarianceOverflowError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -172,7 +173,12 @@ def _columns(p: Any, chain: Any, kind: type, to_chain: Callable[[Any], ChainPara
 def _drift_diffusion(rows: list[list], thermal: tuple, single: bool) -> DriftDiffusion:
     """The pair of a drift written as rows of scalars and (B,) arrays, and of the
     diagonal diffusion kappa (2 n + 1) of both quadratures of each (kappa, n) mode."""
-    heat = np.stack([kappa * (2.0 * n + 1.0) for kappa, n in thermal], axis=-1)
+    with np.errstate(over="ignore"):  # finite rates can give a diffusion past double range
+        heat = np.stack([kappa * (2.0 * n + 1.0) for kappa, n in thermal], axis=-1)
+    overflow = ~np.all(np.isfinite(heat), axis=-1)
+    if np.any(overflow):
+        raise CovarianceOverflowError("diffusion overflows double precision",
+                                      index=None if single else int(np.argmax(overflow)))
     a = np.empty((len(heat), len(rows), len(rows)))
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):

@@ -344,6 +344,19 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "at delta_a = 1.0" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_swept_diffusion_names_the_cell(self, tmp_path, capsys):
+        # every n_m is finite, but kappa_m (2 n_m + 1) leaves double range at 1e308
+        raw = {"system": "comm", "parameters": dict(COMM_FIG4), "sweep": {
+            "axis1": {"name": "n_m", "min": 1e300, "max": 1e308, "points": 3, "scale": "log"},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}}
+        config_path = tmp_path / "overflow.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["region", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        self.assert_one_line(err, "error: ")
+        assert "diffusion overflows double precision at n_m = 1e+308, kappa_c = 0.0001" in err
+
     @staticmethod
     def assert_one_line(err: str, prefix: str) -> None:
         assert err.startswith(prefix) and err.count("\n") == 1

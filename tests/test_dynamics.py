@@ -68,6 +68,12 @@ class TestDriftDiffusionBuilder:
         with pytest.raises(ValueError):
             DriftDiffusion(np.eye(4), -np.eye(4))  # negative diffusion
 
+    def test_caller_drift_stays_writeable(self):
+        drift = -np.eye(4)
+        dd = DriftDiffusion(drift, np.eye(4))
+        drift[0, 0] = -2.0
+        assert dd.a[0, 0] == -1.0 and not dd.a.flags.writeable
+
     def test_indefinite_diffusion_rejected(self):
         # one negative diagonal entry; a non-diagonal d with a positive
         # diagonal and eigenvalues (3, -1)
@@ -172,6 +178,43 @@ class TestAnalyticCovariance:
     def test_overflow_guard(self):
         with pytest.raises(OverflowError):
             analytic_effective_cm(EffectiveModel(10.0, 0.01, 0.01), 100.0)
+
+
+class TestAnalyticCovarianceOnGrid:
+    """An array of times gives the (T, 4, 4) stack of the float calls."""
+
+    @staticmethod
+    def evolve_grid(m: EffectiveModel) -> np.ndarray:
+        tau = characteristic_time(m)
+        return np.unique(np.concatenate([np.linspace(0.0, 5.0 * tau, 401), [tau, 2.0 * tau]]))
+
+    @pytest.mark.parametrize("m", [STEADY, UNSTEADY, EffectiveModel(-0.3, 1.4, 0.2),
+                                   EffectiveModel(1.9923732904068676, 1.0, 1.0)])
+    def test_rows_are_the_float_calls(self, m):
+        grid = self.evolve_grid(m)
+        states = analytic_effective_cm(m, grid)
+        assert isinstance(states, np.ndarray) and states.shape == (len(grid), 4, 4)
+        assert np.array_equal(states, np.stack([analytic_effective_cm(m, t).data
+                                                for t in grid.tolist()]))
+
+    def test_start_and_zero_coupling_are_exact_vacuum(self):
+        states = analytic_effective_cm(UNSTEADY, [0.0, 0.0, 1.0])
+        assert np.array_equal(states[:2], np.broadcast_to(np.eye(4) / 2, (2, 4, 4)))
+        assert not np.array_equal(states[2], np.eye(4) / 2)
+        free = analytic_effective_cm(EffectiveModel(0.0, 0.5, 1.0), [0.0, 3.0, 7.0])
+        assert np.array_equal(free, np.broadcast_to(np.eye(4) / 2, (3, 4, 4)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_invalid_grids_raise(self):
+        with pytest.raises(CriticalPoleError):
+            analytic_effective_cm(EffectiveModel(math.sqrt(0.5), 0.5, 1.0), [0.0, 1.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            analytic_effective_cm(STEADY, [0.0, -1.0, 2.0])
+        with pytest.raises(ValueError, match="time must be"):
+            analytic_effective_cm(STEADY, [0.0, math.nan])
+        # (Omega - kappa_a - kappa_c) t passes 700 between t = 35 and t = 40
+        with pytest.raises(CovarianceOverflowError, match="at t = 40$"):
+            analytic_effective_cm(EffectiveModel(10.0, 0.01, 0.01), [0.0, 35.0, 40.0, 45.0])
 
 
 class TestLyapunovRk4:
@@ -320,6 +363,66 @@ class TestPropagateLti:
                 propagate_lti(dd, CovarianceMatrix.vacuum(2), times)
         with pytest.raises(ValueError):
             propagate_lti(dd, CovarianceMatrix.vacuum(3), [1.0])
+
+
+def stepped(dd: DriftDiffusion, v0: np.ndarray, times) -> np.ndarray:
+    """States from stepping v <- Phi v Phi^T + Q along the grid in extended precision,
+    one Van Loan pair per interval: the oracle of the prefix composition."""
+    v, previous, states = v0.astype(np.longdouble), 0.0, []
+    for t in times:
+        if t > previous:
+            phi, q = dynamics._van_loan_pair(dd.a[None], dd.d[None], np.array([t - previous]))
+            v = phi[0] @ v @ phi[0].T + q[0]
+        states.append(v.astype(float))
+        previous = t
+    states = np.array(states)
+    return (states + np.swapaxes(states, -1, -2)) / 2.0
+
+
+class TestPrefixComposition:
+    """The log-depth composition of propagate_lti against sequential stepping."""
+
+    MODELS = (EffectiveModel(1.9923732904068676, 1.0, 1.0, n_a=0.1),
+              EffectiveModel(0.5, 1.0, 0.4, n_a=1.0),
+              EffectiveModel(math.sqrt(0.5), 0.5, 1.0))
+
+    @staticmethod
+    def grid(tau: float) -> np.ndarray:
+        # 37 non-uniform times up to 5 tau, the 20th one repeated
+        times = np.sort(np.random.default_rng(5).uniform(0.0, 5.0 * tau, 36))
+        return np.insert(times, 20, times[19])
+
+    @staticmethod
+    def assert_close(states, reference):
+        scale = np.maximum(1.0, np.max(np.abs(reference), axis=(-2, -1)))
+        assert np.all(np.max(np.abs(states - reference), axis=(-2, -1)) <= 1e-15 * scale)
+
+    @pytest.mark.parametrize("system", ["effective", "comm-fig4"])
+    def test_single_pair(self, system):
+        # the platform's small entries would tell a repeated time's state
+        # from its predecessor's if the scan composed it again
+        if system == "effective":
+            model = self.MODELS[0]
+            dd = build_effective_drift_diffusion(model)
+        else:
+            params = CommParams(**COMM_FIG4)
+            chain = comm_to_chain(params)
+            dd, model = comm_full_drift_diffusion(params, chain), reduce(chain)
+        times = self.grid(characteristic_time(model))
+        vacuum = CovarianceMatrix.vacuum(dd.modes)
+        states = np.stack([s.data for s in propagate_lti(dd, vacuum, times)])
+        self.assert_close(states, stepped(dd, vacuum.data, times))
+        assert np.array_equal(states[20], states[19])
+
+    def test_three_cell_stack(self):
+        dds = [build_effective_drift_diffusion(m) for m in self.MODELS]
+        times = np.stack([self.grid(characteristic_time(m)) for m in self.MODELS])
+        v0 = CovarianceMatrix(np.diag([0.5, 0.5, 1.5, 1.5]))
+        batch = propagate_lti(stack(dds), v0, times)
+        assert batch.shape == (3, 37, 4, 4)
+        for dd, row, states in zip(dds, times, batch):
+            self.assert_close(states, stepped(dd, v0.data, row))
+            assert np.array_equal(states[20], states[19])
 
 
 class TestBatchedPropagation:

@@ -7,6 +7,7 @@ import pytest
 
 from mochain.chain import effective_coupling, reduce
 from mochain.dynamics import lyapunov_rk4, steady_state
+from mochain.errors import CovarianceOverflowError
 from mochain.gaussian import CovarianceMatrix, ModePartition, log_negativity
 from mochain.systems import (
     COMM_FIG4,
@@ -155,6 +156,17 @@ class TestStackedBuilders:
             assert np.array_equal(stacked.d[cell], single.d)
         with pytest.raises(ValueError, match="3 parameter objects but 2 chains"):
             builder(cells, chains[:2])
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_diffusion_names_the_cell():
+    cells = [FIG4_COMM, replace(FIG4_COMM, n_m=1e308), replace(FIG4_COMM, n_b=1e308)]
+    with pytest.raises(CovarianceOverflowError, match="diffusion overflows") as info:
+        comm_full_drift_diffusion(cells)
+    assert info.value.index == 1
+    with pytest.raises(CovarianceOverflowError) as info:
+        eom_full_drift_diffusion(replace(FIG3_EOM, n_b=1e308))
+    assert info.value.index is None
 
 
 def test_parameter_validation():
