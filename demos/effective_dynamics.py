@@ -23,10 +23,10 @@ from mochain import (
     classify_regime,
     gaussian_steering,
     log_negativity,
-    lyapunov_rk4,
     stationary_entanglement,
     stationary_steering,
 )
+from mochain.verify import lyapunov_rk4
 
 MO = ModePartition({0}, {1})
 
@@ -40,13 +40,13 @@ for label, model in SCENARIOS.items():
     tau = characteristic_time(model)
     dd = build_effective_drift_diffusion(model)
     grid = np.linspace(0.0, 2.0 * tau, 9)
-    trajectory = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), grid)
+    states = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), grid)
 
     print(f"\n=== {label} | regime: {classify_regime(model).value}, "
           f"tau = {tau:.4f} ===")
     print(f"{'t/tau':>6} {'v11':>10} {'v44':>10} {'v14':>10} "
           f"{'E':>8} {'S_ac':>8} {'S_ca':>8} {'|closed-RK4|':>12}")
-    for t, state in zip(trajectory.times, trajectory.states):
+    for t, state in zip(grid, states):
         closed = analytic_effective_cm(model, float(t))
         gap = np.max(np.abs(closed.data - state.data))
         e = log_negativity(state, MO)

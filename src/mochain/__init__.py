@@ -13,18 +13,15 @@ from .chain import (
     classify_regime,
     effective_coupling,
     energy_shift,
-    matched_detunings,
     reduce,
     validity_report,
 )
 from .dynamics import (
     AnalyticConstants,
     DriftDiffusion,
-    Trajectory,
     analytic_effective_cm,
     build_effective_drift_diffusion,
     characteristic_time,
-    lyapunov_rk4,
     propagate_lti,
     squeeze_variances,
     steady_state,
@@ -88,7 +85,6 @@ __all__ = [
     "RegimeError",
     "SingularCouplingError",
     "SteeringRegion",
-    "Trajectory",
     "UnphysicalStateError",
     "analytic_effective_cm",
     "boundary_limits",
@@ -104,8 +100,6 @@ __all__ = [
     "gaussian_steering",
     "local_phase_rotate",
     "log_negativity",
-    "lyapunov_rk4",
-    "matched_detunings",
     "monogamy_residuals",
     "partial_transpose",
     "propagate_lti",

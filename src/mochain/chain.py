@@ -20,6 +20,7 @@ from .gaussian import Regime
 
 RESONANCE_TOL = 1e-12
 CRITICAL_REL_TOL = 1e-9
+VALIDITY_THRESHOLD = 0.2
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,8 @@ class ChainParams:
     the mechanical frequency). theta and phi set the rotating/counter-rotating
     mixture of the two end couplings; g_mid holds the N-1 intermediary-pair
     couplings. delta_c = None is resolved, after the field checks, to the
-    matched optical detuning of matched_detunings.
+    matched optical detuning -delta_a + shift, the shift taken at delta_c =
+    -delta_a and once more at that value (a contraction when perturbative).
     """
 
     n: int
@@ -136,8 +138,10 @@ def _energy_shift_at(p: ChainParams, delta_c: float) -> float:
     w1, wn = p.omegas[0], p.omegas[-1]
     den_a = _checked_gap(w1 * w1 - p.delta_a * p.delta_a, "omega_1^2 - delta_a^2")
     den_c = _checked_gap(wn * wn - delta_c * delta_c, "omega_N^2 - delta_c^2")
-    term_a = p.g_a**2 * (w1 + p.delta_a * np.cos(2.0 * p.theta)) / den_a
-    term_c = p.g_c**2 * (wn + delta_c * np.cos(2.0 * p.phi)) / den_c
+    # float products, not ** or numpy scalars: a coupling past ~1e154 gives a
+    # non-finite shift without OverflowError or warning, which ChainParams rejects
+    term_a = p.g_a * p.g_a * (w1 + p.delta_a * float(np.cos(2.0 * p.theta))) / den_a
+    term_c = p.g_c * p.g_c * (wn + delta_c * float(np.cos(2.0 * p.phi))) / den_c
     return float(term_a + term_c)
 
 
@@ -155,22 +159,11 @@ def energy_shift(p: ChainParams) -> float:
     return _energy_shift_at(p, p.delta_c)
 
 
-def matched_detunings(p: ChainParams) -> tuple[float, float]:
-    """Detuning pair with the optical detuning set to -delta_a + shift.
-
-    The shift is evaluated at the zeroth-order guess delta_c = -delta_a and
-    refined once with the updated value; the refinement is a contraction for
-    every perturbatively valid parameter set, so one pass suffices. The
-    delta_c of p plays no part.
-    """
-    return p.delta_a, _matched_delta_c(p)
-
-
-def validity_report(p: ChainParams, threshold: float = 0.2) -> list[tuple[str, float, bool]]:
+def validity_report(p: ChainParams) -> list[tuple[str, float, bool]]:
     """Coupling/detuning-gap ratios behind the perturbative reduction (advisory).
 
     Each coupling is compared against each gap |delta_a -+ omega_s| and
-    |delta_c -+ omega_s|; an entry passes when the ratio is below threshold.
+    |delta_c -+ omega_s|; an entry passes when the ratio is below VALIDITY_THRESHOLD.
     """
     couplings = [("g_a", p.g_a), ("g_c", p.g_c)]
     couplings += [(f"g_{s}", g) for s, g in enumerate(p.g_mid, start=1)]
@@ -180,7 +173,7 @@ def validity_report(p: ChainParams, threshold: float = 0.2) -> list[tuple[str, f
                               (f"|delta_c - omega_{s}|", abs(p.delta_c - w))):
             for cname, g in couplings:
                 ratio = np.inf if gap == 0 else abs(g) / gap
-                rows.append((f"{cname}/{gap_name}", float(ratio), bool(ratio < threshold)))
+                rows.append((f"{cname}/{gap_name}", float(ratio), bool(ratio < VALIDITY_THRESHOLD)))
     return rows
 
 

@@ -24,7 +24,7 @@ from typing import Any
 
 from .chain import ChainParams, EffectiveModel
 from . import chain as chain_mod
-from .errors import ConfigError
+from .errors import ConfigError, MochainError
 # comm_to_chain and eom_to_chain stay bound here as before the registry:
 # perfbench's tracer rebinds them in every module that holds them, and its
 # self-test checks that they are restored
@@ -284,11 +284,16 @@ def reduce_point(system: str, params: dict[str, float]
     """A configured point's parameter object, chain mapping and effective two-mode model.
 
     The chain is None for the effective model, which is its own reduction;
-    every other system is mapped onto the chain once and reduced from it.
+    every other system is mapped onto the chain once and reduced from it. A
+    plain ValueError of either step (a finite coupling that overflows the
+    mapping, say) is a ConfigError; a library error stays what it is.
     """
-    p = build_params(system, params)
     to_chain = system_entry(system).to_chain
-    if to_chain is None:
-        return p, None, p
-    chain = to_chain(p)
-    return p, chain, chain_mod.reduce(chain)
+    try:
+        p = build_params(system, params)
+        chain = None if to_chain is None else to_chain(p)
+    except MochainError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return p, chain, p if chain is None else chain_mod.reduce(chain)

@@ -9,12 +9,9 @@ so the runtime needs numpy alone. It takes one DriftDiffusion, a single pair
 or a stack of pairs (the cells of a sweep chunk) that it propagates together,
 each cell bit-identical to its own single-pair call. The effective model also
 has a fully analytic covariance from a vacuum start, and stable systems can be
-solved directly for their stationary covariance. A classical fixed-step RK4 integrator is kept as
-an independent oracle for tests and the verification suite.
-
-All rates are in units of the reference frequency; the RK4 auto step size
-resolves the fastest rotation in the drift matrix (spectral radius, floored at
-the reference frequency) with 200 points per period.
+solved directly for their stationary covariance. These are the production
+routes; the RK4 oracle that checks them lives in mochain.verify and is never
+on a command-line data path. All rates are in units of the reference frequency.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from .chain import EffectiveModel, classify_regime
 from .errors import CovarianceOverflowError, CriticalPoleError, NumericError, RegimeError
 from .gaussian import CovarianceMatrix, Regime
 
-STEPS_PER_PERIOD = 200
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 # Coefficients b_0..b_9 of the degree-9 diagonal Pade approximant of e^x, and
 # the largest 1-norm at which its backward error is below the unit roundoff
@@ -95,28 +91,6 @@ class DriftDiffusion:
     @property
     def modes(self) -> int:
         return self.a.shape[-1] // 2
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Covariance states on an ascending time grid.
-
-    truncated is set when the integrator hit non-finite values (deep unsteady
-    overflow); times/states then end at the last valid grid point.
-    """
-
-    times: NDArray[np.float64]
-    states: list[CovarianceMatrix]
-    truncated: bool = False
-
-    def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        if times.ndim != 1 or len(times) != len(self.states):
-            raise ValueError("times and states must have equal length")
-        if len(times) > 1 and np.any(np.diff(times) <= 0):
-            raise ValueError("time grid must be strictly ascending")
-        times.flags.writeable = False
-        object.__setattr__(self, "times", times)
 
 
 @dataclass(frozen=True)
@@ -244,71 +218,6 @@ def analytic_effective_cm(m: EffectiveModel,
         v[:, 0, 3] = v[:, 3, 0] = v[:, 1, 2] = v[:, 2, 1] = v14
     v[(times == 0.0) | (m.g_eff == 0.0)] = np.eye(4) / 2.0
     return CovarianceMatrix(v[0]) if np.ndim(t) == 0 else v
-
-
-def auto_step(a: NDArray[np.float64]) -> float:
-    """Step resolving the fastest rotation of A with 200 points per period.
-
-    The rate is the spectral radius floored at 1 (the reference frequency), so
-    slow effective models are not over-resolved.
-    """
-    radius = float(np.max(np.abs(np.linalg.eigvals(np.asarray(a, dtype=float)))))
-    return 2.0 * math.pi / (STEPS_PER_PERIOD * max(radius, 1.0))
-
-
-def _lyapunov_rhs(a, d, x):
-    k = a @ x
-    return k + k.T + d
-
-
-def _rk4_step(a, d, v, h):
-    """One classical RK4 step of dv/dt = A v + v A^T + D."""
-    k1 = _lyapunov_rhs(a, d, v)
-    k2 = _lyapunov_rhs(a, d, v + 0.5 * h * k1)
-    k3 = _lyapunov_rhs(a, d, v + 0.5 * h * k2)
-    k4 = _lyapunov_rhs(a, d, v + h * k3)
-    v = v + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-    return (v + v.T) / 2.0
-
-
-def lyapunov_rk4(
-    dd: DriftDiffusion,
-    v0: CovarianceMatrix,
-    grid: NDArray[np.float64],
-    h: float | None = None,
-) -> Trajectory:
-    """Integrate the matrix Lyapunov equation, returning states on the given grid.
-
-    Between grid points the integrator substeps uniformly at (at most) h,
-    defaulting to auto_step(A); every substep is symmetrized. Local truncation
-    is O(h^5). If the state overflows (deep unsteady regime) the trajectory is
-    truncated at the last finite grid point and flagged.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 1:
-        raise ValueError("grid must be a non-empty 1-d array of times")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly ascending")
-    if v0.modes != dd.modes:
-        raise ValueError("initial state and drift matrix disagree on mode count")
-    h_target = float(h) if h is not None else auto_step(dd.a)
-    if h_target <= 0:
-        raise ValueError("step size must be positive")
-    v = v0.data.copy()
-    states = [CovarianceMatrix(v)]
-    times = [float(grid[0])]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow handled via truncation
-        for t_prev, t_next in zip(grid[:-1], grid[1:]):
-            span = float(t_next - t_prev)
-            n_sub = max(1, math.ceil(span / h_target))
-            h_sub = span / n_sub
-            for _ in range(n_sub):
-                v = _rk4_step(dd.a, dd.d, v, h_sub)
-            if not np.all(np.isfinite(v)):
-                return Trajectory(np.array(times), states, truncated=True)
-            states.append(CovarianceMatrix(v))
-            times.append(float(t_next))
-    return Trajectory(np.array(times), states)
 
 
 def _lyapunov_solve(a: NDArray[np.float64], d: NDArray[np.float64]) -> NDArray[np.float64]:

@@ -172,19 +172,22 @@ def _columns(p: Any, chain: Any, kind: type, to_chain: Callable[[Any], ChainPara
 
 def _drift_diffusion(rows: list[list], thermal: tuple, single: bool) -> DriftDiffusion:
     """The pair of a drift written as rows of scalars and (B,) arrays, and of the
-    diagonal diffusion kappa (2 n + 1) of both quadratures of each (kappa, n) mode."""
-    with np.errstate(over="ignore"):  # finite rates can give a diffusion past double range
+    diagonal diffusion kappa (2 n + 1) of both quadratures of each (kappa, n) mode.
+    Finite parameters can give entries past double range (a doubled coupling, a
+    heated rate); the first such cell raises CovarianceOverflowError.
+    """
+    with np.errstate(over="ignore"):
         heat = np.stack([kappa * (2.0 * n + 1.0) for kappa, n in thermal], axis=-1)
-    overflow = ~np.all(np.isfinite(heat), axis=-1)
-    if np.any(overflow):
-        raise CovarianceOverflowError("diffusion overflows double precision",
-                                      index=None if single else int(np.argmax(overflow)))
     a = np.empty((len(heat), len(rows), len(rows)))
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
             a[:, i, j] = entry
     d = np.zeros_like(a)
     d[:, range(len(rows)), range(len(rows))] = np.repeat(heat, 2, axis=-1)
+    overflow = ~(np.all(np.isfinite(a), axis=(1, 2)) & np.all(np.isfinite(d), axis=(1, 2)))
+    if np.any(overflow):
+        raise CovarianceOverflowError("drift/diffusion overflows double precision",
+                                      index=None if single else int(np.argmax(overflow)))
     return DriftDiffusion(a[0], d[0]) if single else DriftDiffusion(a, d)
 
 
@@ -203,7 +206,8 @@ def eom_full_drift_diffusion(p: EomParams | Sequence[EomParams],
     single, (da, wb, ka, kc, kb, ga, gc, n_a, n_c, n_b, dc) = _columns(
         p, chain, EomParams, eom_to_chain,
         ("delta_a", "omega_b", "kappa_a", "kappa_c", "kappa_b", "g_a", "g_c", "n_a", "n_c", "n_b"))
-    ga2, gc2 = 2.0 * ga, 2.0 * gc
+    with np.errstate(over="ignore"):  # _drift_diffusion raises on a non-finite entry
+        ga2, gc2 = 2.0 * ga, 2.0 * gc
     rows = [
         [-ka, da, 0.0, 0.0, 0.0, 0.0],
         [-da, -ka, 0.0, 0.0, -ga2, 0.0],
@@ -229,7 +233,8 @@ def comm_full_drift_diffusion(p: CommParams | Sequence[CommParams],
         p, chain, CommParams, comm_to_chain,
         ("delta_a", "delta_m", "omega_b", "kappa_a", "kappa_c", "kappa_m", "kappa_b",
          "g_a", "g_m", "g_c", "n_a", "n_c", "n_m", "n_b"))
-    gm2, gc2 = 2.0 * gm, 2.0 * gc
+    with np.errstate(over="ignore"):  # _drift_diffusion raises on a non-finite entry
+        gm2, gc2 = 2.0 * gm, 2.0 * gc
     rows = [
         [-ka, da, 0.0, 0.0, 0.0, ga, 0.0, 0.0],
         [-da, -ka, 0.0, 0.0, -ga, 0.0, 0.0, 0.0],

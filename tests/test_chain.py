@@ -12,7 +12,6 @@ from mochain.chain import (
     classify_regime,
     effective_coupling,
     energy_shift,
-    matched_detunings,
     reduce,
     validity_report,
 )
@@ -116,22 +115,30 @@ class TestEnergyShift:
             energy_shift(single_mode_chain(delta_c=-1.0))
 
 
+def matched(chain: ChainParams) -> float:
+    """The optical detuning ChainParams resolves delta_c = None to."""
+    return dataclasses.replace(chain, delta_c=None).delta_c
+
+
+def two_passes(chain: ChainParams) -> tuple[float, float]:
+    """-delta_a + shift, with the shift at delta_c = -delta_a, then at that first value."""
+    first = -chain.delta_a + energy_shift(dataclasses.replace(chain, delta_c=-chain.delta_a))
+    return first, -chain.delta_a + energy_shift(dataclasses.replace(chain, delta_c=first))
+
+
 class TestMatchedDetunings:
     def test_free_chain_is_opposite(self):
-        da, dc = matched_detunings(single_mode_chain(g_a=0.0, g_c=0.0))
-        assert dc == -da
+        chain = single_mode_chain(g_a=0.0, g_c=0.0)
+        assert matched(chain) == -chain.delta_a
 
     def test_first_pass_value(self):
-        _, dc = matched_detunings(single_mode_chain())
-        assert abs(dc - (-5.0024)) < 5e-6
+        assert abs(matched(single_mode_chain()) - (-5.0024)) < 5e-6
 
     def test_refinement_is_contraction(self):
         chain = single_mode_chain()
-        guess = dataclasses.replace(chain, delta_c=-chain.delta_a)
-        first = -chain.delta_a + energy_shift(guess)
-        second = -chain.delta_a + energy_shift(dataclasses.replace(chain, delta_c=first))
+        first, second = two_passes(chain)
         assert abs(second - first) < 1e-6 * abs(chain.delta_a)
-        assert matched_detunings(chain)[1] == second
+        assert matched(chain) == second
 
 
 class TestMatchedChainParams:
@@ -145,9 +152,16 @@ class TestMatchedChainParams:
                     kappa_a=1e-3, kappa_c=1e-3, kappa_mid=(1e-4, 1e-4, 1e-4)),
     ], ids=["n1", "n2", "n3"])
     def test_none_is_the_matched_value(self, chain):
-        matched = dataclasses.replace(chain, delta_c=None)
-        assert matched.delta_c == matched_detunings(chain)[1]
-        assert matched == dataclasses.replace(chain, delta_c=matched_detunings(chain)[1])
+        _, second = two_passes(chain)
+        assert dataclasses.replace(chain, delta_c=None) == dataclasses.replace(chain, delta_c=second)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("g_a, g_c", [(1e200, 0.17), (1e200, -1e200)])
+    def test_overflowing_shift_is_not_finite(self, g_a, g_c):
+        # finite couplings whose squares leave double range: a ValueError, not
+        # an OverflowError or a numpy warning
+        with pytest.raises(ValueError, match="chain parameters must be finite"):
+            single_mode_chain(g_a=g_a, g_c=g_c, delta_c=None)
 
     def test_explicit_value_is_kept(self):
         assert single_mode_chain(delta_c=-4.5).delta_c == -4.5

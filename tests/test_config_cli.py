@@ -1,5 +1,6 @@
-"""Config schema validation, sweep operations, CSV/JSON output, CLI wiring."""
+"""Config schema validation, sweep operations, CSV/JSON output, CLI wiring, package surface."""
 
+import ast
 import json
 import math
 import subprocess
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from mochain.chain import EffectiveModel
-from mochain import cli, config
+import mochain
+from mochain import cli, config, dynamics, verify
 from mochain.cli import main
 from mochain.config import SweepAxis, load_config, parse_config
 from mochain.dynamics import characteristic_time
@@ -357,6 +359,38 @@ class TestCli:
         self.assert_one_line(err, "error: ")
         assert "diffusion overflows double precision at n_m = 1e+308, kappa_c = 0.0001" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_swept_drift_names_the_cell(self, tmp_path, capsys):
+        # every g_m is finite, but the drift entry 2 g_m leaves double range at 1e308
+        raw = {"system": "comm", "parameters": dict(COMM_FIG4), "sweep": {
+            "axis1": {"name": "g_m", "min": 1e300, "max": 1e308, "points": 3, "scale": "log"},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}}
+        config_path = tmp_path / "overflow.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["region", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        self.assert_one_line(err, "error: ")
+        assert "drift/diffusion overflows double precision at g_m = 1e+308, kappa_c = 0.0001" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, raw, where", [
+        ("evolve", {**CHAIN, "parameters": {**CHAIN["parameters"], "g_a": 1e200}}, ""),
+        ("evolve", {"system": "eom", "parameters": {**EOM_FIG3, "g_a": 1e308}}, ""),
+        ("region", {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
+            "axis1": {"name": "g_a", "min": 1e100, "max": 1e300, "points": 3, "scale": "log"},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}},
+         " at g_a = 1e+200, kappa_c = 0.0001"),
+    ], ids=["chain-evolve", "eom-evolve", "eom-region"])
+    def test_overflowing_end_coupling_is_a_config_error(self, tmp_path, capsys,
+                                                         command, raw, where):
+        # finite end couplings whose squares in the energy shift leave double range
+        config_path = tmp_path / "coupling.json"
+        config_path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        self.assert_one_line(err, "config error: ")
+        assert err.endswith(f"chain parameters must be finite{where}\n")
+
     @staticmethod
     def assert_one_line(err: str, prefix: str) -> None:
         assert err.startswith(prefix) and err.count("\n") == 1
@@ -419,6 +453,47 @@ class TestCli:
         config_path.write_text(json.dumps(raw))
         assert main(["evolve", "--config", str(config_path)]) == 0
         assert out_path.exists()
+
+
+class TestOracleStaysOut:
+    """The RK4 oracle lives in verify and no data command runs it."""
+
+    @pytest.mark.parametrize("command, raw", [
+        ("evolve", config_with(times={"samples": 5})),
+        ("evolve", {**EFFECTIVE, "parameters": {**EFFECTIVE["parameters"], "n_a": 0.1},
+                    "times": {"samples": 5}}),
+        ("evolve", {"system": "eom", "parameters": dict(EOM_FIG3), "times": {"samples": 5}}),
+        ("region", {"system": "comm", "parameters": dict(COMM_FIG4), "sweep": {
+            "axis1": {"name": "kappa_a", "min": 1e-4, "max": 1e-3, "points": 3},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 1e-3, "points": 3}}}),
+        ("compare", {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
+            "axis1": {"name": "g_a", "min": 0.08, "max": 0.16, "points": 2}}}),
+    ], ids=["evolve-vacuum", "evolve-thermal", "evolve-eom", "region-comm", "compare-eom"])
+    def test_data_commands_never_step_rk4(self, tmp_path, monkeypatch, command, raw):
+        def forbidden(*args):
+            raise AssertionError("a data command ran the RK4 oracle")
+
+        monkeypatch.setattr(verify, "_rk4_step", forbidden)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(raw))
+        out_path = tmp_path / "out.csv"
+        assert main([command, "--config", str(config_path), "--out", str(out_path)]) == 0
+        assert parse_csv(out_path.read_text()).rows
+
+    def test_production_module_has_no_oracle(self):
+        assert not hasattr(dynamics, "lyapunov_rk4")
+        assert not hasattr(dynamics, "_rk4_step")
+
+
+def test_public_surface():
+    tree = ast.parse(Path(mochain.__file__).read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(mochain.__all__) == sorted(n for n in imported if not n.startswith("_"))
+    for name in mochain.__all__:
+        getattr(mochain, name)
+    for name in ("lyapunov_rk4", "Trajectory", "matched_detunings"):
+        assert name not in mochain.__all__ and not hasattr(mochain, name)
 
 
 def test_sweep_axis_values():

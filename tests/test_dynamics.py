@@ -1,4 +1,4 @@
-"""Covariance evolution: analytic form, exact propagation, RK4 oracle, steady states, variances."""
+"""Covariance evolution: analytic form, exact propagation against the RK4 oracle, steady states, variances."""
 
 import math
 
@@ -11,12 +11,9 @@ from mochain.dynamics import (
     THETA9,
     AnalyticConstants,
     DriftDiffusion,
-    Trajectory,
     analytic_effective_cm,
-    auto_step,
     build_effective_drift_diffusion,
     characteristic_time,
-    lyapunov_rk4,
     propagate_lti,
     squeeze_variances,
     steady_state,
@@ -34,6 +31,7 @@ from mochain.systems import (
     comm_to_chain,
     eom_full_drift_diffusion,
 )
+from mochain.verify import auto_step, lyapunov_rk4
 
 STEADY = EffectiveModel(0.5, 1.0, 1.0)
 UNSTEADY = EffectiveModel(1.0, 0.5, 1.0)
@@ -222,18 +220,20 @@ class TestLyapunovRk4:
         # g = 0: v(t) = I/2 + (I/2) e^{-2 kappa t}
         dd = build_effective_drift_diffusion(EffectiveModel(0.0, 1.0, 1.0))
         grid = np.linspace(0.0, 3.0, 7)
-        traj = lyapunov_rk4(dd, CovarianceMatrix(np.eye(4)), grid, h=0.005)
-        for t, state in zip(traj.times, traj.states):
+        states = lyapunov_rk4(dd, CovarianceMatrix(np.eye(4)), grid, h=0.005)
+        assert len(states) == len(grid)
+        for t, state in zip(grid, states):
             expected = np.eye(4) * (0.5 + 0.5 * math.exp(-2.0 * t))
             assert np.max(np.abs(state.data - expected)) < 1e-10
 
     def test_matches_analytic_covariance(self):
         dd = build_effective_drift_diffusion(STEADY)
         tau = characteristic_time(STEADY)
-        traj = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), np.linspace(0, 2 * tau, 11))
+        grid = np.linspace(0, 2 * tau, 11)
+        states = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), grid)
         worst = max(
             float(np.max(np.abs(analytic_effective_cm(STEADY, t).data - s.data)))
-            for t, s in zip(traj.times, traj.states)
+            for t, s in zip(grid, states)
         )
         assert worst < 1e-8
 
@@ -242,23 +242,29 @@ class TestLyapunovRk4:
         exact = analytic_effective_cm(EffectiveModel(0.9, 0.7, 1.0), 2.0).data
 
         def err(h):
-            traj = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), [0.0, 2.0], h=h)
-            return float(np.max(np.abs(traj.states[-1].data - exact)))
+            final = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), [0.0, 2.0], h=h)[-1]
+            return float(np.max(np.abs(final.data - exact)))
 
         ratio = err(0.05) / err(0.025)
         assert 14.0 <= ratio <= 18.0
 
     def test_truncation_on_overflow(self):
         dd = build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))
-        traj = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), np.linspace(0.0, 200.0, 21))
-        assert traj.truncated
-        assert traj.times[-1] < 200.0
-        assert all(np.all(np.isfinite(s.data)) for s in traj.states)
+        # overflow ends the list at the last finite grid point
+        states = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), np.linspace(0.0, 200.0, 21))
+        assert 1 < len(states) < 21
+        assert all(np.all(np.isfinite(s.data)) for s in states)
 
     def test_grid_validation(self):
         dd = build_effective_drift_diffusion(STEADY)
         with pytest.raises(ValueError):
             lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), [1.0, 0.5])
+        with pytest.raises(ValueError):
+            lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), [0.0, 0.0])
+        with pytest.raises(ValueError):
+            lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), [])
+        with pytest.raises(ValueError):
+            lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), [0.0, 1.0], h=0.0)
         with pytest.raises(ValueError):
             lyapunov_rk4(dd, CovarianceMatrix.vacuum(3), [0.0, 1.0])
 
@@ -299,7 +305,8 @@ class TestPropagateLti:
         grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
         exact = propagate_lti(dd, CovarianceMatrix.vacuum(2), grid)
         oracle = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), grid, h=0.01)
-        for state, reference in zip(exact, oracle.states):
+        assert len(oracle) == len(exact) == len(grid)
+        for state, reference in zip(exact, oracle):
             scale = float(np.max(np.abs(reference.data)))
             assert np.max(np.abs(state.data - reference.data)) < 1e-8 * scale
 
@@ -313,7 +320,8 @@ class TestPropagateLti:
         grid = np.linspace(0.0, 20.0, 5)
         exact = propagate_lti(dd, CovarianceMatrix.vacuum(modes), grid)
         oracle = lyapunov_rk4(dd, CovarianceMatrix.vacuum(modes), grid)
-        for state, reference in zip(exact, oracle.states):
+        assert len(oracle) == len(exact) == len(grid)
+        for state, reference in zip(exact, oracle):
             assert np.max(np.abs(state.data - reference.data)) < 1e-7
 
     def test_fine_grid_keeps_squeezed_quadrature(self):
@@ -704,11 +712,3 @@ class TestAutoStep:
     def test_reference_floor(self):
         dd = build_effective_drift_diffusion(EffectiveModel(1e-3, 1e-3, 1e-3))
         assert abs(auto_step(dd.a) - 2 * math.pi / 200) < 1e-12
-
-
-def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 1.0]), [CovarianceMatrix.vacuum(2)])
-    with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.0]),
-                   [CovarianceMatrix.vacuum(2), CovarianceMatrix.vacuum(2)])

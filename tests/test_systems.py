@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mochain.chain import effective_coupling, reduce
-from mochain.dynamics import lyapunov_rk4, steady_state
+from mochain.dynamics import DriftDiffusion, steady_state
 from mochain.errors import CovarianceOverflowError
 from mochain.gaussian import CovarianceMatrix, ModePartition, log_negativity
 from mochain.systems import (
@@ -19,6 +19,7 @@ from mochain.systems import (
     eom_full_drift_diffusion,
     eom_to_chain,
 )
+from mochain.verify import lyapunov_rk4
 
 FIG3_EOM = EomParams(**EOM_FIG3)
 FIG4_COMM = CommParams(**COMM_FIG4)
@@ -130,8 +131,7 @@ class TestCommDriftDiffusion:
 
     def test_decoupled_microwave_stays_vacuum(self):
         dd = comm_full_drift_diffusion(replace(FIG4_COMM, g_a=0.0))
-        traj = lyapunov_rk4(dd, CovarianceMatrix.vacuum(4), [0.0, 50.0])
-        final = traj.states[-1]
+        final = lyapunov_rk4(dd, CovarianceMatrix.vacuum(4), [0.0, 50.0])[-1]
         assert np.max(np.abs(final.reduced([0]).data - np.eye(2) / 2)) < 1e-8
         assert log_negativity(final, ModePartition({0}, {1})) == 0.0
 
@@ -167,6 +167,21 @@ def test_overflowing_diffusion_names_the_cell():
     with pytest.raises(CovarianceOverflowError) as info:
         eom_full_drift_diffusion(replace(FIG3_EOM, n_b=1e308))
     assert info.value.index is None
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_drift_names_the_cell():
+    # every coupling is finite, but its doubled drift entry leaves double range
+    cells = [FIG4_COMM, FIG4_COMM, replace(FIG4_COMM, g_m=1e308), replace(FIG4_COMM, g_c=1e308)]
+    chains = [comm_to_chain(FIG4_COMM)] * len(cells)
+    with pytest.raises(CovarianceOverflowError, match="drift/diffusion overflows") as info:
+        comm_full_drift_diffusion(cells, chains)
+    assert info.value.index == 2
+    with pytest.raises(CovarianceOverflowError) as info:
+        eom_full_drift_diffusion(replace(FIG3_EOM, g_c=1e308), eom_to_chain(FIG3_EOM))
+    assert info.value.index is None
+    with pytest.raises(ValueError, match="must be finite"):  # a pair built directly
+        DriftDiffusion(np.full((2, 2), np.inf), np.eye(2))
 
 
 def test_parameter_validation():
