@@ -17,11 +17,11 @@ from .chain import (
     validity_report,
 )
 from .dynamics import (
-    AnalyticConstants,
     DriftDiffusion,
     analytic_effective_cm,
     build_effective_drift_diffusion,
     characteristic_time,
+    effective_resources,
     propagate_lti,
     squeeze_variances,
     steady_state,
@@ -29,7 +29,6 @@ from .dynamics import (
 from .errors import (
     ConfigError,
     CovarianceOverflowError,
-    CriticalPoleError,
     MochainError,
     NumericError,
     RegimeError,
@@ -68,13 +67,11 @@ from .systems import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticConstants",
     "ChainParams",
     "CommParams",
     "ConfigError",
     "CovarianceMatrix",
     "CovarianceOverflowError",
-    "CriticalPoleError",
     "DriftDiffusion",
     "EffectiveModel",
     "EomParams",
@@ -94,6 +91,7 @@ __all__ = [
     "comm_full_drift_diffusion",
     "comm_to_chain",
     "effective_coupling",
+    "effective_resources",
     "energy_shift",
     "eom_full_drift_diffusion",
     "eom_to_chain",

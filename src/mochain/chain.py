@@ -95,6 +95,9 @@ class EffectiveModel:
             raise ValueError("decay rates must be positive")
         if self.n_a < 0 or self.n_c < 0:
             raise ValueError("thermal occupations must be non-negative")
+        if not math.isfinite(self.g_eff * self.g_eff):  # also rejects a non-finite g_eff
+            raise ValueError(f"effective coupling g_eff = {self.g_eff!r} is not finite "
+                             "or its square overflows")
 
 
 def _checked_gap(value: float, label: str) -> float:
@@ -192,8 +195,7 @@ def classify_regime(m: EffectiveModel) -> Regime:
     """Steady iff g_eff^2 < kappa_a kappa_c; the boundary itself is Critical.
 
     Formula dispatch treats Critical as Unsteady (the stationary closed forms
-    are finite there) but the analytic covariance evaluation is not available
-    at the boundary, so the label is reported separately.
+    are finite there); the label is reported separately.
     """
     product = m.kappa_a * m.kappa_c
     gap = m.g_eff**2 - product

@@ -285,15 +285,17 @@ def reduce_point(system: str, params: dict[str, float]
 
     The chain is None for the effective model, which is its own reduction;
     every other system is mapped onto the chain once and reduced from it. A
-    plain ValueError of either step (a finite coupling that overflows the
-    mapping, say) is a ConfigError; a library error stays what it is.
+    plain ValueError of any step (a finite coupling that overflows the
+    mapping or whose square overflows, say) is a ConfigError; a library error
+    stays what it is.
     """
     to_chain = system_entry(system).to_chain
     try:
         p = build_params(system, params)
         chain = None if to_chain is None else to_chain(p)
+        model = p if chain is None else chain_mod.reduce(chain)
     except MochainError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return p, chain, p if chain is None else chain_mod.reduce(chain)
+    return p, chain, model

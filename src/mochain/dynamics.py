@@ -1,14 +1,18 @@
 """Time evolution of covariance matrices under Lyapunov dynamics.
 
-Every drift/diffusion pair (the effective two-mode model and the 6x6 and 8x8
-full platform systems) is propagated exactly by propagate_lti, which composes
-the solution of dv/dt = A v + v A^T + D along a time grid from Van Loan's block
-exponential, evaluated by the module's own degree-9 Pade approximant with
-scaling and squaring (N. J. Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005),
-so the runtime needs numpy alone. It takes one DriftDiffusion, a single pair
-or a stack of pairs (the cells of a sweep chunk) that it propagates together,
-each cell bit-identical to its own single-pair call. The effective model also
-has a fully analytic covariance from a vacuum start, and stable systems can be
+The effective two-mode model has a closed form for any thermal input and
+coupling: in the eigenbasis of its drift every covariance entry solves a
+scalar equation (C. W. Gardiner and P. Zoller, Quantum Noise, Springer 2004,
+on the multivariate Ornstein-Uhlenbeck covariance), and its resources follow
+from that basis without cancellation. Every drift/diffusion pair (the 6x6 and
+8x8 full platform systems, and the effective model's for checks) is
+propagated exactly by propagate_lti, which composes the solution of dv/dt =
+A v + v A^T + D along a time grid from Van Loan's block exponential,
+evaluated by the module's own degree-9 Pade approximant with scaling and
+squaring (N. J. Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), so the
+runtime needs numpy alone. It takes one DriftDiffusion, a single pair or a
+stack of pairs (the cells of a sweep chunk) that it propagates together, each
+cell bit-identical to its own single-pair call. Stable systems can also be
 solved directly for their stationary covariance. These are the production
 routes; the RK4 oracle that checks them lives in mochain.verify and is never
 on a command-line data path. All rates are in units of the reference frequency.
@@ -17,14 +21,14 @@ on a command-line data path. All rates are in units of the reference frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .chain import EffectiveModel, classify_regime
-from .errors import CovarianceOverflowError, CriticalPoleError, NumericError, RegimeError
-from .gaussian import CovarianceMatrix, Regime
+from .chain import EffectiveModel
+from .errors import CovarianceOverflowError, NumericError, RegimeError
+from .gaussian import CovarianceMatrix
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 # Coefficients b_0..b_9 of the degree-9 diagonal Pade approximant of e^x, and
@@ -93,62 +97,6 @@ class DriftDiffusion:
         return self.a.shape[-1] // 2
 
 
-@dataclass(frozen=True)
-class AnalyticConstants:
-    """Closed-form constants of the effective-model covariance evolution.
-
-    Built from |g_eff| (the covariance elements are even in the coupling sign
-    except the cross correlations, which the evaluator flips explicitly), with
-    sin(varphi) = (kappa_a - kappa_c)/Omega and cos(varphi) = 2|g|/Omega so the
-    varphi -> pi/2 limit at g -> 0 stays finite.
-    """
-
-    omega: float
-    varphi: float
-    sin_varphi: float
-    cos_varphi: float
-    c_plus: float
-    c_minus: float
-    c0: float
-    c1: float
-    c2: float
-    c3: float
-    g_sign: float = field(default=1.0)
-
-    @classmethod
-    def from_model(cls, m: EffectiveModel) -> "AnalyticConstants":
-        g = abs(m.g_eff)
-        ka, kc = m.kappa_a, m.kappa_c
-        diff, total = ka - kc, ka + kc
-        omega = math.hypot(2.0 * g, diff)
-        if omega == 0.0:
-            raise ValueError("constants undefined for g_eff = 0 with equal decay rates")
-        sin_v = diff / omega
-        cos_v = 2.0 * g / omega
-        c_minus = (omega - diff * sin_v) / (4.0 * (omega + total))
-        denom_plus = 4.0 * (omega - total)
-        if denom_plus == 0.0:  # critical point: Omega = kappa_a + kappa_c
-            raise CriticalPoleError("c_plus diverges at g_eff^2 = kappa_a kappa_c")
-        c_plus = (omega - diff * sin_v) / denom_plus
-        c0 = cos_v**2 * diff / (2.0 * total)
-        c3 = g * ka * kc / (total * (g * g - ka * kc))
-        c1 = 0.5 - g / ka * c3
-        c2 = 0.5 - g / kc * c3
-        return cls(
-            omega=omega,
-            varphi=math.atan2(diff, 2.0 * g),
-            sin_varphi=sin_v,
-            cos_varphi=cos_v,
-            c_plus=c_plus,
-            c_minus=c_minus,
-            c0=c0,
-            c1=c1,
-            c2=c2,
-            c3=c3,
-            g_sign=math.copysign(1.0, m.g_eff) if m.g_eff else 1.0,
-        )
-
-
 def build_effective_drift_diffusion(m: EffectiveModel) -> DriftDiffusion:
     """Drift/diffusion of the effective two-mode squeezing model, ordering (a, c)."""
     g, ka, kc = m.g_eff, m.kappa_a, m.kappa_c
@@ -165,59 +113,94 @@ def build_effective_drift_diffusion(m: EffectiveModel) -> DriftDiffusion:
     return DriftDiffusion(a, np.diag([heat_a, heat_a, heat_c, heat_c]))
 
 
-def _require_vacuum_noise(m: EffectiveModel, what: str) -> None:
-    if m.n_a != 0.0 or m.n_c != 0.0:
-        raise ValueError(
-            f"{what} is derived for vacuum input noise; "
-            "use propagate_lti/steady_state for thermal occupations"
-        )
+def _eigenbasis(m: EffectiveModel, t: ArrayLike) -> tuple[NDArray[np.float64], list, tuple]:
+    """Each correlated covariance block of the effective model in its drift eigenbasis.
+
+    The (X_a, Y_c) and (Y_a, X_c) blocks share the drift -[[kappa_a, g], [g,
+    kappa_c]] and, from v(0) = I/2, the same state W. With theta =
+    atan2(2g, kappa_a - kappa_c)/2, the drift's eigenvectors are (cos theta,
+    sin theta), decaying at (Omega + kappa_a + kappa_c)/2, and (sin theta,
+    -cos theta), growing at (Omega - kappa_a - kappa_c)/2, where Omega =
+    hypot(2g, kappa_a - kappa_c). In that basis each entry of W solves a
+    scalar equation: w'(t) = w'(0) + (D' + mu w'(0)) expm1(mu t)/mu, with mu
+    the sum of the two rates, -(Omega + kappa_a + kappa_c) for w'_--, Omega -
+    kappa_a - kappa_c for w'_++ and -(kappa_a + kappa_c) for w'_+-. The
+    vacuum part of D' + mu w'(0) is -g sin 2theta, g sin 2theta and g cos
+    2theta, so t = 0, and g = 0 with vacuum input, come out exact, and
+    expm1(mu t)/mu is t at mu = 0 (the critical coupling). Returns the
+    times, [w'_--, w'_++, w'_+-] over them and (cos^2 theta, sin^2 theta,
+    cos theta sin theta, cos 2theta).
+    """
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim != 1 or not np.all(times >= 0.0):
+        raise ValueError("time must be non-negative")
+    g, ka, kc, total = m.g_eff, m.kappa_a, m.kappa_c, m.kappa_a + m.kappa_c
+    omega, two_theta = math.hypot(2.0 * g, ka - kc), math.atan2(2.0 * g, ka - kc)
+    cos2, sin2 = math.cos(two_theta), math.sin(two_theta)
+    cc = (1.0 + cos2) / 2.0
+    ss, cs = 1.0 - cc, sin2 / 2.0  # cc + ss is exactly 1
+    heat_a, heat_c = 2.0 * ka * m.n_a, 2.0 * kc * m.n_c  # thermal excess over vacuum noise
+    w = []
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the callers' to report
+        for start, mu, drive in ((0.5, -(omega + total), cc * heat_a + ss * heat_c - g * sin2),
+                                 (0.5, omega - total, ss * heat_a + cc * heat_c + g * sin2),
+                                 (0.0, -total, cs * (heat_a - heat_c) + g * cos2)):
+            w.append(start + drive * (np.expm1(mu * times) / mu if mu else times))
+    return times, w, (cc, ss, cs, cos2)
+
+
+def _block_entries(m: EffectiveModel, t: ArrayLike) -> tuple[NDArray[np.float64], ...]:
+    """v11, v44, v14 and the block's det, trace and eigenvalue spread, over times t.
+
+    Raises CovarianceOverflowError naming the first time past double range.
+    """
+    times, (w_mm, w_pp, w_pm), (cc, ss, cs, cos2) = _eigenbasis(m, t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v11 = cc * w_mm + ss * w_pp + 2.0 * cs * w_pm
+        v44 = ss * w_mm + cc * w_pp - 2.0 * cs * w_pm
+        v14 = cs * (w_mm - w_pp) - cos2 * w_pm + 0.0  # + 0.0: no -0.0 at t = 0
+        det = w_mm * w_pp - w_pm * w_pm
+        trace, spread = w_mm + w_pp, np.hypot(w_pp - w_mm, 2.0 * w_pm)
+        over = ~np.isfinite(v11 + v44 + v14 + det + trace + spread)
+    if np.any(over):
+        raise CovarianceOverflowError("unsteady covariance overflows double precision "
+                                      f"at t = {times[np.argmax(over)]:g}")
+    return v11, v44, v14, det, trace, spread
 
 
 def analytic_effective_cm(m: EffectiveModel,
                           t: ArrayLike) -> CovarianceMatrix | NDArray[np.float64]:
     """Closed-form covariance of the effective model at time t, from v(0) = I/2.
 
-    Only the (X_a, Y_c) and (Y_a, X_c) quadrature pairs correlate:
-    v11 = v22, v33 = v44, v14 = v23, all other off-diagonal entries vanish.
-    Not available at the critical point g_eff^2 = kappa_a kappa_c, where the
-    stationary cross constant has a pole (use propagate_lti instead). At t = 0
-    the start state is returned exactly: the closed form would leave a
-    cancellation residue there. A float t gives one CovarianceMatrix, an array
-    of T times the (T, 4, 4) array of them (the same code, row for row
-    bit-identical); CovarianceOverflowError names the first time past double range.
+    Any thermal input and coupling, the critical one included (_eigenbasis).
+    Only the (X_a, Y_c) and (Y_a, X_c) pairs correlate: v11 = v22, v33 = v44,
+    v14 = v23. A float t gives one CovarianceMatrix, an array of T times the
+    (T, 4, 4) array of them, row for row bit-identical; CovarianceOverflowError
+    names the first time past double range.
     """
-    _require_vacuum_noise(m, "the analytic covariance")
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if times.ndim != 1 or not np.all(times >= 0.0):
-        raise ValueError("time must be non-negative")
-    v = np.zeros((len(times), 4, 4))
-    if m.g_eff != 0.0 and np.any(times != 0.0):
-        if classify_regime(m) is Regime.CRITICAL:
-            raise CriticalPoleError("analytic covariance has a pole at "
-                                    "g_eff^2 = kappa_a kappa_c; use propagate_lti")
-        k = AnalyticConstants.from_model(m)
-        total = m.kappa_a + m.kappa_c
-        grow_exponent = (k.omega - total) * times
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
-            e_minus = np.exp(-(k.omega + total) * times)
-            e_zero = np.exp(-total * times)
-            e_plus = np.exp(grow_exponent)
-            v11 = ((1.0 + k.sin_varphi) * k.c_minus * e_minus - k.c0 * e_zero
-                   + (1.0 - k.sin_varphi) * k.c_plus * e_plus + k.c1)
-            v44 = ((1.0 - k.sin_varphi) * k.c_minus * e_minus + k.c0 * e_zero
-                   + (1.0 + k.sin_varphi) * k.c_plus * e_plus + k.c2)
-            v14 = k.g_sign * (k.cos_varphi * k.c_minus * e_minus
-                              + k.c0 * k.sin_varphi / k.cos_varphi * e_zero
-                              - k.cos_varphi * k.c_plus * e_plus + k.c3)
-            over = (grow_exponent > 700.0) | ~np.isfinite(v11 + v44 + v14)
-        if np.any(over):
-            raise CovarianceOverflowError("unsteady covariance overflows double precision "
-                                          f"at t = {times[np.argmax(over)]:g}")
-        v[:, 0, 0] = v[:, 1, 1] = v11
-        v[:, 2, 2] = v[:, 3, 3] = v44
-        v[:, 0, 3] = v[:, 3, 0] = v[:, 1, 2] = v[:, 2, 1] = v14
-    v[(times == 0.0) | (m.g_eff == 0.0)] = np.eye(4) / 2.0
+    v11, v44, v14 = _block_entries(m, t)[:3]
+    v = np.zeros((len(v11), 4, 4))
+    v[:, 0, 0] = v[:, 1, 1] = v11
+    v[:, 2, 2] = v[:, 3, 3] = v44
+    v[:, 0, 3] = v[:, 3, 0] = v[:, 1, 2] = v[:, 2, 1] = v14
     return CovarianceMatrix(v[0]) if np.ndim(t) == 0 else v
+
+
+def effective_resources(m: EffectiveModel, t: ArrayLike
+                        ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """(E, S_ac_raw, S_ca_raw) of the effective model from v(0) = I/2, one entry per time.
+
+    With det, trace and eigenvalue spread of one correlated block in the drift
+    eigenbasis, the smallest partial-transpose symplectic eigenvalue is
+    2 det / (trace + spread) and det v = det^2, so E = max(0, -ln(4 det /
+    (trace + spread))), S_ac = ln(v11 / (2 det)) and S_ca = ln(v44 / (2 det)).
+    det is the growing variance times the squeezed one less a bounded cross
+    term, so nothing cancels however large the covariance grows.
+    CovarianceOverflowError names the first time past double range.
+    """
+    v11, v44, _, det, trace, spread = _block_entries(m, t)
+    e_raw = -np.log(4.0 * (det / (trace + spread)))
+    return np.where(e_raw > 0.0, e_raw, 0.0), np.log(v11 / det / 2.0), np.log(v44 / det / 2.0)
 
 
 def _lyapunov_solve(a: NDArray[np.float64], d: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -423,26 +406,10 @@ def characteristic_time(m: EffectiveModel) -> float:
 def squeeze_variances(m: EffectiveModel, t: float) -> tuple[float, float, float]:
     """Variances (dX, dY) of the drift-eigenbasis quadratures and their cross term.
 
-    dX decays at rate Omega + kappa_a + kappa_c and saturates at 1/2 - 2 c_-;
-    in the unsteady regime 2*dX(t) approximates the entanglement kernel
-    zeta(t) for t beyond the characteristic time. The cross term follows the
-    stationary-limit expression (c0/cos varphi)(1 + e^{-(ka+kc)t}); note it is
-    an asymptotic form only: the exact covariance route gives
-    (c0/cos varphi)(1 - e^{-(ka+kc)t}), vanishing at t = 0 as a vacuum start
-    requires. Both agree for t beyond a few 1/(kappa_a + kappa_c).
+    These are the entries w'_--, w'_++ and w'_+- of _eigenbasis at time t.
+    dX decays at rate Omega + kappa_a + kappa_c and saturates; in the
+    unsteady regime 2*dX(t) approximates the entanglement kernel zeta(t) for
+    t beyond the characteristic time. dY is inf once it exceeds double range.
     """
-    _require_vacuum_noise(m, "the quadrature-variance closed form")
-    if m.g_eff == 0.0:
-        raise ValueError("squeeze quadratures undefined for g_eff = 0")
-    if classify_regime(m) is Regime.CRITICAL:
-        raise CriticalPoleError("quadrature variances share the critical pole; use propagate_lti")
-    k = AnalyticConstants.from_model(m)
-    total = m.kappa_a + m.kappa_c
-    dx = 0.5 + 2.0 * k.c_minus * (math.exp(-(k.omega + total) * t) - 1.0)
-    grow_exponent = (k.omega - total) * t
-    if grow_exponent > 700.0:  # the anti-squeezed variance exceeds double range
-        dy = math.inf
-    else:
-        dy = 0.5 + 2.0 * k.c_plus * (math.exp(grow_exponent) - 1.0)
-    xy = k.c0 / k.cos_varphi * (1.0 + math.exp(-total * t))
-    return float(dx), float(dy), float(xy)
+    _, (dx, dy, xy), _ = _eigenbasis(m, t)
+    return float(dx[0]), float(dy[0]), float(xy[0])

@@ -24,14 +24,6 @@ class SingularCouplingError(MochainError, ValueError):
     """A perturbative denominator is (numerically) resonant."""
 
 
-class CriticalPoleError(MochainError, ValueError):
-    """Analytic covariance evaluation requested at the steady/unsteady boundary.
-
-    The constant term of the cross correlation has a pole at g_eff^2 = kappa_a*kappa_c;
-    use the exact propagator there instead.
-    """
-
-
 class RegimeError(MochainError, RuntimeError):
     """A steady state was requested for a drift matrix that is not Hurwitz stable."""
 

@@ -9,14 +9,14 @@ characteristic time and twice it.
 
 Everything system-specific comes from the registry systems.SYSTEMS: a system
 with full dynamics gets the numeric columns and is propagated in full, any
-other system is propagated as its effective two-mode model. Every numeric
-covariance comes from the exact propagator dynamics.propagate_lti, except for
-effective models with vacuum input away from the critical coupling, where the
-analytic covariance is used. region and compare share one cell loop that
+other system is propagated as its effective two-mode model. An effective
+model's rows come from the drift-eigenbasis closed form of dynamics, for any
+thermal input and coupling; every platform covariance comes from the exact
+propagator dynamics.propagate_lti. region and compare share one cell loop that
 maps each cell onto the chain once and, per chunk of CHUNK_CELLS cells, makes
 one call to the platform's drift/diffusion builder (one stacked pair) and one
 propagate_lti call, at tau (region) or tau and 2 tau (compare); the two only
-assemble rows. Every table's resource columns come from the batched two-mode
+assemble rows. Every platform resource column comes from the batched two-mode
 kernel gaussian.two_mode_resources. A library error raised for a sweep cell
 names the cell's axis values. All tables serialize to CSV (LF line endings,
 shortest round-trip float representation) or JSON (a non-finite float as
@@ -41,12 +41,12 @@ from .config import RunConfig, reduce_point, system_entry
 from .dynamics import (
     DriftDiffusion,
     analytic_effective_cm,
-    build_effective_drift_diffusion,
     characteristic_time,
+    effective_resources,
     propagate_lti,
 )
 from .errors import ConfigError, MochainError
-from .gaussian import CovarianceMatrix, Regime, two_mode_resources
+from .gaussian import CovarianceMatrix, two_mode_resources
 from .stationary import stationary_entanglement, stationary_steering, steering_region
 
 # Cells propagated and evaluated together: large enough that the per-call
@@ -187,12 +187,12 @@ def _swept_cells(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
 def run_evolve(cfg: RunConfig) -> Table:
     """Resource time series for a single parameter set.
 
-    Effective (and chain-reduced) systems use the analytic covariance when it
-    exists and the exact propagator at the critical coupling or for thermal
-    end modes; the platform systems propagate their full linearized dynamics
-    exactly and reduce to the microwave-optical sub-state. Either route gives
-    the whole grid's covariances as one array (the propagator on a one-cell
-    stack), and the resources of all rows come from one two_mode_resources call.
+    Effective (and chain-reduced) systems take the covariance columns and the
+    resources from the drift-eigenbasis closed form, for any thermal input
+    and coupling; the platform systems propagate their full linearized
+    dynamics exactly (the propagator on a one-cell stack) and take the
+    resources of all rows of the microwave-optical sub-state from one
+    two_mode_resources call.
     """
     if cfg.sweep:
         raise ConfigError("run_evolve takes no sweep axes (use region or compare)")
@@ -202,23 +202,17 @@ def run_evolve(cfg: RunConfig) -> Table:
     grid = _sample_grid(cfg, tau)
 
     full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
-    effective_route = full_drift_diffusion is None
     columns = ["t", "E", "S_ac_raw", "S_ca_raw", "regime"]
-    if effective_route:
+    if full_drift_diffusion is None:
         columns += ["v11", "v44", "v14"]
-
-    if (effective_route and regime is not Regime.CRITICAL
-            and model.n_a == 0.0 and model.n_c == 0.0):
         data = analytic_effective_cm(model, grid)
+        values = [grid, *effective_resources(model, grid),
+                  data[:, 0, 0], data[:, 3, 3], data[:, 0, 3]]
     else:
-        dd = (build_effective_drift_diffusion(model) if effective_route
-              else full_drift_diffusion(platform, chain))
+        dd = full_drift_diffusion(platform, chain)
         data = propagate_lti(DriftDiffusion(dd.a[None], dd.d[None]),
                              CovarianceMatrix.vacuum(dd.modes), grid)[0]
-
-    values = [grid, *two_mode_resources(_mo_block(data))]
-    if effective_route:
-        values += [data[:, 0, 0], data[:, 3, 3], data[:, 0, 3]]
+        values = [grid, *two_mode_resources(_mo_block(data))]
     rows = [(t, e, s_ac, s_ca, regime.value, *v)
             for t, e, s_ac, s_ca, *v in zip(*(column.tolist() for column in values))]
     return Table(columns=tuple(columns), rows=tuple(rows))

@@ -237,13 +237,15 @@ def check_rotation_invariance(n_samples: int = 100) -> CheckResult:
 def check_analytic_vs_rk4() -> CheckResult:
     """Closed-form covariance against RK4 on every element, both regimes.
 
-    Covariance elements grow a few orders of magnitude by 2 tau in the
-    unsteady sets, so hitting 1e-8 absolutely needs ~4000 substeps over the
-    window (still well under the runtime budget; effective trajectories span
-    only tens of time units).
+    The vacuum sets are joined by a thermal model and one at the critical
+    coupling g^2 = kappa_a kappa_c. Covariance elements grow a few orders of
+    magnitude by 2 tau in the unsteady sets, so hitting 1e-8 absolutely needs
+    ~4000 substeps over the window (still well under the runtime budget;
+    effective trajectories span only tens of time units).
     """
     worst = 0.0
-    models = effective_parameter_sets()
+    models = [*effective_parameter_sets(), EffectiveModel(0.8, 1.0, 0.6, n_a=0.5, n_c=1.0),
+              EffectiveModel(math.sqrt(0.5), 0.5, 1.0)]
     for m in models:
         dd = build_effective_drift_diffusion(m)
         tau = characteristic_time(m)
@@ -254,7 +256,8 @@ def check_analytic_vs_rk4() -> CheckResult:
             exact = analytic_effective_cm(m, float(t))
             worst = max(worst, float(np.max(np.abs(exact.data - state.data))))
     return CheckResult("analytic-cm-vs-rk4", worst < 1e-8, worst, 1e-8,
-                       f"{len(models)} parameter sets, t in [0, 2 tau]")
+                       f"{len(models)} parameter sets, thermal and critical among them, "
+                       "t in [0, 2 tau]")
 
 
 def check_rk4_convergence() -> CheckResult:

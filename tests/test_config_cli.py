@@ -361,8 +361,9 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_swept_drift_names_the_cell(self, tmp_path, capsys):
-        # every g_m is finite, but the drift entry 2 g_m leaves double range at 1e308
-        raw = {"system": "comm", "parameters": dict(COMM_FIG4), "sweep": {
+        # every g_m is finite, but the drift entry 2 g_m leaves double range at
+        # 1e308; the end couplings are tiny, so g_eff and its square stay finite
+        raw = {"system": "comm", "parameters": dict(COMM_FIG4, g_a=1e-160, g_c=1e-160), "sweep": {
             "axis1": {"name": "g_m", "min": 1e300, "max": 1e308, "points": 3, "scale": "log"},
             "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}}
         config_path = tmp_path / "overflow.json"
@@ -390,6 +391,49 @@ class TestCli:
         err = capsys.readouterr().err
         self.assert_one_line(err, "config error: ")
         assert err.endswith(f"chain parameters must be finite{where}\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, raw, where", [
+        ("evolve", {"system": "effective",
+                    "parameters": {"g_eff": 1e200, "kappa_a": 1.0, "kappa_c": 1.0}}, ""),
+        ("evolve", {**CHAIN, "parameters": {**CHAIN["parameters"],
+                                            "g_a": 1e60, "g_c": 1e60, "g_mid_1": 1e60}}, ""),
+        ("region", {**CHAIN, "sweep": {
+            "axis1": {"name": "g_mid_1", "min": 0.1, "max": 1e300, "points": 3, "scale": "log"},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}},
+         " at g_mid_1 = 1e+300, kappa_c = 0.0001"),
+    ], ids=["effective-evolve", "chain-evolve", "chain-region"])
+    def test_coupling_with_overflowing_square_is_a_config_error(self, tmp_path, capsys,
+                                                                command, raw, where):
+        # a finite effective coupling whose square leaves double range
+        config_path = tmp_path / "coupling.json"
+        config_path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        self.assert_one_line(err, "config error: ")
+        assert err.endswith(f"is not finite or its square overflows{where}\n")
+
+    @pytest.mark.parametrize("n_a, t_end_in_tau, e_inf, s_ac_inf", [
+        (0.0, 5.0, 1.5849014348, 0.9715312157),
+        (0.1, 7.0, 1.5271197356, 0.9137495165),
+    ], ids=["vacuum", "thermal"])
+    def test_divergent_evolve_stays_on_its_stationary_resources(self, tmp_path, n_a,
+                                                                t_end_in_tau, e_inf, s_ac_inf):
+        # g^2 = 18 kappa_a kappa_c: the covariance grows like e^{4.5 t} while E
+        # and S_ac settle on their stationary values by ~4 tau
+        raw = {"system": "effective",
+               "parameters": {"g_eff": 3.0, "kappa_a": 0.5, "kappa_c": 1.0, "n_a": n_a},
+               "times": {"t_end_in_tau": t_end_in_tau, "samples": 8}}
+        config_path, out_path = tmp_path / "probe.json", tmp_path / "probe.csv"
+        config_path.write_text(json.dumps(raw))
+        assert main(["evolve", "--config", str(config_path), "--out", str(out_path)]) == 0
+        table = parse_csv(out_path.read_text())
+        tau = characteristic_time(EffectiveModel(3.0, 0.5, 1.0))
+        late = [i for i, t in enumerate(table.column("t")) if t >= 4.0 * tau]
+        assert len(late) >= 2 and late[-1] == len(table.rows) - 1
+        for i in late:
+            assert abs(table.column("E")[i] - e_inf) < 1e-9
+            assert abs(table.column("S_ac_raw")[i] - s_ac_inf) < 1e-9
 
     @staticmethod
     def assert_one_line(err: str, prefix: str) -> None:

@@ -9,18 +9,18 @@ from mochain.chain import ChainParams, EffectiveModel, reduce
 from mochain import dynamics
 from mochain.dynamics import (
     THETA9,
-    AnalyticConstants,
     DriftDiffusion,
     analytic_effective_cm,
     build_effective_drift_diffusion,
     characteristic_time,
+    effective_resources,
     propagate_lti,
     squeeze_variances,
     steady_state,
 )
 from mochain import sweep
 from mochain.config import RunConfig, SweepAxis
-from mochain.errors import CovarianceOverflowError, CriticalPoleError, RegimeError
+from mochain.errors import CovarianceOverflowError, RegimeError
 from mochain.gaussian import CovarianceMatrix, two_mode_resources
 from mochain.systems import (
     COMM_FIG4,
@@ -40,6 +40,36 @@ UNSTEADY = EffectiveModel(1.0, 0.5, 1.0)
 def stack(dds) -> DriftDiffusion:
     """One stacked pair holding the given single pairs as its cells, in order."""
     return DriftDiffusion(np.stack([dd.a for dd in dds]), np.stack([dd.d for dd in dds]))
+
+
+def van_loan_resources(mp, dd, t, dps=40):
+    """(E, S_ac, S_ca) at t from the vacuum by a dps-digit Van Loan reference."""
+    n = dd.a.shape[0]
+    k = max(0, math.ceil(math.log2(float(dynamics._norm1(dd.a)) * t)))
+    with mp.workdps(dps):
+        block = mp.zeros(2 * n, 2 * n)
+        for i in range(n):
+            for j in range(n):
+                block[i, j] = -dd.a[i, j]
+                block[i, n + j] = dd.d[i, j]
+                block[n + i, n + j] = dd.a[j, i]
+        e = mp.expm(block * (mp.mpf(t) / 2**k))
+        phi = e[n:2 * n, n:2 * n].T
+        q = phi * e[0:n, n:2 * n]
+        for _ in range(k):
+            q = phi * q * phi.T + q
+            phi = phi * phi
+        v = phi * phi.T / 2 + q
+        v = (v + v.T) / 2
+
+        def det2(m):
+            return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+        det_a, det_c, det_v = det2(v[0:2, 0:2]), det2(v[2:4, 2:4]), mp.det(v[0:4, 0:4])
+        gamma = det_a + det_c - 2 * det2(v[0:2, 2:4])
+        eta2 = 2 * det_v / (gamma + mp.sqrt(gamma * gamma - 4 * det_v))
+        return [float(max(0, -mp.log(4 * eta2) / 2)),
+                float(mp.log(det_a / (4 * det_v)) / 2), float(mp.log(det_c / (4 * det_v)) / 2)]
 
 
 class TestDriftDiffusionBuilder:
@@ -158,14 +188,26 @@ class TestAnalyticCovariance:
         v = analytic_effective_cm(EffectiveModel(0.0, 0.5, 1.0), 7.0)
         assert np.array_equal(v.data, np.eye(4) / 2)
 
-    def test_critical_pole_raises(self):
-        m = EffectiveModel(math.sqrt(0.5), 0.5, 1.0)
-        with pytest.raises(CriticalPoleError):
-            analytic_effective_cm(m, 1.0)
+    @pytest.mark.parametrize("m", [EffectiveModel(math.sqrt(0.5), 0.5, 1.0),
+                                   EffectiveModel(math.sqrt(0.5), 0.5, 1.0, n_a=0.5, n_c=1.0)],
+                             ids=["vacuum", "thermal"])
+    def test_critical_coupling_matches_propagator(self, m):
+        grid = np.linspace(0.0, 2.0 * characteristic_time(m), 9)
+        exact = propagate_lti(build_effective_drift_diffusion(m), CovarianceMatrix.vacuum(2), grid)
+        closed = analytic_effective_cm(m, grid)
+        for state, v in zip(exact, closed):
+            assert np.max(np.abs(v - state.data)) < 1e-12 * np.max(np.abs(v))
 
-    def test_thermal_unsupported(self):
-        with pytest.raises(ValueError):
-            analytic_effective_cm(EffectiveModel(0.5, 1.0, 1.0, n_a=0.2), 1.0)
+    @pytest.mark.parametrize("m", [EffectiveModel(0.5, 1.0, 1.0, n_a=0.2),
+                                   EffectiveModel(1.3, 0.7, 1.2, n_a=0.4, n_c=2.0),
+                                   EffectiveModel(0.0, 0.5, 1.0, n_a=1.0, n_c=0.3)],
+                             ids=["steady", "unsteady", "uncoupled"])
+    def test_thermal_input_matches_propagator(self, m):
+        grid = np.linspace(0.0, characteristic_time(m), 6)
+        exact = propagate_lti(build_effective_drift_diffusion(m), CovarianceMatrix.vacuum(2), grid)
+        closed = analytic_effective_cm(m, grid)
+        for state, v in zip(exact, closed):
+            assert np.max(np.abs(v - state.data)) < 1e-12 * np.max(np.abs(v))
 
     def test_sign_symmetry_of_coupling(self):
         plus = analytic_effective_cm(UNSTEADY, 2.0).data
@@ -204,8 +246,6 @@ class TestAnalyticCovarianceOnGrid:
 
     @pytest.mark.filterwarnings("error")
     def test_invalid_grids_raise(self):
-        with pytest.raises(CriticalPoleError):
-            analytic_effective_cm(EffectiveModel(math.sqrt(0.5), 0.5, 1.0), [0.0, 1.0])
         with pytest.raises(ValueError, match="non-negative"):
             analytic_effective_cm(STEADY, [0.0, -1.0, 2.0])
         with pytest.raises(ValueError, match="time must be"):
@@ -213,6 +253,32 @@ class TestAnalyticCovarianceOnGrid:
         # (Omega - kappa_a - kappa_c) t passes 700 between t = 35 and t = 40
         with pytest.raises(CovarianceOverflowError, match="at t = 40$"):
             analytic_effective_cm(EffectiveModel(10.0, 0.01, 0.01), [0.0, 35.0, 40.0, 45.0])
+
+
+class TestClosedFormAgainstMpmath:
+    """E and S of the closed form against a Van Loan reference whose digits grow with t."""
+
+    @pytest.mark.parametrize("m, t_end_in_tau", [
+        (EffectiveModel(3.0, 0.5, 1.0), 90.0),
+        (EffectiveModel(3.0, 0.5, 1.0, n_a=0.1), 60.0),
+        (EffectiveModel(math.sqrt(0.998 * 0.5), 0.5, 1.0), 40.0),
+        (EffectiveModel(math.sqrt(0.5), 0.5, 1.0), 40.0),
+        (EffectiveModel(math.sqrt(1.002 * 0.5), 0.5, 1.0), 40.0),
+        (EffectiveModel(1.3, 0.7, 1.2, n_a=0.4, n_c=2.0), 30.0),
+    ], ids=["vacuum-probe", "thermal-probe", "ratio-0.998", "critical", "ratio-1.002",
+            "thermal-n_c"])
+    def test_resources_to_1e_12(self, m, t_end_in_tau):
+        mp = pytest.importorskip("mpmath")
+        tau = characteristic_time(m)
+        times = np.array([0.5, 3.0, t_end_in_tau]) * tau
+        got = np.stack(effective_resources(m, times), axis=1)
+        rates = math.hypot(2.0 * m.g_eff, m.kappa_a - m.kappa_c) + m.kappa_a + m.kappa_c
+        dd = build_effective_drift_diffusion(m)
+        for t, row in zip(times, got):
+            # the block exponential holds e^{(Omega + ka + kc) t / 2} next to the
+            # O(1) squeezed variance, so the digits grow with t
+            want = van_loan_resources(mp, dd, t, dps=30 + math.ceil(rates * t / math.log(10)))
+            assert np.max(np.abs(row - want)) < 1e-12
 
 
 class TestLyapunovRk4:
@@ -554,36 +620,6 @@ class TestPadeExponential:
 class TestDoublingPrecision:
     """Doubling (Phi, Q) in double keeps region cells at the accuracy of their Pade block."""
 
-    @staticmethod
-    def van_loan_resources(mp, dd, t):
-        """(E, S_ac, S_ca) at t from the vacuum by a 40-digit Van Loan reference."""
-        n = dd.a.shape[0]
-        k = max(0, math.ceil(math.log2(float(dynamics._norm1(dd.a)) * t)))
-        with mp.workdps(40):
-            block = mp.zeros(2 * n, 2 * n)
-            for i in range(n):
-                for j in range(n):
-                    block[i, j] = -dd.a[i, j]
-                    block[i, n + j] = dd.d[i, j]
-                    block[n + i, n + j] = dd.a[j, i]
-            e = mp.expm(block * (mp.mpf(t) / 2**k))
-            phi = e[n:2 * n, n:2 * n].T
-            q = phi * e[0:n, n:2 * n]
-            for _ in range(k):
-                q = phi * q * phi.T + q
-                phi = phi * phi
-            v = phi * phi.T / 2 + q
-            v = (v + v.T) / 2
-
-            def det2(m):
-                return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-            det_a, det_c, det_v = det2(v[0:2, 0:2]), det2(v[2:4, 2:4]), mp.det(v[0:4, 0:4])
-            gamma = det_a + det_c - 2 * det2(v[0:2, 2:4])
-            eta2 = 2 * det_v / (gamma + mp.sqrt(gamma * gamma - 4 * det_v))
-            return [float(max(0, -mp.log(4 * eta2) / 2)),
-                    float(mp.log(det_a / (4 * det_v)) / 2), float(mp.log(det_c / (4 * det_v)) / 2)]
-
     @pytest.mark.parametrize("kappa_a, kappa_c", [(1e-4, 1e-4), (1e-4, 1e-3), (1e-3, 1e-3)])
     def test_region_corner_against_mpmath(self, kappa_a, kappa_c):
         # tau is 5e3-2.2e4 here, so k = 16-18 doublings amplify the Pade
@@ -596,7 +632,7 @@ class TestDoublingPrecision:
         tau = characteristic_time(reduce(chain))
         state = propagate_lti(dd, CovarianceMatrix.vacuum(4), [tau])[0].data[:4, :4]
         got = [float(r[0]) for r in two_mode_resources(state[None])]
-        want = self.van_loan_resources(mp, dd, tau)
+        want = van_loan_resources(mp, dd, tau)
         assert np.max(np.abs(np.subtract(got, want))) < 1e-11
 
 
@@ -645,13 +681,7 @@ class TestCharacteristicTime:
 class TestSqueezeVariances:
     def test_initial_values(self):
         m = EffectiveModel(math.sqrt(2.0), 0.5, 1.0)
-        k = AnalyticConstants.from_model(m)
-        dx, dy, xy = squeeze_variances(m, 0.0)
-        assert abs(dx - 0.5) < 1e-15
-        assert abs(dy - 0.5) < 1e-15
-        # the stationary-limit cross term does not vanish at t = 0; the exact
-        # covariance route does (see test_cross_term_reconciliation)
-        assert abs(xy - 2.0 * k.c0 / k.cos_varphi) < 1e-15
+        assert squeeze_variances(m, 0.0) == (0.5, 0.5, 0.0)
 
     def test_saturation_value(self):
         m = EffectiveModel(math.sqrt(2.0), 0.5, 1.0)
@@ -663,44 +693,46 @@ class TestSqueezeVariances:
         values = [squeeze_variances(m, t)[1] for t in (0.0, 1.0, 2.0, 4.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    @staticmethod
+    def eigenbasis_of(m: EffectiveModel, t: float) -> tuple[float, float, float]:
+        """(dX, dY, cross) of the analytic covariance, along the drift eigenvectors
+        (cos theta, sin theta) and (sin theta, -cos theta), theta = atan2(2g, ka - kc)/2."""
+        theta = math.atan2(2.0 * m.g_eff, m.kappa_a - m.kappa_c) / 2.0
+        x = np.array([math.cos(theta), math.sin(theta)])
+        y = np.array([math.sin(theta), -math.cos(theta)])
+        v = analytic_effective_cm(m, t).data[np.ix_([0, 3], [0, 3])]
+        return float(x @ v @ x), float(y @ v @ y), float(x @ v @ y)
+
     def test_variances_match_rotated_covariance(self):
-        # dX and dY are the variances of the drift-eigenbasis quadratures at
-        # angle pi/4 + varphi/2, taken from the analytic covariance
         m = EffectiveModel(math.sqrt(2.0), 0.5, 1.0)
-        k = AnalyticConstants.from_model(m)
-        alpha = math.pi / 4 + k.varphi / 2
-        sin_a, cos_a = math.sin(alpha), math.cos(alpha)
         for t in (0.0, 0.7, 2.0, 5.0):
-            v = analytic_effective_cm(m, t).data
-            dx_cm = sin_a**2 * v[0, 0] + cos_a**2 * v[3, 3] + 2 * sin_a * cos_a * v[0, 3]
-            dy_cm = cos_a**2 * v[0, 0] + sin_a**2 * v[3, 3] - 2 * sin_a * cos_a * v[0, 3]
             dx, dy, _ = squeeze_variances(m, t)
+            dx_cm, dy_cm, _ = self.eigenbasis_of(m, t)
             assert abs(dx - dx_cm) < 1e-12
-            assert abs(dy - dy_cm) < 1e-12
+            assert abs(dy - dy_cm) < 1e-12 * dy
 
     def test_cross_term_reconciliation(self):
-        # the exact covariance route gives (c0/cos)(1 - e^{-(ka+kc)t}): zero at
-        # t = 0 and agreeing with the reported stationary-limit form only at
-        # late times
+        # the reported cross term is the covariance route's, and for vacuum
+        # input it is g (ka - kc) / (Omega (ka + kc)) (1 - e^{-(ka+kc)t}):
+        # zero at t = 0, as a vacuum start requires
         m = EffectiveModel(math.sqrt(2.0), 0.5, 1.0)
-        k = AnalyticConstants.from_model(m)
-        alpha = math.pi / 4 + k.varphi / 2
-        sin_a, cos_a = math.sin(alpha), math.cos(alpha)
+        omega = math.hypot(2.0 * m.g_eff, m.kappa_a - m.kappa_c)
         total = m.kappa_a + m.kappa_c
         for t in (0.0, 0.5, 2.0, 8.0):
-            v = analytic_effective_cm(m, t).data
-            xy_cm = sin_a * cos_a * (v[0, 0] - v[3, 3]) + (cos_a**2 - sin_a**2) * v[0, 3]
-            exact = k.c0 / k.cos_varphi * (1.0 - math.exp(-total * t))
+            reported = squeeze_variances(m, t)[2]
+            closed = m.g_eff * (m.kappa_a - m.kappa_c) / (omega * total) * -math.expm1(-total * t)
+            assert abs(reported - closed) < 1e-15
             # the covariance route cancels growing elements, so allow roundoff
             # at the scale of the largest entry
-            tol = 1e-12 + 1e-15 * float(np.max(np.abs(v)))
-            assert abs(xy_cm - exact) < tol
-            reported = squeeze_variances(m, t)[2]
-            assert abs(reported - xy_cm - 2.0 * k.c0 / k.cos_varphi * math.exp(-total * t)) < tol
+            tol = 1e-15 * float(np.max(np.abs(analytic_effective_cm(m, t).data)))
+            assert abs(reported - self.eigenbasis_of(m, t)[2]) < max(tol, 1e-15)
 
-    def test_critical_pole(self):
-        with pytest.raises(CriticalPoleError):
-            squeeze_variances(EffectiveModel(math.sqrt(0.5), 0.5, 1.0), 1.0)
+    def test_critical_coupling_grows_linearly(self):
+        # at g^2 = ka kc the growth rate Omega - ka - kc vanishes, and dY is
+        # 1/2 + (2 ka kc / (ka + kc)) t
+        m = EffectiveModel(math.sqrt(0.5), 0.5, 1.0)
+        for t in (0.5, 3.0, 40.0):
+            assert abs(squeeze_variances(m, t)[1] - (0.5 + 2.0 / 3.0 * t)) < 1e-13 * t
 
 
 class TestAutoStep:
