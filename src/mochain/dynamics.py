@@ -186,9 +186,8 @@ def analytic_effective_cm(m: EffectiveModel,
     return CovarianceMatrix(v[0]) if np.ndim(t) == 0 else v
 
 
-def effective_resources(m: EffectiveModel, t: ArrayLike
-                        ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """(E, S_ac_raw, S_ca_raw) of the effective model from v(0) = I/2, one entry per time.
+def effective_resources(m: EffectiveModel, t: ArrayLike) -> tuple[NDArray[np.float64], ...]:
+    """(E, S_ac_raw, S_ca_raw, v11, v44, v14) from v(0) = I/2: the evolve row at each time.
 
     With det, trace and eigenvalue spread of one correlated block in the drift
     eigenbasis, the smallest partial-transpose symplectic eigenvalue is
@@ -198,9 +197,10 @@ def effective_resources(m: EffectiveModel, t: ArrayLike
     term, so nothing cancels however large the covariance grows.
     CovarianceOverflowError names the first time past double range.
     """
-    v11, v44, _, det, trace, spread = _block_entries(m, t)
+    v11, v44, v14, det, trace, spread = _block_entries(m, t)
     e_raw = -np.log(4.0 * (det / (trace + spread)))
-    return np.where(e_raw > 0.0, e_raw, 0.0), np.log(v11 / det / 2.0), np.log(v44 / det / 2.0)
+    return (np.where(e_raw > 0.0, e_raw, 0.0), np.log(v11 / det / 2.0), np.log(v44 / det / 2.0),
+            v11, v44, v14)
 
 
 def _lyapunov_solve(a: NDArray[np.float64], d: NDArray[np.float64]) -> NDArray[np.float64]:

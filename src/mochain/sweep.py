@@ -40,7 +40,6 @@ from .chain import classify_regime, validity_report
 from .config import RunConfig, reduce_point, system_entry
 from .dynamics import (
     DriftDiffusion,
-    analytic_effective_cm,
     characteristic_time,
     effective_resources,
     propagate_lti,
@@ -205,9 +204,7 @@ def run_evolve(cfg: RunConfig) -> Table:
     columns = ["t", "E", "S_ac_raw", "S_ca_raw", "regime"]
     if full_drift_diffusion is None:
         columns += ["v11", "v44", "v14"]
-        data = analytic_effective_cm(model, grid)
-        values = [grid, *effective_resources(model, grid),
-                  data[:, 0, 0], data[:, 3, 3], data[:, 0, 3]]
+        values = [grid, *effective_resources(model, grid)]
     else:
         dd = full_drift_diffusion(platform, chain)
         data = propagate_lti(DriftDiffusion(dd.a[None], dd.d[None]),

@@ -271,7 +271,7 @@ class TestClosedFormAgainstMpmath:
         mp = pytest.importorskip("mpmath")
         tau = characteristic_time(m)
         times = np.array([0.5, 3.0, t_end_in_tau]) * tau
-        got = np.stack(effective_resources(m, times), axis=1)
+        got = np.stack(effective_resources(m, times)[:3], axis=1)
         rates = math.hypot(2.0 * m.g_eff, m.kappa_a - m.kappa_c) + m.kappa_a + m.kappa_c
         dd = build_effective_drift_diffusion(m)
         for t, row in zip(times, got):
@@ -709,7 +709,7 @@ class TestSqueezeVariances:
             dx, dy, _ = squeeze_variances(m, t)
             dx_cm, dy_cm, _ = self.eigenbasis_of(m, t)
             assert abs(dx - dx_cm) < 1e-12
-            assert abs(dy - dy_cm) < 1e-12 * dy
+            assert abs(dy - dy_cm) < 1e-12
 
     def test_cross_term_reconciliation(self):
         # the reported cross term is the covariance route's, and for vacuum
