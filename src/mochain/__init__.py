@@ -31,6 +31,7 @@ from .errors import (
     CovarianceOverflowError,
     MochainError,
     NumericError,
+    ParameterError,
     RegimeError,
     SingularCouplingError,
     UnphysicalStateError,
@@ -78,6 +79,7 @@ __all__ = [
     "MochainError",
     "ModePartition",
     "NumericError",
+    "ParameterError",
     "Regime",
     "RegimeError",
     "SingularCouplingError",

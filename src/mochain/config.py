@@ -24,7 +24,7 @@ from typing import Any
 
 from .chain import ChainParams, EffectiveModel
 from . import chain as chain_mod
-from .errors import ConfigError, MochainError
+from .errors import ConfigError, ParameterError
 # comm_to_chain and eom_to_chain stay bound here as before the registry:
 # perfbench's tracer rebinds them in every module that holds them, and its
 # self-test checks that they are restored
@@ -244,7 +244,7 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config(raw, source=str(path))
 
 
-def build_chain_params(params: dict[str, float]) -> ChainParams:
+def build_chain_params(params: dict[str, Any]) -> ChainParams:
     """Chain parameters from the flat map; delta_c is matched when not given."""
     n = int(params["n"])
     return ChainParams(
@@ -273,29 +273,29 @@ def system_entry(system: str, path: str = "system") -> System:
     return SYSTEMS[system]
 
 
-def build_params(system: str, params: dict[str, float]) -> Any:
+def build_params(system: str, params: dict[str, Any]) -> Any:
     """The parameter object of a registered system from its flat parameter map."""
     kind = system_entry(system).params
     return build_chain_params(params) if kind is ChainParams else kind(**params)
 
 
-def reduce_point(system: str, params: dict[str, float]
+def reduce_point(system: str, params: dict[str, Any]
                  ) -> tuple[Any, ChainParams | None, EffectiveModel]:
     """A configured point's parameter object, chain mapping and effective two-mode model.
 
+    A value of params may be a float or the (B,) values of a sweep chunk's
+    cells; each object is then built once, with (B,) fields, for all of them.
     The chain is None for the effective model, which is its own reduction;
     every other system is mapped onto the chain once and reduced from it. A
-    plain ValueError of any step (a finite coupling that overflows the
-    mapping or whose square overflows, say) is a ConfigError; a library error
-    stays what it is.
+    ParameterError of any step (a finite coupling that overflows the mapping
+    or whose square overflows, say) is a ConfigError with the same index; a
+    library error stays what it is.
     """
     to_chain = system_entry(system).to_chain
     try:
         p = build_params(system, params)
         chain = None if to_chain is None else to_chain(p)
         model = p if chain is None else chain_mod.reduce(chain)
-    except MochainError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except ParameterError as exc:
+        raise ConfigError(str(exc), index=exc.index) from exc
     return p, chain, model

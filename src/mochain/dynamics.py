@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .chain import EffectiveModel
+from .chain import EffectiveModel, Field, per_cell
 from .errors import CovarianceOverflowError, NumericError, RegimeError
 from .gaussian import CovarianceMatrix
 
@@ -37,6 +37,10 @@ LYAPUNOV_RESIDUAL_TOL = 1e-10
 PADE9 = (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
          2162160.0, 110880.0, 3960.0, 90.0, 1.0)
 THETA9 = 2.097847961257068
+# math.hypot, elementwise. numpy's hypot differs from it in the last bit on
+# ~0.5% of inputs; tau keeps math.hypot's rounding because an evolve grid
+# holds tau and 2 tau as rows, and a 1-ulp shift can add or merge one.
+_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
 def _first_bad(bad: NDArray[np.bool_], stacked: bool, what: str) -> None:
@@ -125,9 +129,12 @@ def _eigenbasis(m: EffectiveModel, t: ArrayLike) -> tuple[NDArray[np.float64], l
     scalar equation: w'(t) = w'(0) + (D' + mu w'(0)) expm1(mu t)/mu, with mu
     the sum of the two rates, -(Omega + kappa_a + kappa_c) for w'_--, Omega -
     kappa_a - kappa_c for w'_++ and -(kappa_a + kappa_c) for w'_+-. The
-    vacuum part of D' + mu w'(0) is -g sin 2theta, g sin 2theta and g cos
-    2theta, so t = 0, and g = 0 with vacuum input, come out exact, and
-    expm1(mu t)/mu is t at mu = 0 (the critical coupling). Returns the
+    vacuum part of the drive D' + mu w'(0) is -g sin 2theta, g sin 2theta
+    and g cos 2theta, so t = 0, and g = 0 with vacuum input, come out exact,
+    and expm1(mu t)/mu is t at mu = 0 (the critical coupling). A negative
+    drive makes w'_-- fall from 1/2 by cancellation, so there the same
+    solution is taken as w'(0) e^{mu t} + D' expm1(mu t)/mu, whose terms are
+    non-negative (D' = e^T D e from the diffusion's own entries). Returns the
     times, [w'_--, w'_++, w'_+-] over them and (cos^2 theta, sin^2 theta,
     cos theta sin theta, cos 2theta).
     """
@@ -140,12 +147,19 @@ def _eigenbasis(m: EffectiveModel, t: ArrayLike) -> tuple[NDArray[np.float64], l
     cc = (1.0 + cos2) / 2.0
     ss, cs = 1.0 - cc, sin2 / 2.0  # cc + ss is exactly 1
     heat_a, heat_c = 2.0 * ka * m.n_a, 2.0 * kc * m.n_c  # thermal excess over vacuum noise
+    noise_a, noise_c = ka + heat_a, kc + heat_c  # the diffusion entries
+    cross = cs * (heat_a - heat_c) + g * cos2
     w = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the callers' to report
-        for start, mu, drive in ((0.5, -(omega + total), cc * heat_a + ss * heat_c - g * sin2),
-                                 (0.5, omega - total, ss * heat_a + cc * heat_c + g * sin2),
-                                 (0.0, -total, cs * (heat_a - heat_c) + g * cos2)):
-            w.append(start + drive * (np.expm1(mu * times) / mu if mu else times))
+        for start, mu, drive, diffusion in (
+                (0.5, -(omega + total), cc * heat_a + ss * heat_c - g * sin2,
+                 cc * noise_a + ss * noise_c),
+                (0.5, omega - total, ss * heat_a + cc * heat_c + g * sin2,
+                 ss * noise_a + cc * noise_c),
+                (0.0, -total, cross, cross)):
+            growth = np.expm1(mu * times) / mu if mu else times
+            w.append(start * np.exp(mu * times) + diffusion * growth if drive < 0.0
+                     else start + drive * growth)
     return times, w, (cc, ss, cs, cos2)
 
 
@@ -394,13 +408,16 @@ def propagate_lti(
     return [CovarianceMatrix(state) for state in out[0]] if single else out
 
 
-def characteristic_time(m: EffectiveModel) -> float:
-    """Timescale 4 pi / (Omega + kappa_a + kappa_c) after which resources are stationary."""
-    omega = math.hypot(2.0 * m.g_eff, m.kappa_a - m.kappa_c)
+def characteristic_time(m: EffectiveModel) -> Field:
+    """Timescale 4 pi / (Omega + kappa_a + kappa_c) after which resources are stationary.
+
+    A model with (B,) fields gives the (B,) times of its cells.
+    """
+    omega = np.asarray(_hypot(2.0 * m.g_eff, m.kappa_a - m.kappa_c), dtype=float)
     denom = omega + m.kappa_a + m.kappa_c
-    if denom <= 0.0:
+    if np.any(denom <= 0.0):
         raise ValueError("characteristic time undefined for all-zero rates")
-    return 4.0 * math.pi / denom
+    return per_cell(4.0 * math.pi / denom)
 
 
 def squeeze_variances(m: EffectiveModel, t: float) -> tuple[float, float, float]:

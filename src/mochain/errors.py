@@ -16,6 +16,11 @@ class MochainError(Exception):
         self.index = index
 
 
+class ParameterError(MochainError, ValueError):
+    """A parameter value the physics rejects (a non-positive rate, say); on the (B,)
+    fields of a sweep chunk, `index` is the first offending cell."""
+
+
 class UnphysicalStateError(MochainError, ValueError):
     """Covariance matrix violates the uncertainty bound (a symplectic eigenvalue < 1/2)."""
 

@@ -12,20 +12,25 @@ with full dynamics gets the numeric columns and is propagated in full, any
 other system is propagated as its effective two-mode model. An effective
 model's rows come from the drift-eigenbasis closed form of dynamics, for any
 thermal input and coupling; every platform covariance comes from the exact
-propagator dynamics.propagate_lti. region and compare share one cell loop that
-maps each cell onto the chain once and, per chunk of CHUNK_CELLS cells, makes
-one call to the platform's drift/diffusion builder (one stacked pair) and one
-propagate_lti call, at tau (region) or tau and 2 tau (compare); the two only
-assemble rows. Every platform resource column comes from the batched two-mode
-kernel gaussian.two_mode_resources. A library error raised for a sweep cell
-names the cell's axis values. All tables serialize to CSV (LF line endings,
-shortest round-trip float representation) or JSON (a non-finite float as
-null).
+propagator dynamics.propagate_lti. region and compare share one chunk loop:
+per chunk of CHUNK_CELLS cells it builds the flat parameter map with a (B,)
+column per swept axis, maps it onto the chain and reduces it with one
+construction of each parameter object, and, for a platform, makes one call
+to its drift/diffusion builder (one stacked pair) and one propagate_lti
+call, at tau (region) or tau and 2 tau (compare). The stationary closed
+forms, regime and region labels, deviations and validity ratios are then
+evaluated on the chunk's (B,) fields, and rows are zipped from the columns.
+Every platform resource column comes from the batched two-mode kernel
+gaussian.two_mode_resources. A library error raised for a sweep cell names
+the cell's axis values. All tables serialize to CSV (LF line endings,
+shortest round-trip float representation; formatted column by column) or
+JSON (a non-finite float as null).
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import itertools
 import json
@@ -53,6 +58,10 @@ from .stationary import stationary_entanglement, stationary_steering, steering_r
 # chunk's drift and state stacks stay a few hundred kB (the whole 50 x 50
 # region grid stacked at once raised the peak RSS by ~30 MB).
 CHUNK_CELLS = 64
+# Rows formatted and written together by write_csv: enough to spread its
+# per-column pass thin, few enough that a block's text stays ~100 kB however
+# large the table (the whole text of a 200 x 200 region map is ~12 MB).
+WRITE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -73,11 +82,26 @@ def _format_cell(value: Any) -> str:
     return str(value)
 
 
+def _format_column(values: tuple) -> list[str]:
+    """The CSV text of one column by _format_cell's rules, in one pass over it."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return list(map(repr, values))
+    if kinds <= {str, bool}:  # labels and flags
+        return list(map(str, values))
+    return list(map(_format_cell, values))
+
+
 def write_csv(table: Table, stream) -> None:
-    """Emit with LF endings and shortest round-trip float formatting."""
+    """Emit with LF endings and shortest round-trip float formatting.
+
+    Rows go out in blocks of WRITE_BLOCK_ROWS: each column of a block is
+    formatted in one pass, and the block's lines are joined and written once.
+    """
     stream.write(",".join(table.columns) + "\n")
-    for row in table.rows:
-        stream.write(",".join(_format_cell(v) for v in row) + "\n")
+    for start in range(0, len(table.rows), WRITE_BLOCK_ROWS):
+        block = table.rows[start:start + WRITE_BLOCK_ROWS]
+        stream.write("\n".join(map(",".join, zip(*map(_format_column, zip(*block))))) + "\n")
 
 
 def write_json(table: Table, stream) -> None:
@@ -150,37 +174,48 @@ def _naming_cell(names: tuple[str, ...], cells: list[tuple]) -> Iterator[None]:
         raise type(exc)(f"{exc} at {where}") from exc
 
 
-def _swept_cells(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
-                 multiples: tuple[float, ...]) -> Iterator[tuple]:
-    """(params, chain, model, full) of each cell, in order; params is its flat map.
+def _stacked(dd: DriftDiffusion) -> DriftDiffusion:
+    """A single drift/diffusion pair as a one-cell stack; a stack as it is."""
+    return dd if dd.a.ndim == 3 else DriftDiffusion(dd.a[None], dd.d[None])
 
-    full is None for a system without full dynamics, else (E, S_ac, S_ca) of
-    the full system propagated exactly from the vacuum, each a list over the
-    multiples of the cell's characteristic time. Each chunk of CHUNK_CELLS
-    cells is mapped cell by cell, then built as one stacked drift/diffusion
-    pair, propagated and evaluated in one call each.
+
+def _column(values: Any, count: int) -> list:
+    """A chunk's (B,) result as a list of its count cells; one shared value repeats."""
+    values = np.asarray(values)
+    return values.tolist() if values.ndim else [values.item()] * count
+
+
+def _labels(members: Any, count: int) -> list[str]:
+    """The values of a chunk's (B,) enum labels (Regime, SteeringRegion), as _column."""
+    return [member.value for member in _column(members, count)]
+
+
+def _swept_chunks(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
+                  multiples: tuple[float, ...]) -> Iterator[tuple]:
+    """(chunk, chain, model, full) of each chunk of CHUNK_CELLS cells, in order.
+
+    chunk is the chunk's list of axis values; chain and model are its chain
+    mapping and effective model, built once with a (B,) field wherever an
+    axis is swept. full is None for a system without full dynamics, else
+    (E, S_ac, S_ca) of the full systems propagated exactly from the vacuum,
+    each of shape (B, len(multiples)) over the multiples of each cell's
+    characteristic time: one stacked drift/diffusion pair, one propagate_lti
+    and one two_mode_resources call per chunk.
     """
     full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
     for start in range(0, len(cells), CHUNK_CELLS):
         chunk = cells[start:start + CHUNK_CELLS]
-        points, platforms = [], []
-        for cell in chunk:
-            params = {**cfg.parameters, **dict(zip(names, cell))}
-            with _naming_cell(names, [cell]):
-                platform, chain, model = reduce_point(cfg.system, params)
-            points.append((params, chain, model))
-            platforms.append(platform)
-        if full_drift_diffusion is None:
-            yield from ((*point, None) for point in points)
-            continue
+        columns = dict(zip(names, np.array(chunk, dtype=float).T))
+        full = None
         with _naming_cell(names, chunk):
-            dd = full_drift_diffusion(platforms, [chain for _, chain, _ in points])
-            taus = [characteristic_time(model) for _, _, model in points]
-            states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes),
-                                   np.outer(taus, multiples))
-            full = two_mode_resources(_mo_block(states))
-        yield from ((*point, resources)
-                    for point, *resources in zip(points, *(r.tolist() for r in full)))
+            platform, chain, model = reduce_point(cfg.system, {**cfg.parameters, **columns})
+            if full_drift_diffusion is not None:
+                dd = _stacked(full_drift_diffusion(platform, chain))
+                taus = np.broadcast_to(characteristic_time(model), (len(chunk),))
+                states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes),
+                                       np.outer(taus, multiples))
+                full = two_mode_resources(_mo_block(states))
+        yield chunk, chain, model, full
 
 
 def run_evolve(cfg: RunConfig) -> Table:
@@ -206,9 +241,8 @@ def run_evolve(cfg: RunConfig) -> Table:
         columns += ["v11", "v44", "v14"]
         values = [grid, *effective_resources(model, grid)]
     else:
-        dd = full_drift_diffusion(platform, chain)
-        data = propagate_lti(DriftDiffusion(dd.a[None], dd.d[None]),
-                             CovarianceMatrix.vacuum(dd.modes), grid)[0]
+        dd = _stacked(full_drift_diffusion(platform, chain))
+        data = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), grid)[0]
         values = [grid, *two_mode_resources(_mo_block(data))]
     rows = [(t, e, s_ac, s_ca, regime.value, *v)
             for t, e, s_ac, s_ca, *v in zip(*(column.tolist() for column in values))]
@@ -222,8 +256,9 @@ def run_region(cfg: RunConfig) -> Table:
     systems the table carries a full-system numeric pass: the covariance at
     the cell's characteristic time (exact propagation) and a flag recording
     whether the numeric steering signs agree with the closed-form directions.
-    The cells come from _swept_cells (chunks of CHUNK_CELLS); a library error
-    raised for a cell names the cell's axis values.
+    The cells come from _swept_chunks (chunks of CHUNK_CELLS), and each
+    chunk's rows are zipped from its columns; a library error raised for a
+    cell names the cell's axis values.
     """
     if len(cfg.sweep) != 2:
         raise ConfigError("run_region needs sweep.axis1 and sweep.axis2")
@@ -231,29 +266,33 @@ def run_region(cfg: RunConfig) -> Table:
     names = (axis1.name, axis2.name)
     numeric = system_entry(cfg.system).full_drift_diffusion is not None
 
-    columns = [axis1.name, axis2.name, "regime", "region", "E", "S_ac", "S_ca"]
+    header = [axis1.name, axis2.name, "regime", "region", "E", "S_ac", "S_ca"]
     if numeric:
-        columns += ["E_full", "S_ac_full", "S_ca_full", "agree"]
+        header += ["E_full", "S_ac_full", "S_ca_full", "agree"]
 
     rows = []
     cells = list(itertools.product(axis1.values(), axis2.values()))
-    for cell, (_, _, model, full) in zip(cells, _swept_cells(cfg, names, cells, (1.0,))):
+    for chunk, _, model, full in _swept_chunks(cfg, names, cells, (1.0,)):
+        count = len(chunk)
         s_ac, s_ca = stationary_steering(model, "ac"), stationary_steering(model, "ca")
-        row = [*cell, classify_regime(model).value, steering_region(model).value,
-               stationary_entanglement(model), s_ac, s_ca]
+        columns = [*zip(*chunk), _labels(classify_regime(model), count),
+                   _labels(steering_region(model), count),
+                   _column(stationary_entanglement(model), count),
+                   _column(s_ac, count), _column(s_ca, count)]
         if numeric:
-            (e_full,), (s_ac_full,), (s_ca_full,) = full
-            agree = ((s_ac_full > 0) == (s_ac > 0)) and ((s_ca_full > 0) == (s_ca > 0))
-            row += [e_full, s_ac_full, s_ca_full, agree]
-        rows.append(tuple(row))
-    return Table(columns=tuple(columns), rows=tuple(rows))
+            e_full, s_ac_full, s_ca_full = (values[:, 0] for values in full)
+            agree = ((s_ac_full > 0) == (s_ac > 0)) & ((s_ca_full > 0) == (s_ca > 0))
+            columns += [e_full.tolist(), s_ac_full.tolist(), s_ca_full.tolist(),
+                        _column(agree, count)]
+        rows.extend(zip(*columns))
+    return Table(columns=tuple(header), rows=tuple(rows))
 
 
-def _positive_dev(full_value: float, closed_value: float) -> float:
-    """Relative deviation where the closed-form value is positive, else nan."""
-    if closed_value <= 0.0:
-        return math.nan
-    return abs(full_value - closed_value) / closed_value
+def _positive_dev(full_value: np.ndarray, closed_value: np.ndarray) -> np.ndarray:
+    """Relative deviation of each cell where the closed-form value is positive, else nan."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(closed_value > 0.0, np.abs(full_value - closed_value) / closed_value,
+                        math.nan)
 
 
 def run_compare(cfg: RunConfig) -> Table:
@@ -263,7 +302,7 @@ def run_compare(cfg: RunConfig) -> Table:
     time and to twice it; deviations are reported relative to the closed
     forms (for steering only where the closed-form direction is present),
     together with the worst coupling-to-gap validity ratio of the
-    perturbative reduction. The cells come from _swept_cells, as for
+    perturbative reduction. The cells come from _swept_chunks, as for
     run_region, and a library error raised for a cell names its axis value.
     """
     full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
@@ -279,24 +318,27 @@ def run_compare(cfg: RunConfig) -> Table:
     axis_name = names[0] if names else "point"
 
     rows = []
-    for params, chain, model, full in _swept_cells(cfg, names, [(value,) for value in axis_values],
+    for chunk, chain, model, full in _swept_chunks(cfg, names, [(value,) for value in axis_values],
                                                    (1.0, 2.0)):
+        count = len(chunk)
         e, s_ac, s_ca = (stationary_entanglement(model), stationary_steering(model, "ac"),
                          stationary_steering(model, "ca"))
-        (e_tau, e_2tau), (s_ac_tau, s_ac_2tau), (s_ca_tau, s_ca_2tau) = full
+        (e_tau, e_2tau), (s_ac_tau, s_ac_2tau), (s_ca_tau, s_ca_2tau) = (r.T for r in full)
         report = validity_report(chain)
-        rows.append((
-            params.get(axis_name, math.nan), model.g_eff, classify_regime(model).value,
+        columns = [
+            [value for value, in chunk], model.g_eff, _labels(classify_regime(model), count),
             e, s_ac, s_ca, e_tau, s_ac_tau, s_ca_tau, e_2tau, s_ac_2tau, s_ca_2tau,
             _positive_dev(e_tau, e), _positive_dev(e_2tau, e),
             _positive_dev(s_ac_tau, s_ac), _positive_dev(s_ca_tau, s_ca),
-            max(ratio for _, ratio, _ in report), all(ok for _, _, ok in report),
-        ))
-    columns = (
+            functools.reduce(np.maximum, (ratio for _, ratio, _ in report)),
+            functools.reduce(np.logical_and, (ok for _, _, ok in report)),
+        ]
+        rows.extend(zip(*(_column(values, count) for values in columns)))
+    header = (
         axis_name, "g_eff", "regime", "E", "S_ac", "S_ca",
         "E_full_tau", "S_ac_full_tau", "S_ca_full_tau",
         "E_full_2tau", "S_ac_full_2tau", "S_ca_full_2tau",
         "rel_dev_E_tau", "rel_dev_E_2tau", "rel_dev_S_ac_tau", "rel_dev_S_ca_tau",
         "validity_max_ratio", "validity_pass",
     )
-    return Table(columns=columns, rows=tuple(rows))
+    return Table(columns=header, rows=tuple(rows))

@@ -7,9 +7,10 @@ to the mechanics, which drives the optical cavity: two intermediaries). Each
 maps onto the general chain parameters with one ChainParams construction
 (delta_c = None, so the chain itself resolves the matched optical detuning),
 and each exposes the full linearized drift/diffusion pair for the numeric
-route that validates the reduction: one pair for one parameter object, or
-one stacked pair for a sequence of them (the cells of a sweep chunk), built
-by the same code.
+route that validates the reduction. Every parameter field may be a float or
+a (B,) array over the cells of a sweep chunk: the checks, the chain mapping
+and the builders then work on all cells at once, and a builder returns the
+stacked (B, 2M, 2M) pair, one 2M x 2M pair being the all-float case.
 
 SYSTEMS names every system a run configuration can select (the effective
 model, the general chain and the two platforms) and holds, for each, its
@@ -30,11 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
-from .chain import ChainParams, EffectiveModel
+from .chain import ChainParams, EffectiveModel, Field, first_cell, reject_cells
 from .dynamics import DriftDiffusion
 from .errors import CovarianceOverflowError
 
@@ -51,54 +52,53 @@ COMM_FIG4 = MappingProxyType(dict(omega_b=1.0, delta_a=3.0, g_a=0.12, g_m=0.1, g
 class EomParams:
     """Electro-optomechanical parameters (enhanced couplings, rates in units of omega_b)."""
 
-    omega_b: float
-    delta_a: float
-    g_a: float
-    g_c: float
-    kappa_a: float
-    kappa_c: float
-    kappa_b: float
-    n_a: float = 0.0
-    n_c: float = 0.0
-    n_b: float = 10.0
+    omega_b: Field
+    delta_a: Field
+    g_a: Field
+    g_c: Field
+    kappa_a: Field
+    kappa_c: Field
+    kappa_b: Field
+    n_a: Field = 0.0
+    n_c: Field = 0.0
+    n_b: Field = 10.0
 
     def __post_init__(self) -> None:
-        if self.omega_b <= 0:
-            raise ValueError("mechanical frequency must be positive")
-        if min(self.kappa_a, self.kappa_c, self.kappa_b) <= 0:
-            raise ValueError("decay rates must be positive")
-        if min(self.n_a, self.n_c, self.n_b) < 0:
-            raise ValueError("thermal occupations must be non-negative")
+        _check_platform(self.omega_b, (self.kappa_a, self.kappa_c, self.kappa_b),
+                        (self.n_a, self.n_c, self.n_b))
 
 
 @dataclass(frozen=True)
 class CommParams:
     """Cavity optomagnomechanical parameters; delta_m defaults to omega_b."""
 
-    omega_b: float
-    delta_a: float
-    g_a: float
-    g_m: float
-    g_c: float
-    kappa_a: float
-    kappa_m: float
-    kappa_b: float
-    kappa_c: float
-    delta_m: float | None = None
-    n_a: float = 0.0
-    n_m: float = 0.0
-    n_c: float = 0.0
-    n_b: float = 10.0
+    omega_b: Field
+    delta_a: Field
+    g_a: Field
+    g_m: Field
+    g_c: Field
+    kappa_a: Field
+    kappa_m: Field
+    kappa_b: Field
+    kappa_c: Field
+    delta_m: Field | None = None
+    n_a: Field = 0.0
+    n_m: Field = 0.0
+    n_c: Field = 0.0
+    n_b: Field = 10.0
 
     def __post_init__(self) -> None:
         if self.delta_m is None:
             object.__setattr__(self, "delta_m", self.omega_b)
-        if self.omega_b <= 0:
-            raise ValueError("mechanical frequency must be positive")
-        if min(self.kappa_a, self.kappa_m, self.kappa_b, self.kappa_c) <= 0:
-            raise ValueError("decay rates must be positive")
-        if min(self.n_a, self.n_m, self.n_c, self.n_b) < 0:
-            raise ValueError("thermal occupations must be non-negative")
+        _check_platform(self.omega_b, (self.kappa_a, self.kappa_m, self.kappa_b, self.kappa_c),
+                        (self.n_a, self.n_m, self.n_c, self.n_b))
+
+
+def _check_platform(omega_b: Field, rates: tuple, occupations: tuple) -> None:
+    """A platform's field checks, cell by cell (ParameterError names the first bad one)."""
+    reject_cells((omega_b <= 0,), "mechanical frequency must be positive")
+    reject_cells((k <= 0 for k in rates), "decay rates must be positive")
+    reject_cells((x < 0 for x in occupations), "thermal occupations must be non-negative")
 
 
 def eom_to_chain(p: EomParams) -> ChainParams:
@@ -141,7 +141,7 @@ def comm_to_chain(p: CommParams) -> ChainParams:
         n=2,
         delta_a=p.delta_a,
         delta_c=None,
-        omegas=(float(p.delta_m), p.omega_b),
+        omegas=(p.delta_m, p.omega_b),
         g_a=p.g_a,
         g_c=_SQRT2 * p.g_c,
         g_mid=(p.g_m,),
@@ -156,58 +156,47 @@ def comm_to_chain(p: CommParams) -> ChainParams:
     )
 
 
-def _columns(p: Any, chain: Any, kind: type, to_chain: Callable[[Any], ChainParams],
-             names: tuple[str, ...]) -> tuple[bool, np.ndarray]:
-    """Whether p is one parameter object, and one (B,) row per named field of the
-    B cells, followed by the matched delta_c of their chains (mapped when None)."""
-    single = isinstance(p, kind)
-    params = [p] if single else list(p)
-    chains = [chain] if single and chain is not None else chain
-    chains = [to_chain(q) for q in params] if chains is None else list(chains)
-    if len(chains) != len(params):
-        raise ValueError(f"{len(params)} parameter objects but {len(chains)} chains")
-    return single, np.array([[getattr(q, name) for name in names] + [c.delta_c]
-                             for q, c in zip(params, chains)], dtype=float).T
-
-
-def _drift_diffusion(rows: list[list], thermal: tuple, single: bool) -> DriftDiffusion:
-    """The pair of a drift written as rows of scalars and (B,) arrays, and of the
+def _drift_diffusion(rows: list[list], thermal: tuple) -> DriftDiffusion:
+    """The pair of a drift written as rows of floats and (B,) arrays, and of the
     diagonal diffusion kappa (2 n + 1) of both quadratures of each (kappa, n) mode.
-    Finite parameters can give entries past double range (a doubled coupling, a
-    heated rate); the first such cell raises CovarianceOverflowError.
+
+    The pair is stacked over B cells when any entry is a (B,) array, and a
+    single 2M x 2M pair otherwise. Finite parameters can give entries past
+    double range (a doubled coupling, a heated rate); the first such cell
+    raises CovarianceOverflowError.
     """
     with np.errstate(over="ignore"):
-        heat = np.stack([kappa * (2.0 * n + 1.0) for kappa, n in thermal], axis=-1)
-    a = np.empty((len(heat), len(rows), len(rows)))
+        heat = [kappa * (2.0 * n + 1.0) for kappa, n in thermal]
+    entries = (*heat, *(entry for row in rows for entry in row))
+    stack = np.broadcast_shapes(*(e.shape for e in entries if isinstance(e, np.ndarray)))
+    size = len(rows)
+    a = np.empty((*stack, size, size))
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
-            a[:, i, j] = entry
+            a[..., i, j] = entry
     d = np.zeros_like(a)
-    d[:, range(len(rows)), range(len(rows))] = np.repeat(heat, 2, axis=-1)
-    overflow = ~(np.all(np.isfinite(a), axis=(1, 2)) & np.all(np.isfinite(d), axis=(1, 2)))
+    for mode, value in enumerate(heat):
+        d[..., 2 * mode, 2 * mode] = d[..., 2 * mode + 1, 2 * mode + 1] = value
+    overflow = ~(np.all(np.isfinite(a), axis=(-2, -1)) & np.all(np.isfinite(d), axis=(-2, -1)))
     if np.any(overflow):
         raise CovarianceOverflowError("drift/diffusion overflows double precision",
-                                      index=None if single else int(np.argmax(overflow)))
-    return DriftDiffusion(a[0], d[0]) if single else DriftDiffusion(a, d)
+                                      index=first_cell(overflow))
+    return DriftDiffusion(a, d)
 
 
-def eom_full_drift_diffusion(p: EomParams | Sequence[EomParams],
-                             chain: ChainParams | Sequence[ChainParams] | None = None
-                             ) -> DriftDiffusion:
+def eom_full_drift_diffusion(p: EomParams, chain: ChainParams | None = None) -> DriftDiffusion:
     """Linearized 6x6 dynamics of the full electro-optomechanical system, ordering (a, c, b).
 
     The optical detuning comes from the matched pair of the chain mapping
     (figure captions quote only delta_a); pass the already mapped
-    eom_to_chain(p) as `chain` to reuse it instead of mapping again. One
-    parameter object gives one 6x6 pair; a sequence of them (and of their
-    chains) gives the stacked (B, 6, 6) pair of a sweep chunk, filled entry
-    by entry from the field values of all cells at once.
+    eom_to_chain(p) as `chain` to reuse it instead of mapping again. Float
+    fields give one 6x6 pair; (B,) fields (and their chain) give the stacked
+    (B, 6, 6) pair of a sweep chunk, filled entry by entry from all cells at once.
     """
-    single, (da, wb, ka, kc, kb, ga, gc, n_a, n_c, n_b, dc) = _columns(
-        p, chain, EomParams, eom_to_chain,
-        ("delta_a", "omega_b", "kappa_a", "kappa_c", "kappa_b", "g_a", "g_c", "n_a", "n_c", "n_b"))
+    dc = (eom_to_chain(p) if chain is None else chain).delta_c
+    da, wb, ka, kc, kb = p.delta_a, p.omega_b, p.kappa_a, p.kappa_c, p.kappa_b
     with np.errstate(over="ignore"):  # _drift_diffusion raises on a non-finite entry
-        ga2, gc2 = 2.0 * ga, 2.0 * gc
+        ga2, gc2 = 2.0 * p.g_a, 2.0 * p.g_c
     rows = [
         [-ka, da, 0.0, 0.0, 0.0, 0.0],
         [-da, -ka, 0.0, 0.0, -ga2, 0.0],
@@ -216,25 +205,21 @@ def eom_full_drift_diffusion(p: EomParams | Sequence[EomParams],
         [0.0, 0.0, 0.0, 0.0, -kb, wb],
         [-ga2, 0.0, -gc2, 0.0, -wb, -kb],
     ]
-    return _drift_diffusion(rows, ((ka, n_a), (kc, n_c), (kb, n_b)), single)
+    return _drift_diffusion(rows, ((ka, p.n_a), (kc, p.n_c), (kb, p.n_b)))
 
 
-def comm_full_drift_diffusion(p: CommParams | Sequence[CommParams],
-                              chain: ChainParams | Sequence[ChainParams] | None = None
-                              ) -> DriftDiffusion:
+def comm_full_drift_diffusion(p: CommParams, chain: ChainParams | None = None) -> DriftDiffusion:
     """Linearized 8x8 dynamics of the full optomagnomechanical system, ordering (a, c, m, b).
 
     The optical detuning is the matched one of comm_to_chain(p); pass that
-    mapping as `chain` when it is already at hand. A sequence of parameter
-    objects and chains gives the stacked (B, 8, 8) pair, as for
-    eom_full_drift_diffusion.
+    mapping as `chain` when it is already at hand. (B,) fields give the
+    stacked (B, 8, 8) pair, as for eom_full_drift_diffusion.
     """
-    single, (da, dm, wb, ka, kc, km, kb, ga, gm, gc, n_a, n_c, n_m, n_b, dc) = _columns(
-        p, chain, CommParams, comm_to_chain,
-        ("delta_a", "delta_m", "omega_b", "kappa_a", "kappa_c", "kappa_m", "kappa_b",
-         "g_a", "g_m", "g_c", "n_a", "n_c", "n_m", "n_b"))
+    dc = (comm_to_chain(p) if chain is None else chain).delta_c
+    da, dm, wb, ga = p.delta_a, p.delta_m, p.omega_b, p.g_a
+    ka, kc, km, kb = p.kappa_a, p.kappa_c, p.kappa_m, p.kappa_b
     with np.errstate(over="ignore"):  # _drift_diffusion raises on a non-finite entry
-        gm2, gc2 = 2.0 * gm, 2.0 * gc
+        gm2, gc2 = 2.0 * p.g_m, 2.0 * p.g_c
     rows = [
         [-ka, da, 0.0, 0.0, 0.0, ga, 0.0, 0.0],
         [-da, -ka, 0.0, 0.0, -ga, 0.0, 0.0, 0.0],
@@ -245,7 +230,7 @@ def comm_full_drift_diffusion(p: CommParams | Sequence[CommParams],
         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -kb, wb],
         [0.0, 0.0, -gc2, 0.0, -gm2, 0.0, -wb, -kb],
     ]
-    return _drift_diffusion(rows, ((ka, n_a), (kc, n_c), (km, n_m), (kb, n_b)), single)
+    return _drift_diffusion(rows, ((ka, p.n_a), (kc, p.n_c), (km, p.n_m), (kb, p.n_b)))
 
 
 @dataclass(frozen=True)
@@ -254,9 +239,9 @@ class System:
 
     to_chain is None for the effective model, which is already reduced;
     full_drift_diffusion is None where the effective model is the whole dynamics.
-    full_drift_diffusion(params, chains) takes the chains that to_chain
-    returned, so a cell is mapped onto the chain once; given sequences of
-    both, it builds the stacked pair of all their cells in one call.
+    full_drift_diffusion(params, chain) takes the chain that to_chain
+    returned, so a cell is mapped onto the chain once; given the (B,) fields
+    of a chunk, both map and build all its cells in one call.
     """
 
     params: type

@@ -10,15 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mochain.chain import EffectiveModel
+from mochain.chain import EffectiveModel, classify_regime
 import mochain
 from mochain import cli, config, dynamics, verify
 from mochain.cli import main
-from mochain.config import SweepAxis, load_config, parse_config
+from mochain.config import RunConfig, SweepAxis, load_config, parse_config
 from mochain.dynamics import characteristic_time
 from mochain.errors import ConfigError
+from mochain.stationary import stationary_entanglement, stationary_steering, steering_region
 from mochain.sweep import Table, parse_csv, render, run_compare, run_evolve, run_region
-from mochain.systems import COMM_FIG4, EOM_FIG3
+from mochain.systems import COMM_FIG4, EOM_FIG3, SYSTEMS
 
 EFFECTIVE = {
     "system": "effective",
@@ -176,7 +177,7 @@ class TestRunEvolve:
         first = dict(zip(table.columns, table.rows[0]))
         assert first["t"] == 0.0 and first["E"] == 0.0 and first["v11"] == 0.5
 
-    def test_critical_point_falls_back_to_integration(self):
+    def test_critical_point_is_labelled_and_finite(self):
         raw = config_with(times={"samples": 5})
         raw["parameters"].update(g_eff=math.sqrt(0.5), kappa_a=0.5, kappa_c=1.0)
         table = run_evolve(parse_config(raw))
@@ -218,6 +219,69 @@ class TestRunRegion:
         }}
         assert len(run_region(parse_config(raw)).rows) == 9
         assert calls == [("chain", 2)]
+
+
+class TestChunkMapping:
+    """One mapping of a chunk's (B,) columns equals the B = 1 mapping of each cell."""
+
+    @pytest.mark.parametrize("system, base, columns", [
+        ("eom", EOM_FIG3, {"g_a": [0.1, 0.12, 0.2, 0.3], "delta_a": [5.0, 4.0, 6.5, 3.3],
+                           "n_a": [0.0, 0.5, 0.0, 2.0]}),
+        ("comm", COMM_FIG4, {"kappa_a": [1e-4, 3e-4, 5e-5, 1e-3], "g_c": [0.12, 0.0, 0.2, 0.05],
+                             "n_m": [0.0, 1.0, 3.0, 0.0]}),
+        ("chain", CHAIN["parameters"], {"delta_a": [3.0, 2.0, 4.5, 2.5],
+                                        "g_mid_1": [0.1, 0.3, 0.05, 0.2],
+                                        "n_c": [0.0, 0.0, 1.5, 0.2]}),
+        ("effective", EFFECTIVE["parameters"], {"g_eff": [0.2, 0.7, 1.0, 3.0],
+                                                "kappa_c": [1.0, 0.4, 2.0, 1.3],
+                                                "n_a": [0.0, 0.1, 0.0, 1.0]}),
+    ], ids=["eom", "comm", "chain", "effective"])
+    def test_chunk_is_bit_identical_to_single_cells(self, system, base, columns):
+        platform, chain, model = config.reduce_point(
+            system, {**base, **{name: np.array(values) for name, values in columns.items()}})
+        build = SYSTEMS[system].full_drift_diffusion
+        stack = None if build is None else build(platform, chain)
+        taus, regimes, regions = (characteristic_time(model), classify_regime(model),
+                                  steering_region(model))
+        closed = [stationary_entanglement(model), stationary_steering(model, "ac"),
+                  stationary_steering(model, "ca")]
+        for cell in range(4):
+            one = config.reduce_point(system, {**base, **{name: values[cell]
+                                                          for name, values in columns.items()}})
+            assert one[2].g_eff == model.g_eff[cell]
+            if chain is not None:
+                assert one[1].delta_c == chain.delta_c[cell]
+            if stack is not None:
+                single = build(one[0], one[1])
+                assert np.array_equal(stack.a[cell], single.a)
+                assert np.array_equal(stack.d[cell], single.d)
+            tau = characteristic_time(one[2])
+            assert abs(taus[cell] - tau) <= np.spacing(tau)
+            assert classify_regime(one[2]) is regimes[cell]
+            assert steering_region(one[2]) is regions[cell]
+            assert [stationary_entanglement(one[2]), stationary_steering(one[2], "ac"),
+                    stationary_steering(one[2], "ca")] == [values[cell] for values in closed]
+
+    def test_invalid_value_inside_a_chunk_names_its_cell(self):
+        # a RunConfig built directly skips parse_config's end-point checks:
+        # kappa_a turns negative at its fifth value, cell 32 of the 64-cell chunk
+        axes = (SweepAxis("kappa_a", 4e-4, -3.5e-4, 8), SweepAxis("kappa_c", 1e-4, 2e-4, 8))
+        with pytest.raises(ConfigError) as info:
+            run_region(RunConfig("comm", dict(COMM_FIG4), sweep=axes))
+        x1, x2 = axes[0].values()[4], axes[1].values()[0]
+        assert axes[0].values()[3] > 0.0 >= x1
+        assert str(info.value) == f"decay rates must be positive at kappa_a = {x1!r}, kappa_c = {x2!r}"
+
+    def test_interior_resonance_inside_a_chunk_names_its_cell(self, tmp_path, capsys):
+        # delta_a meets omega_b = 1 at its fourth value: cells 24-31 of the 64-cell chunk
+        raw = {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
+            "axis1": {"name": "delta_a", "min": 0.25, "max": 2.0, "points": 8},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 8}}}
+        config_path = tmp_path / "resonant.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["region", "--config", str(config_path)]) == 3
+        assert capsys.readouterr().err == ("error: resonant denominator omega_1^2 - delta_a^2 = "
+                                           "0.000e+00 at delta_a = 1.0, kappa_c = 0.0001\n")
 
 
 class TestRunCompare:
@@ -265,6 +329,17 @@ class TestSerialization:
     def test_numpy_scalar_is_a_plain_float(self):
         table = Table(("x",), ((np.float64(0.1),),))
         assert render(table, "csv") == "x\n0.1\n"
+
+    def test_column_writer_keeps_the_cell_rules(self):
+        # repr(float) for Python and numpy floats, str for anything else, in
+        # columns that mix them or not
+        rows = ((0.1, np.float64(1e-300), "Steady", True, 3, 0.5),
+                (math.nan, np.float32(0.25), "TwoWay", False, 4, np.float64(2.0)),
+                (-math.inf, np.float64(-0.0), "None", True, 5, 7))
+        expected = "".join(",".join(repr(float(v)) if isinstance(v, (float, np.floating))
+                                    else str(v) for v in row) + "\n" for row in rows)
+        assert render(Table(tuple("abcdef"), rows), "csv") == "a,b,c,d,e,f\n" + expected
+        assert render(Table(("t", "E"), ()), "csv") == "t,E\n"
 
     def test_json_records(self):
         cfg = parse_config(config_with(times={"samples": 3}))

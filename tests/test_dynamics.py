@@ -280,6 +280,18 @@ class TestClosedFormAgainstMpmath:
             want = van_loan_resources(mp, dd, t, dps=30 + math.ceil(rates * t / math.log(10)))
             assert np.max(np.abs(row - want)) < 1e-12
 
+    @pytest.mark.parametrize("ratio", [1e2, 1e4, 1e6, 1e8])
+    def test_strong_coupling_to_1e_14(self, ratio):
+        # at g^2 = ratio ka kc the squeezed entry w'_-- falls from 1/2 to ~1/(4g)
+        # by tau; written as 1/2 plus a negative drive term it cancelled, and E
+        # and S_ac were 1.1e-13 off at ratio 1e6 and 7.1e-13 at 1e8 (now <= 8.9e-16)
+        mp = pytest.importorskip("mpmath")
+        m = EffectiveModel(math.sqrt(ratio * 0.5), 0.5, 1.0)
+        tau = characteristic_time(m)
+        e, s_ac = (float(values[0]) for values in effective_resources(m, tau)[:2])
+        want = van_loan_resources(mp, build_effective_drift_diffusion(m), tau)
+        assert abs(e - want[0]) < 1e-14 and abs(s_ac - want[1]) < 1e-14
+
 
 class TestLyapunovRk4:
     def test_pure_decay_oracle(self):
@@ -637,7 +649,7 @@ class TestDoublingPrecision:
 
 
 class TestOneConstructionPerCell:
-    """region and compare build each cell's ChainParams exactly once."""
+    """region and compare build one ChainParams per chunk, with (B,) fields for its cells."""
 
     @staticmethod
     def count_constructions(monkeypatch) -> list:
@@ -655,13 +667,13 @@ class TestOneConstructionPerCell:
         calls = self.count_constructions(monkeypatch)
         axes = (SweepAxis("kappa_a", 1e-4, 2e-4, 3), SweepAxis("kappa_c", 2e-4, 4e-4, 2))
         table = sweep.run_region(RunConfig("comm", dict(COMM_FIG4), sweep=axes))
-        assert len(table.rows) == 6 and len(calls) == 6
+        assert len(table.rows) == 6 and len(calls) == 1
 
     def test_compare(self, monkeypatch):
         calls = self.count_constructions(monkeypatch)
         axes = (SweepAxis("g_a", 0.1, 0.2, 3),)
         table = sweep.run_compare(RunConfig("eom", dict(EOM_FIG3), sweep=axes))
-        assert len(table.rows) == 3 and len(calls) == 3
+        assert len(table.rows) == 3 and len(calls) == 1
 
 
 class TestCharacteristicTime:

@@ -1,6 +1,6 @@
 """Platform builders: chain mappings, specialized couplings, full drift matrices."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,13 @@ from mochain.verify import lyapunov_rk4
 
 FIG3_EOM = EomParams(**EOM_FIG3)
 FIG4_COMM = CommParams(**COMM_FIG4)
+
+
+def stacked(cells):
+    """One parameter object whose fields hold the values of the cells as (B,) arrays."""
+    kind = type(cells[0])
+    return kind(**{f.name: np.array([getattr(c, f.name) for c in cells], dtype=float)
+                   for f in fields(kind)})
 
 
 class TestEomMapping:
@@ -137,7 +144,7 @@ class TestCommDriftDiffusion:
 
 
 class TestStackedBuilders:
-    """A sequence of parameter objects gives the stack of their single-cell pairs."""
+    """(B,) parameter fields give the stack of the single-cell pairs."""
 
     @pytest.mark.parametrize("builder, to_chain, cells", [
         (eom_full_drift_diffusion, eom_to_chain,
@@ -146,23 +153,23 @@ class TestStackedBuilders:
          [FIG4_COMM, replace(FIG4_COMM, delta_m=1.2, n_m=1.0), replace(FIG4_COMM, g_m=0.0)]),
     ], ids=["eom", "comm"])
     def test_stack_is_bit_identical_to_single_cells(self, builder, to_chain, cells):
-        chains = [to_chain(p) for p in cells]
-        stacked = builder(cells, chains)
-        assert stacked.a.shape == (len(cells), *builder(cells[0]).a.shape)
-        assert np.array_equal(builder(tuple(cells)).a, stacked.a)  # chains mapped here
-        for cell, (p, chain) in enumerate(zip(cells, chains)):
-            single = builder(p, chain)
-            assert np.array_equal(stacked.a[cell], single.a)
-            assert np.array_equal(stacked.d[cell], single.d)
-        with pytest.raises(ValueError, match="3 parameter objects but 2 chains"):
-            builder(cells, chains[:2])
+        params = stacked(cells)
+        stack = builder(params, to_chain(params))
+        assert stack.a.shape == (len(cells), *builder(cells[0]).a.shape)
+        assert np.array_equal(builder(params).a, stack.a)  # chain mapped here
+        for cell, p in enumerate(cells):
+            single = builder(p, to_chain(p))
+            assert np.array_equal(stack.a[cell], single.a)
+            assert np.array_equal(stack.d[cell], single.d)
+        with pytest.raises(ValueError, match="broadcast"):
+            builder(params, to_chain(stacked(cells[:2])))
 
 
 @pytest.mark.filterwarnings("error")
 def test_overflowing_diffusion_names_the_cell():
     cells = [FIG4_COMM, replace(FIG4_COMM, n_m=1e308), replace(FIG4_COMM, n_b=1e308)]
     with pytest.raises(CovarianceOverflowError, match="diffusion overflows") as info:
-        comm_full_drift_diffusion(cells)
+        comm_full_drift_diffusion(stacked(cells))
     assert info.value.index == 1
     with pytest.raises(CovarianceOverflowError) as info:
         eom_full_drift_diffusion(replace(FIG3_EOM, n_b=1e308))
@@ -173,9 +180,8 @@ def test_overflowing_diffusion_names_the_cell():
 def test_overflowing_drift_names_the_cell():
     # every coupling is finite, but its doubled drift entry leaves double range
     cells = [FIG4_COMM, FIG4_COMM, replace(FIG4_COMM, g_m=1e308), replace(FIG4_COMM, g_c=1e308)]
-    chains = [comm_to_chain(FIG4_COMM)] * len(cells)
     with pytest.raises(CovarianceOverflowError, match="drift/diffusion overflows") as info:
-        comm_full_drift_diffusion(cells, chains)
+        comm_full_drift_diffusion(stacked(cells), comm_to_chain(FIG4_COMM))
     assert info.value.index == 2
     with pytest.raises(CovarianceOverflowError) as info:
         eom_full_drift_diffusion(replace(FIG3_EOM, g_c=1e308), eom_to_chain(FIG3_EOM))
