@@ -11,7 +11,7 @@ Every parameter field is a float or a (B,) array holding one value per cell
 of a sweep chunk, and every function here evaluates all cells at once: a
 float field is the B = 1 case, whose results come back as plain Python
 scalars. A check that fails, or a resonant denominator, raises for the whole
-call and names the first offending cell of a chunk as the error's `index`.
+call; the sweep finds the failing cell of a chunk.
 """
 
 from __future__ import annotations
@@ -44,20 +44,14 @@ def per_cell(value: Any) -> Any:
     return value.item() if value.ndim == 0 else value
 
 
-def first_cell(flags: Any) -> int | None:
-    """The first set cell of a (B,) mask; None for a single flag."""
-    return int(np.argmax(flags)) if np.ndim(flags) else None
-
-
 def reject_cells(flags: Iterable, message: str) -> None:
     """Raise ParameterError(message) if any flag is set in any cell.
 
     flags holds one flag per checked value, each a bool or a (B,) mask over
-    the cells of a chunk; the first flagged cell becomes the error's index.
+    the cells of a chunk.
     """
-    flagged = np.asarray(functools.reduce(operator.or_, flags, False))
-    if flagged.any():
-        raise ParameterError(message, index=first_cell(flagged))
+    if np.any(functools.reduce(operator.or_, flags, False)):
+        raise ParameterError(message)
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,7 @@ class ChainParams:
     matched optical detuning -delta_a + shift, the shift taken at delta_c =
     -delta_a and once more at that value (a contraction when perturbative).
     Any field, a tuple entry included, may hold the (B,) values of a chunk's
-    cells; the checks raise ParameterError naming the first bad cell.
+    cells; a failed check raises ParameterError.
     """
 
     n: int
@@ -145,9 +139,8 @@ class EffectiveModel:
 def _checked_gap(value: Field, label: str) -> Field:
     resonant = np.abs(value) < RESONANCE_TOL
     if resonant.any():
-        index = first_cell(resonant)
         raise SingularCouplingError(
-            f"resonant denominator {label} = {np.ravel(value)[index or 0]:.3e}", index=index)
+            f"resonant denominator {label} = {np.ravel(value)[np.argmax(resonant)]:.3e}")
     return value
 
 

@@ -288,7 +288,7 @@ def reduce_point(system: str, params: dict[str, Any]
     The chain is None for the effective model, which is its own reduction;
     every other system is mapped onto the chain once and reduced from it. A
     ParameterError of any step (a finite coupling that overflows the mapping
-    or whose square overflows, say) is a ConfigError with the same index; a
+    or whose square overflows, say) is a ConfigError with the same message; a
     library error stays what it is.
     """
     to_chain = system_entry(system).to_chain
@@ -297,5 +297,5 @@ def reduce_point(system: str, params: dict[str, Any]
         chain = None if to_chain is None else to_chain(p)
         model = p if chain is None else chain_mod.reduce(chain)
     except ParameterError as exc:
-        raise ConfigError(str(exc), index=exc.index) from exc
+        raise ConfigError(str(exc)) from exc
     return p, chain, model

@@ -347,7 +347,7 @@ def propagate_lti(
     covariances as one array of shape (B, T, 2M, 2M); every cell's states are
     bit-identical to propagating that cell alone. Raises
     CovarianceOverflowError, naming the first time (and the first cell of a
-    stack at that time, also as `index`) at which a state leaves double range.
+    stack at that time) at which a state leaves double range.
 
     The composition runs in extended precision (np.longdouble; plain double
     where the platform has no wider type), while (Phi, Q) are double. In the
@@ -402,8 +402,7 @@ def propagate_lti(
         column, cell = divmod(int(np.argmax(bad.T)), cells)  # first column, then first cell
         where = f" in cell {cell}" if cells > 1 else ""
         raise CovarianceOverflowError(
-            f"covariance overflows double precision at t = {times[cell, column]:g}{where}",
-            index=None if single else cell)
+            f"covariance overflows double precision at t = {times[cell, column]:g}{where}")
     out = (data + np.swapaxes(data, -1, -2)) / 2.0
     return [CovarianceMatrix(state) for state in out[0]] if single else out
 

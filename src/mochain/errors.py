@@ -3,22 +3,17 @@
 Every library error derives from MochainError, which the command line prints
 as one line instead of a traceback. Each also keeps the built-in base it had
 before the common one (ValueError, ArithmeticError, ...), so callers that
-catch those still do. An error raised on a stack of states or cells carries
-the position of the offending one as `index` (None otherwise).
+catch those still do. Which cell of a sweep an error belongs to is decided
+by the sweep's chunk loop alone (sweep._swept_chunks).
 """
 
 
 class MochainError(Exception):
     """Base of every error the library raises on purpose."""
 
-    def __init__(self, *args: object, index: int | None = None) -> None:
-        super().__init__(*args)
-        self.index = index
-
 
 class ParameterError(MochainError, ValueError):
-    """A parameter value the physics rejects (a non-positive rate, say); on the (B,)
-    fields of a sweep chunk, `index` is the first offending cell."""
+    """A parameter value the physics rejects (a non-positive rate, say)."""
 
 
 class UnphysicalStateError(MochainError, ValueError):

@@ -21,6 +21,7 @@ and, on two modes, the tests and the verify suite as an independent oracle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -102,7 +103,6 @@ class Regime(Enum):
     STEADY = "Steady"
     CRITICAL = "Critical"
     UNSTEADY = "Unsteady"
-    NOT_APPLICABLE = "NotApplicable"
 
 
 def _quadrature_indices(modes: Sequence[int], n_modes: int) -> list[int]:
@@ -165,6 +165,13 @@ def _first_index(bad: NDArray[np.bool_]) -> int:
     return int(np.flatnonzero(bad.reshape(-1))[0])
 
 
+def _require_finite(*invariants: NDArray[np.float64]) -> None:
+    """Raise NumericError naming the first state at which an invariant is not finite."""
+    finite = functools.reduce(np.logical_and, map(np.isfinite, invariants))
+    if not finite.all():
+        raise NumericError(f"state {_first_index(~finite)}: two-mode invariants left double range")
+
+
 def two_mode_resources(
     v: NDArray[np.float64],
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
@@ -180,11 +187,12 @@ def two_mode_resources(
     covariance is large and the state strongly squeezed, and
     S_ij = ln(det v_i / (4 det v)) / 2.
 
-    Raises UnphysicalStateError when a state's smallest symplectic eigenvalue
-    is below 1/2 - PHYSICALITY_TOL, NumericError when a steerer block has a
-    condition number above 1e12 or an invariant leaves double range, and
-    ValueError on non-finite entries; each error names (and carries as
-    `index`) the flat position of the first offending state.
+    Raises NumericError when an invariant leaves double range (nu^2 and the
+    blocks' squared norms are checked before anything reads them) or a steerer
+    block has a condition number above 1e12, UnphysicalStateError when a
+    state's smallest symplectic eigenvalue is below 1/2 - PHYSICALITY_TOL, and
+    ValueError on non-finite entries; each error names the flat position of
+    the first offending state.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-2:] != (4, 4):
@@ -192,40 +200,39 @@ def two_mode_resources(
     if not np.all(np.isfinite(v)):
         raise ValueError("covariance matrix has non-finite entries")
     va, vc, vac = v[..., :2, :2], v[..., 2:, 2:], v[..., :2, 2:]
-    det_a, det_c, det_ac = _det2(va), _det2(vc), _det2(vac)
     adj_a = np.stack([np.stack([va[..., 1, 1], -va[..., 0, 1]], -1),
                       np.stack([-va[..., 1, 0], va[..., 0, 0]], -1)], -2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det_a, det_c, det_ac = _det2(va), _det2(vc), _det2(vac)
         inv_a = adj_a / det_a[..., None, None]
         det_v = det_a * _det2(vc - np.swapaxes(vac, -1, -2) @ inv_a @ vac)
         # smallest symplectic eigenvalue of v itself (Gamma with + det v_ac)
         delta = det_a + det_c + 2.0 * det_ac
         nu2 = 2.0 * det_v / (delta + np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0)))
+        frob2_a, frob2_c = (np.sum(block * block, axis=(-2, -1)) for block in (va, vc))
+        _require_finite(nu2, frob2_a, frob2_c)
         unphysical = ~(np.sqrt(nu2) >= 0.5 - PHYSICALITY_TOL)
         if np.any(unphysical):
             i = _first_index(unphysical)
             raise UnphysicalStateError(
                 f"state {i} violates the uncertainty bound: min symplectic eigenvalue "
-                f"{np.sqrt(nu2.reshape(-1)[i]):.12g}", index=i)
-        for name, block, det in (("a", va, det_a), ("c", vc, det_c)):
-            frob2 = np.sum(block * block, axis=(-2, -1))
-            cond = (frob2 + np.sqrt(np.maximum(frob2 * frob2 - 4.0 * det * det, 0.0))) / (
-                2.0 * np.abs(det))
+                f"{np.sqrt(nu2.reshape(-1)[i]):.12g}")
+        for name, frob2, det in (("a", frob2_a, det_a), ("c", frob2_c, det_c)):
+            # scale-free: x = 2 |det| / |block|_F^2 is at most 1 however large the block
+            x = 2.0 * np.abs(det) / frob2
+            cond = (1.0 + np.sqrt(np.maximum(1.0 - x * x, 0.0))) / x
             singular = ~(cond <= 1e12)
             if np.any(singular):
                 i = _first_index(singular)
                 raise NumericError(
                     f"state {i}: steerer block {name} is numerically singular "
-                    f"(condition number {cond.reshape(-1)[i]:.3e})", index=i)
+                    f"(condition number {cond.reshape(-1)[i]:.3e})")
         gamma = det_a + det_c - 2.0 * det_ac
         eta2 = 2.0 * det_v / (gamma + np.sqrt(np.maximum(gamma * gamma - 4.0 * det_v, 0.0)))
         e_raw = -np.log(4.0 * eta2) / 2.0
         s_ac = np.log(det_a / (4.0 * det_v)) / 2.0
         s_ca = np.log(det_c / (4.0 * det_v)) / 2.0
-    overflowed = ~(np.isfinite(e_raw) & np.isfinite(s_ac) & np.isfinite(s_ca))
-    if np.any(overflowed):
-        i = _first_index(overflowed)
-        raise NumericError(f"state {i}: two-mode invariants left double range", index=i)
+    _require_finite(e_raw, s_ac, s_ca)
     return np.where(e_raw > 0.0, e_raw, 0.0), s_ac, s_ca
 
 

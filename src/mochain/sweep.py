@@ -21,15 +21,14 @@ call, at tau (region) or tau and 2 tau (compare). The stationary closed
 forms, regime and region labels, deviations and validity ratios are then
 evaluated on the chunk's (B,) fields, and rows are zipped from the columns.
 Every platform resource column comes from the batched two-mode kernel
-gaussian.two_mode_resources. A library error raised for a sweep cell names
-the cell's axis values. All tables serialize to CSV (LF line endings,
-shortest round-trip float representation; formatted column by column) or
-JSON (a non-finite float as null).
+gaussian.two_mode_resources. A library error of a sweep names the axis
+values of the first cell that fails on its own. All tables serialize to CSV
+(LF line endings, shortest round-trip float representation; formatted column
+by column) or JSON (a non-finite float as null).
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import io
 import itertools
@@ -157,23 +156,6 @@ def _mo_block(states: np.ndarray) -> np.ndarray:
     return states[..., :4, :4]
 
 
-@contextlib.contextmanager
-def _naming_cell(names: tuple[str, ...], cells: list[tuple]) -> Iterator[None]:
-    """Re-raise a library error with the axis values of the cell it concerns.
-
-    cells are the axis values of the cells the block works on; an error from
-    a call on a stack of cells tells which one through its index.
-    """
-    try:
-        yield
-    except MochainError as exc:
-        index = 0 if len(cells) == 1 else exc.index
-        if not names or index is None:
-            raise
-        where = ", ".join(f"{name} = {value!r}" for name, value in zip(names, cells[index]))
-        raise type(exc)(f"{exc} at {where}") from exc
-
-
 def _stacked(dd: DriftDiffusion) -> DriftDiffusion:
     """A single drift/diffusion pair as a one-cell stack; a stack as it is."""
     return dd if dd.a.ndim == 3 else DriftDiffusion(dd.a[None], dd.d[None])
@@ -201,20 +183,37 @@ def _swept_chunks(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
     each of shape (B, len(multiples)) over the multiples of each cell's
     characteristic time: one stacked drift/diffusion pair, one propagate_lti
     and one two_mode_resources call per chunk.
+
+    The one place that names an error's cell: a failing chunk is run again
+    cell by cell, and the first failing cell's own error, which a one-point
+    run prints too, is raised with its axis values (without axes: unchanged).
     """
     full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
+
+    def evaluate(chunk: list[tuple]) -> tuple:
+        columns = dict(zip(names, np.array(chunk, dtype=float).T))
+        platform, chain, model = reduce_point(cfg.system, {**cfg.parameters, **columns})
+        if full_drift_diffusion is None:
+            return chain, model, None
+        dd = _stacked(full_drift_diffusion(platform, chain))
+        taus = np.broadcast_to(characteristic_time(model), (len(chunk),))
+        states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), np.outer(taus, multiples))
+        return chain, model, two_mode_resources(_mo_block(states))
+
     for start in range(0, len(cells), CHUNK_CELLS):
         chunk = cells[start:start + CHUNK_CELLS]
-        columns = dict(zip(names, np.array(chunk, dtype=float).T))
-        full = None
-        with _naming_cell(names, chunk):
-            platform, chain, model = reduce_point(cfg.system, {**cfg.parameters, **columns})
-            if full_drift_diffusion is not None:
-                dd = _stacked(full_drift_diffusion(platform, chain))
-                taus = np.broadcast_to(characteristic_time(model), (len(chunk),))
-                states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes),
-                                       np.outer(taus, multiples))
-                full = two_mode_resources(_mo_block(states))
+        try:
+            chain, model, full = evaluate(chunk)
+        except MochainError:
+            if not names:
+                raise
+            for cell in chunk:
+                try:
+                    evaluate([cell])
+                except MochainError as exc:
+                    where = ", ".join(f"{name} = {value!r}" for name, value in zip(names, cell))
+                    raise type(exc)(f"{exc} at {where}") from exc
+            raise
         yield chunk, chain, model, full
 
 
@@ -257,8 +256,7 @@ def run_region(cfg: RunConfig) -> Table:
     the cell's characteristic time (exact propagation) and a flag recording
     whether the numeric steering signs agree with the closed-form directions.
     The cells come from _swept_chunks (chunks of CHUNK_CELLS), and each
-    chunk's rows are zipped from its columns; a library error raised for a
-    cell names the cell's axis values.
+    chunk's rows are zipped from its columns.
     """
     if len(cfg.sweep) != 2:
         raise ConfigError("run_region needs sweep.axis1 and sweep.axis2")
@@ -303,7 +301,7 @@ def run_compare(cfg: RunConfig) -> Table:
     forms (for steering only where the closed-form direction is present),
     together with the worst coupling-to-gap validity ratio of the
     perturbative reduction. The cells come from _swept_chunks, as for
-    run_region, and a library error raised for a cell names its axis value.
+    run_region.
     """
     full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
     if full_drift_diffusion is None:

@@ -35,7 +35,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .chain import ChainParams, EffectiveModel, Field, first_cell, reject_cells
+from .chain import ChainParams, EffectiveModel, Field, reject_cells
 from .dynamics import DriftDiffusion
 from .errors import CovarianceOverflowError
 
@@ -162,8 +162,8 @@ def _drift_diffusion(rows: list[list], thermal: tuple) -> DriftDiffusion:
 
     The pair is stacked over B cells when any entry is a (B,) array, and a
     single 2M x 2M pair otherwise. Finite parameters can give entries past
-    double range (a doubled coupling, a heated rate); the first such cell
-    raises CovarianceOverflowError.
+    double range (a doubled coupling, a heated rate); any such cell raises
+    CovarianceOverflowError.
     """
     with np.errstate(over="ignore"):
         heat = [kappa * (2.0 * n + 1.0) for kappa, n in thermal]
@@ -177,10 +177,8 @@ def _drift_diffusion(rows: list[list], thermal: tuple) -> DriftDiffusion:
     d = np.zeros_like(a)
     for mode, value in enumerate(heat):
         d[..., 2 * mode, 2 * mode] = d[..., 2 * mode + 1, 2 * mode + 1] = value
-    overflow = ~(np.all(np.isfinite(a), axis=(-2, -1)) & np.all(np.isfinite(d), axis=(-2, -1)))
-    if np.any(overflow):
-        raise CovarianceOverflowError("drift/diffusion overflows double precision",
-                                      index=first_cell(overflow))
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
+        raise CovarianceOverflowError("drift/diffusion overflows double precision")
     return DriftDiffusion(a, d)
 
 

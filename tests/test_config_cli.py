@@ -16,7 +16,7 @@ from mochain import cli, config, dynamics, verify
 from mochain.cli import main
 from mochain.config import RunConfig, SweepAxis, load_config, parse_config
 from mochain.dynamics import characteristic_time
-from mochain.errors import ConfigError
+from mochain.errors import ConfigError, SingularCouplingError
 from mochain.stationary import stationary_entanglement, stationary_steering, steering_region
 from mochain.sweep import Table, parse_csv, render, run_compare, run_evolve, run_region
 from mochain.systems import COMM_FIG4, EOM_FIG3, SYSTEMS
@@ -283,6 +283,19 @@ class TestChunkMapping:
         assert capsys.readouterr().err == ("error: resonant denominator omega_1^2 - delta_a^2 = "
                                            "0.000e+00 at delta_a = 1.0, kappa_c = 0.0001\n")
 
+    def test_first_cell_failing_alone_is_named_across_stages(self):
+        # cell 1 (delta_a = omega_1) is resonant, cells 3-5 have a negative
+        # kappa_a; the chunk fails at the rate check first, cell 1 alone at
+        # the resonance, and the first cell that fails alone is named
+        params = {"n": 1, "delta_a": 0.5, "theta": math.pi / 4, "phi": math.pi / 4,
+                  "g_a": 0.1, "g_c": 0.1, "kappa_a": 1e-3, "kappa_c": 1e-3,
+                  "omega_1": 1.0, "kappa_mid_1": 1e-6}
+        axes = (SweepAxis("kappa_a", 1e-3, -1e-3, 2), SweepAxis("delta_a", 0.5, 1.5, 3))
+        with pytest.raises(SingularCouplingError) as info:
+            run_region(RunConfig("chain", params, sweep=axes))
+        assert str(info.value) == ("resonant denominator omega_1^2 - delta_a^2 = 0.000e+00 "
+                                   "at kappa_a = 0.001, delta_a = 1.0")
+
 
 class TestRunCompare:
     def test_platform_only(self):
@@ -425,7 +438,7 @@ class TestCli:
     def test_overflowing_swept_diffusion_names_the_cell(self, tmp_path, capsys):
         # every n_m is finite, but kappa_m (2 n_m + 1) leaves double range at 1e308
         raw = {"system": "comm", "parameters": dict(COMM_FIG4), "sweep": {
-            "axis1": {"name": "n_m", "min": 1e300, "max": 1e308, "points": 3, "scale": "log"},
+            "axis1": {"name": "n_m", "min": 1e308, "max": 1.5e308, "points": 3},
             "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}}
         config_path = tmp_path / "overflow.json"
         config_path.write_text(json.dumps(raw))
@@ -439,7 +452,7 @@ class TestCli:
         # every g_m is finite, but the drift entry 2 g_m leaves double range at
         # 1e308; the end couplings are tiny, so g_eff and its square stay finite
         raw = {"system": "comm", "parameters": dict(COMM_FIG4, g_a=1e-160, g_c=1e-160), "sweep": {
-            "axis1": {"name": "g_m", "min": 1e300, "max": 1e308, "points": 3, "scale": "log"},
+            "axis1": {"name": "g_m", "min": 1e308, "max": 1.5e308, "points": 3},
             "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}}
         config_path = tmp_path / "overflow.json"
         config_path.write_text(json.dumps(raw))
@@ -453,7 +466,7 @@ class TestCli:
         ("evolve", {**CHAIN, "parameters": {**CHAIN["parameters"], "g_a": 1e200}}, ""),
         ("evolve", {"system": "eom", "parameters": {**EOM_FIG3, "g_a": 1e308}}, ""),
         ("region", {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
-            "axis1": {"name": "g_a", "min": 1e100, "max": 1e300, "points": 3, "scale": "log"},
+            "axis1": {"name": "g_a", "min": 1e200, "max": 1e300, "points": 3, "scale": "log"},
             "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}},
          " at g_a = 1e+200, kappa_c = 0.0001"),
     ], ids=["chain-evolve", "eom-evolve", "eom-region"])
@@ -487,6 +500,64 @@ class TestCli:
         err = capsys.readouterr().err
         self.assert_one_line(err, "config error: ")
         assert err.endswith(f"is not finite or its square overflows{where}\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, raw, message", [
+        # invariants past double range are reported as such, not as unphysical or singular
+        ("compare", {"system": "comm", "parameters": dict(COMM_FIG4, n_m=1e300)},
+         "state 0: two-mode invariants left double range"),
+        ("compare", {"system": "eom", "parameters": dict(EOM_FIG3, n_b=1e77)},
+         "state 1: two-mode invariants left double range"),
+        # two resonance kinds in one chunk: omega_N = omega_b meets delta_c at cell 1,
+        # omega_1 = delta_m meets delta_a at cell 3
+        ("compare", {"system": "comm", "parameters": dict(COMM_FIG4, delta_m=2.0), "sweep": {
+            "axis1": {"name": "delta_a", "min": 0.5, "max": 2.5, "points": 5}}},
+         "resonant denominator omega_N^2 - delta_c^2 = 0.000e+00 at delta_a = 1.0"),
+        # the kernel's "state i" counts (cell, column) pairs, not cells
+        ("compare", {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
+            "axis1": {"name": "n_b", "min": 1e76, "max": 1e78, "points": 3, "scale": "log"}}},
+         "state 1: two-mode invariants left double range at n_b = 1e+77"),
+        ("compare", {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
+            "axis1": {"name": "n_b", "min": 1e76, "max": 1e90, "points": 8, "scale": "log"}}},
+         "state 1: two-mode invariants left double range at n_b = 1e+78"),
+        # the first cell fails before the stage that overflows in the last one
+        ("region", {"system": "comm", "parameters": dict(COMM_FIG4), "sweep": {
+            "axis1": {"name": "n_m", "min": 1e300, "max": 1e308, "points": 3, "scale": "log"},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}},
+         "state 0: two-mode invariants left double range at n_m = 1e+300, kappa_c = 0.0001"),
+        ("region", {"system": "comm", "parameters": dict(COMM_FIG4, g_a=1e-160, g_c=1e-160),
+                    "sweep": {
+            "axis1": {"name": "g_m", "min": 1e300, "max": 1e308, "points": 3, "scale": "log"},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}},
+         "covariance overflows double precision at t = 62831.9 "
+         "at g_m = 1e+300, kappa_c = 0.0001"),
+        ("region", {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
+            "axis1": {"name": "g_a", "min": 1e100, "max": 1e300, "points": 3, "scale": "log"},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}},
+         "covariance overflows double precision at t = 6.28319e-98 "
+         "at g_a = 1e+100, kappa_c = 0.0001"),
+    ], ids=["comm-point", "eom-point", "two-resonances", "n_b-3", "n_b-8", "n_m-region",
+            "g_m-region", "g_a-region"])
+    def test_error_names_the_first_cell_failing_alone(self, tmp_path, capsys, command, raw,
+                                                      message):
+        config_path = tmp_path / "failing.json"
+        config_path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        self.assert_one_line(err, "error: ")
+        assert err == f"error: {message}\n"
+
+    def test_sweep_error_is_the_one_point_error_of_its_cell(self, tmp_path, capsys):
+        point = {"system": "comm", "parameters": dict(COMM_FIG4, delta_m=2.0, delta_a=1.0)}
+        swept = {"system": "comm", "parameters": dict(COMM_FIG4, delta_m=2.0), "sweep": {
+            "axis1": {"name": "delta_a", "min": 0.5, "max": 2.5, "points": 5}}}
+        errors = []
+        for raw in (point, swept):
+            config_path = tmp_path / "resonant.json"
+            config_path.write_text(json.dumps(raw))
+            assert main(["compare", "--config", str(config_path)]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[1] == errors[0][:-1] + " at delta_a = 1.0\n"
 
     @pytest.mark.parametrize("n_a, t_end_in_tau, e_inf, s_ac_inf", [
         (0.0, 5.0, 1.5849014348, 0.9715312157),

@@ -570,9 +570,8 @@ class TestBatchedPropagation:
         # doublings; that is reported as the state's overflow, with no warning
         dds = [build_effective_drift_diffusion(STEADY),
                build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))]
-        with pytest.raises(CovarianceOverflowError, match="t = 100 in cell 1") as info:
+        with pytest.raises(CovarianceOverflowError, match="t = 100 in cell 1"):
             propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [10.0, 100.0])
-        assert info.value.index == 1
 
 
 class TestPadeExponential:
