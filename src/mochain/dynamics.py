@@ -7,12 +7,13 @@ on the multivariate Ornstein-Uhlenbeck covariance), and its resources follow
 from that basis without cancellation. Every drift/diffusion pair (the 6x6 and
 8x8 full platform systems, and the effective model's for checks) is
 propagated exactly by propagate_lti, which composes the solution of dv/dt =
-A v + v A^T + D along a time grid from Van Loan's block exponential,
-evaluated by the module's own degree-9 Pade approximant with scaling and
-squaring (N. J. Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), so the
-runtime needs numpy alone. It takes one DriftDiffusion, a single pair or a
-stack of pairs (the cells of a sweep chunk) that it propagates together, each
-cell bit-identical to its own single-pair call. Stable systems can also be
+A v + v A^T + D along a time grid from Van Loan's block exponential. The
+block is never formed: its Taylor polynomial is evaluated on the n x n
+blocks by Paterson-Stockmeyer at a scale set by the drift alone, then
+doubled, with matrix products only (no linear solve), so the runtime needs
+numpy alone. It takes one DriftDiffusion, a single pair or a stack of pairs
+(the cells of a sweep chunk) that it propagates together, each cell
+bit-identical to its own single-pair call. Stable systems can also be
 solved directly for their stationary covariance. These are the production
 routes; the RK4 oracle that checks them lives in mochain.verify and is never
 on a command-line data path. All rates are in units of the reference frequency.
@@ -31,12 +32,11 @@ from .errors import CovarianceOverflowError, NumericError, RegimeError
 from .gaussian import CovarianceMatrix
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
-# Coefficients b_0..b_9 of the degree-9 diagonal Pade approximant of e^x, and
-# the largest 1-norm at which its backward error is below the unit roundoff
-# of double (N. J. Higham, SIAM J. Matrix Anal. Appl. 26(4):1179-1193, 2005).
-PADE9 = (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-         2162160.0, 110880.0, 3960.0, 90.0, 1.0)
-THETA9 = 2.097847961257068
+# 1/j! for j = 0..18: the Taylor coefficients of _van_loan_pair's block exponential.
+TAYLOR18 = tuple(1.0 / math.factorial(j) for j in range(19))
+# The longest reach ||A||_1 h of one Van Loan pair: its k <= 33 doublings amplify
+# the start pair's rounding u = 2^-53 by ~||A||_1 h, to at most u ||A||_1 h = 2^-20.
+MAX_REACH = 2.0**33
 # math.hypot, elementwise. numpy's hypot differs from it in the last bit on
 # ~0.5% of inputs; tau keeps math.hypot's rounding because an evolve grid
 # holds tau and 2 tau as rows, and a 1-ulp shift can add or merge one.
@@ -251,73 +251,60 @@ def _halvings(x: NDArray[np.float64]) -> NDArray[np.int64]:
     return np.where(x > 1.0, exponent - (mantissa == 0.5), 0)
 
 
-def _expm(m: NDArray[np.float64]) -> NDArray[np.float64]:
-    """e^M for a stack of square matrices M of shape (B, n, n).
-
-    Degree-9 Pade approximant r = (V - U)^-1 (V + U) = I + 2 (V - U)^-1 U,
-    with U the odd and V the even part built from M^2, M^4, M^6 and M^8, after
-    scaling each matrix by 2^-s so that its 1-norm is at most THETA9, then
-    squared s times; every matrix gets its own s (Higham 2005). Solving for
-    U alone and adding I last keeps the rounding of V + U out of r. That
-    matters because the Van Loan doublings amplify the error of e^M: with
-    (V - U)^-1 (V + U), the region map's E and S were 2.5x further from a
-    40-digit reference.
-    """
-    s = _halvings(_norm1(m) / THETA9)
-    m = m * np.ldexp(1.0, -s)[:, None, None]
-    b = PADE9
-    eye = np.eye(m.shape[-1])
-    m2 = m @ m
-    m4 = m2 @ m2
-    m6 = m4 @ m2
-    m8 = m4 @ m4
-    u = m @ (b[9] * m8 + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * eye)
-    v = b[8] * m8 + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * eye
-    r = eye + 2.0 * np.linalg.solve(v - u, u)
-    for j in range(int(s.max(initial=0))):
-        squaring = np.flatnonzero(s > j)
-        r[squaring] = r[squaring] @ r[squaring]
-    return r
-
-
 def _van_loan_pair(
     a: NDArray[np.float64], d: NDArray[np.float64], h: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Phi = e^{Ah} and Q = int_0^h e^{As} D e^{A^T s} ds for a stack of cells.
 
-    a and d have shape (B, n, n) and the spans h > 0 shape (B,). For each cell,
-    Van Loan's block M = [[-A, D], [0, A^T]] is exponentiated at h / 2^k, with
-    k the smallest integer such that ||A||_1 h / 2^k <= 1, and the pair is then
-    doubled k times; a cell stops doubling after its own k. Exponentiating M
-    over the whole span instead cancels catastrophically in Q, because e^{-Ah}
-    grows when A is stable. The scaled block's 1-norm also counts D, so a
-    large diffusion can still put it past THETA9, where _expm scales and
-    squares it once more.
+    a and d have shape (B, n, n) and the spans h > 0 shape (B,). Each cell
+    starts at h / 2^k, with k the smallest integer such that ||A||_1 h / 2^k
+    <= 1, from X = A h / 2^k and Y = D h / 2^k: the degree-18 Taylor
+    polynomial of Van Loan's block N = [[-X, Y], [0, X^T]] is evaluated on
+    its n x n blocks by Paterson-Stockmeyer with s = 4 (M. S. Paterson and L.
+    J. Stockmeyer, SIAM J. Comput. 2(1), 1973). Phi comes from the powers of
+    X alone. The (1, 2) blocks of N^1..N^4 are Y, F_2 = (XY)^T - XY, F_3 =
+    (X^2 Y)^T - X F_2 and F_4 = X^2 F_2 - (X^2 F_2)^T; a Horner step
+    multiplies by N^4 from the left, so the (1, 2) block T <- X^4 T + F_4 S^T
+    + ... reads the transpose of Phi's own Horner state S, and Q = Phi T. T
+    is linear in Y, so the diffusion's size never sets the scaling. With
+    ||X||_1 <= 1 the omitted terms are below 1/18! ~ 1.6e-16 relative (n
+    times that in T, as ||X^T||_1 <= n ||X||_1; the platforms' drifts have
+    ||A^T||_1 = ||A||_1). The pair is then doubled k times, (Phi, Q) <-
+    (Phi^2, Phi Q Phi^T + Q), all cells in lockstep, a cell keeping its pair
+    after its own k. Taking the block over the whole span instead cancels
+    catastrophically in Q, because e^{-Ah} grows when A is stable.
 
     The doublings run in double: they amplify the error of the double
-    precision exponential they start from by ||A|| h ~ 2^k in any precision,
-    so extended precision here buys no accuracy (on 28 COMM region cells, E
-    and S were 1.7e-12 from a 40-digit reference with long-double doublings
-    and 2.8e-12 with double ones) and costs ~25x, numpy having no BLAS for it.
-    A pair that overflows means the state overflows too, which propagate_lti
-    reports, so overflow here is silent.
+    precision start pair by ||A|| h ~ 2^k in any precision, so extended
+    precision here buys no accuracy (on 28 cells of a 50 x 50 COMM region
+    map, E and S were 3.8e-12 from a 40-digit reference with long-double
+    doublings and 4.6e-12 with double ones) and costs ~25x, numpy having no
+    BLAS for it. A pair that overflows means the state overflows too, which
+    propagate_lti reports, so overflow here is silent.
     """
-    n = a.shape[-1]
     k = _halvings(_norm1(a) * h)
-    block = np.zeros((len(h), 2 * n, 2 * n))
-    block[:, :n, :n] = -a
-    block[:, :n, n:] = d
-    block[:, n:, n:] = np.swapaxes(a, -1, -2)
-    e = _expm(block * np.ldexp(h, -k)[:, None, None])
-    phi = np.swapaxes(e[:, n:, n:], -1, -2)
-    q = phi @ e[:, :n, n:]
+    scale = np.ldexp(h, -k)[:, None, None]
+    x, y, c, eye = a * scale, d * scale, TAYLOR18, np.eye(a.shape[-1])
+    x2, xy = x @ x, x @ y
+    x3, x4, f2 = x2 @ x, x2 @ x2, np.swapaxes(xy, -1, -2) - xy
+    f3, x2f2 = np.swapaxes(x2 @ y, -1, -2) - x @ f2, x2 @ f2
+    f4 = x2f2 - np.swapaxes(x2f2, -1, -2)
+    phi, t = c[16] * eye + c[17] * x + c[18] * x2, c[17] * y + c[18] * f2
+    for j in (12, 8, 4, 0):
+        t = (x4 @ t + f4 @ np.swapaxes(phi, -1, -2)
+             + (c[j + 1] * y + c[j + 2] * f2 + c[j + 3] * f3))
+        phi = x4 @ phi + (c[j] * eye + c[j + 1] * x + c[j + 2] * x2 + c[j + 3] * x3)
+    q = phi @ t
     q = (q + np.swapaxes(q, -1, -2)) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(int(k.max(initial=0))):
-            doubling = np.flatnonzero(k > j)
-            p = phi[doubling]
-            q[doubling] = p @ q[doubling] @ np.swapaxes(p, -1, -2) + q[doubling]
-            phi[doubling] = p @ p
+            phi_t = np.ascontiguousarray(np.swapaxes(phi, -1, -2))
+            if j < k.min():
+                q, phi = phi @ q @ phi_t + q, phi @ phi
+            else:  # every cell computes, a finished one keeps its pair: no gather or scatter
+                doubling = (k > j)[:, None, None]
+                q = np.where(doubling, phi @ q @ phi_t + q, q)
+                phi = np.where(doubling, phi @ phi, phi)
     return phi, q
 
 
@@ -330,16 +317,16 @@ def propagate_lti(
 
     Each interval maps v -> Phi v Phi^T + Q, with (Phi, Q) of each cell and
     distinct interval length from Van Loan's block exponential (C. F. Van
-    Loan, IEEE TAC 23(3):395-404, 1978) with scaling and squaring (N. J.
-    Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), and (I, 0) for a zero
-    interval; no fixed point is involved, so the critical coupling is no
-    special case. A log-depth prefix scan (W. D. Hillis and G. L. Steele,
-    CACM 29(12), 1986) composes the maps: the first is folded into its state,
-    then round s = 1, 2, 4, ... sets (Phi_j, Q_j) <- (Phi_j Phi_{j-s}, Phi_j
-    Q_{j-s} Phi_j^T + Q_j) for all cells and columns j >= s, and Q_j is the
-    state after ceil(log2 T) rounds (one or two columns take exactly the
-    operations of stepping). Times must be finite, non-negative and
-    non-decreasing; a repeated time returns the same state.
+    Loan, IEEE TAC 23(3):395-404, 1978), taken at h / 2^k and doubled k times
+    (_van_loan_pair), and (I, 0) for a zero interval; no fixed point is
+    involved, so the critical coupling is no special case. A log-depth prefix
+    scan (W. D. Hillis and G. L. Steele, CACM 29(12), 1986) composes the
+    maps: the first is folded into its state, then round s = 1, 2, 4, ...
+    sets (Phi_j, Q_j) <- (Phi_j Phi_{j-s}, Phi_j Q_{j-s} Phi_j^T + Q_j) for
+    all cells and columns j >= s, and Q_j is the state after ceil(log2 T)
+    rounds (one or two columns take exactly the operations of stepping).
+    Times must be finite, non-negative and non-decreasing; a repeated time
+    returns the same state.
 
     One drift/diffusion pair with times of shape (T,) gives the list of T
     states. A stacked pair of B cells (all started from v0) with times of
@@ -347,7 +334,11 @@ def propagate_lti(
     covariances as one array of shape (B, T, 2M, 2M); every cell's states are
     bit-identical to propagating that cell alone. Raises
     CovarianceOverflowError, naming the first time (and the first cell of a
-    stack at that time) at which a state leaves double range.
+    stack at that time) at which a state leaves double range, and
+    NumericError, naming the first cell's shortest span h whose reach
+    ||A||_1 h exceeds MAX_REACH = 2^33: its doublings would amplify the
+    rounding u = 2^-53 of the start pair past u ||A||_1 h = 2^-20. The
+    benchmark, demo and EOM rows to 40 tau reach less than 1e6.
 
     The composition runs in extended precision (np.longdouble; plain double
     where the platform has no wider type), while (Phi, Q) are double. In the
@@ -374,13 +365,20 @@ def propagate_lti(
 
     # one Van Loan pair per cell and distinct interval length, found as the distinct
     # keys cell + i span (exact in complex128); a zero span keeps (I, 0)
-    columns, n = times.shape[1], a.shape[-1]
-    phi = np.broadcast_to(np.eye(n, dtype=np.longdouble), (cells, columns, n, n)).copy()
-    q = np.zeros_like(phi)
     moving = spans > 0.0
     keys, pair = np.unique(np.nonzero(moving)[0] + 1j * spans[moving], return_inverse=True)
     owner = keys.real.astype(int)
+    reach = _norm1(a)[owner] * keys.imag
+    if np.any(reach > MAX_REACH):
+        key = int(np.argmax(reach > MAX_REACH))  # the first cell's shortest such span
+        where = f" in cell {owner[key]}" if cells > 1 else ""
+        raise NumericError(f"span {keys.imag[key]:g}{where} is past the doubling bound "
+                           f"u ||A||_1 h <= 2^-20 (||A||_1 h = {reach[key]:.3g})")
     phi_h, q_h = _van_loan_pair(a[owner], d[owner], keys.imag)
+    # allocated after the pairs, in the heap their temporaries left: no growth per chunk
+    columns, n = times.shape[1], a.shape[-1]
+    phi = np.broadcast_to(np.eye(n, dtype=np.longdouble), (cells, columns, n, n)).copy()
+    q = np.zeros_like(phi)
     phi[moving], q[moving] = phi_h[pair], q_h[pair]
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below

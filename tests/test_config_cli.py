@@ -506,7 +506,7 @@ class TestCli:
         # invariants past double range are reported as such, not as unphysical or singular
         ("compare", {"system": "comm", "parameters": dict(COMM_FIG4, n_m=1e300)},
          "state 0: two-mode invariants left double range"),
-        ("compare", {"system": "eom", "parameters": dict(EOM_FIG3, n_b=1e77)},
+        ("compare", {"system": "eom", "parameters": dict(EOM_FIG3, n_b=1e80)},
          "state 1: two-mode invariants left double range"),
         # two resonance kinds in one chunk: omega_N = omega_b meets delta_c at cell 1,
         # omega_1 = delta_m meets delta_a at cell 3
@@ -515,11 +515,11 @@ class TestCli:
          "resonant denominator omega_N^2 - delta_c^2 = 0.000e+00 at delta_a = 1.0"),
         # the kernel's "state i" counts (cell, column) pairs, not cells
         ("compare", {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
-            "axis1": {"name": "n_b", "min": 1e76, "max": 1e78, "points": 3, "scale": "log"}}},
-         "state 1: two-mode invariants left double range at n_b = 1e+77"),
+            "axis1": {"name": "n_b", "min": 1e79, "max": 1e81, "points": 3, "scale": "log"}}},
+         "state 1: two-mode invariants left double range at n_b = 1e+80"),
         ("compare", {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
-            "axis1": {"name": "n_b", "min": 1e76, "max": 1e90, "points": 8, "scale": "log"}}},
-         "state 1: two-mode invariants left double range at n_b = 1e+78"),
+            "axis1": {"name": "n_b", "min": 1e79, "max": 1e93, "points": 8, "scale": "log"}}},
+         "state 1: two-mode invariants left double range at n_b = 1e+81"),
         # the first cell fails before the stage that overflows in the last one
         ("region", {"system": "comm", "parameters": dict(COMM_FIG4), "sweep": {
             "axis1": {"name": "n_m", "min": 1e300, "max": 1e308, "points": 3, "scale": "log"},
@@ -529,13 +529,13 @@ class TestCli:
                     "sweep": {
             "axis1": {"name": "g_m", "min": 1e300, "max": 1e308, "points": 3, "scale": "log"},
             "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}},
-         "covariance overflows double precision at t = 62831.9 "
-         "at g_m = 1e+300, kappa_c = 0.0001"),
+         "span 62831.9 is past the doubling bound u ||A||_1 h <= 2^-20 "
+         "(||A||_1 h = 1.26e+305) at g_m = 1e+300, kappa_c = 0.0001"),
         ("region", {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
             "axis1": {"name": "g_a", "min": 1e100, "max": 1e300, "points": 3, "scale": "log"},
             "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}},
-         "covariance overflows double precision at t = 6.28319e-98 "
-         "at g_a = 1e+100, kappa_c = 0.0001"),
+         "span 6.28319e-98 is past the doubling bound u ||A||_1 h <= 2^-20 "
+         "(||A||_1 h = 5.24e+101) at g_a = 1e+100, kappa_c = 0.0001"),
     ], ids=["comm-point", "eom-point", "two-resonances", "n_b-3", "n_b-8", "n_m-region",
             "g_m-region", "g_a-region"])
     def test_error_names_the_first_cell_failing_alone(self, tmp_path, capsys, command, raw,

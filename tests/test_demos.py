@@ -37,7 +37,7 @@ def test_region_map_csv_unchanged(demo_runs):
     """Byte-identical to the tracked file.
 
     The numbers are shortest round-trip floats computed through the package's
-    own Pade exponential, numpy and LAPACK, so the tracked file belongs to the
+    own blockwise Van Loan pair, numpy and BLAS, so the tracked file belongs to the
     numpy/BLAS build that wrote it: on another build a mismatch in the last
     bits only is drift of the numeric stack, not a change of the program.
     """

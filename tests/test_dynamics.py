@@ -8,7 +8,6 @@ import pytest
 from mochain.chain import ChainParams, EffectiveModel, reduce
 from mochain import dynamics
 from mochain.dynamics import (
-    THETA9,
     DriftDiffusion,
     analytic_effective_cm,
     build_effective_drift_diffusion,
@@ -20,7 +19,7 @@ from mochain.dynamics import (
 )
 from mochain import sweep
 from mochain.config import RunConfig, SweepAxis
-from mochain.errors import CovarianceOverflowError, RegimeError
+from mochain.errors import CovarianceOverflowError, NumericError, RegimeError
 from mochain.gaussian import CovarianceMatrix, two_mode_resources
 from mochain.systems import (
     COMM_FIG4,
@@ -30,6 +29,7 @@ from mochain.systems import (
     comm_full_drift_diffusion,
     comm_to_chain,
     eom_full_drift_diffusion,
+    eom_to_chain,
 )
 from mochain.verify import auto_step, lyapunov_rk4
 
@@ -573,69 +573,123 @@ class TestBatchedPropagation:
         with pytest.raises(CovarianceOverflowError, match="t = 100 in cell 1"):
             propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [10.0, 100.0])
 
+    def test_span_past_the_doubling_bound_is_named(self):
+        # ||A||_1 h = 1.00001e10 > 2^33: 34 doublings would amplify the start
+        # pair's rounding past 2^-20
+        dds = [build_effective_drift_diffusion(STEADY),
+               build_effective_drift_diffusion(EffectiveModel(1e10, 0.01, 0.01))]
+        with pytest.raises(NumericError, match=r"^span 1 in cell 1 is past the doubling bound"):
+            propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [1.0])
 
-class TestPadeExponential:
-    """The in-package exponential against scipy's expm, an independent oracle."""
+
+def scipy_pair(a, d, h):
+    """(Phi, Q) over one span from scipy's expm of Van Loan's full 2n x 2n block."""
+    expm = pytest.importorskip("scipy.linalg").expm
+    n = a.shape[-1]
+    block = np.zeros((2 * n, 2 * n))
+    block[:n, :n], block[:n, n:], block[n:, n:] = -a, d, a.T
+    e = expm(block * h)
+    phi = e[n:, n:].T
+    q = phi @ e[:n, n:]
+    return phi, (q + q.T) / 2.0
+
+
+def reference_pair(a, d, h):
+    """(Phi, Q) over h: scipy's pair at h / 2^k, ||A||_1 h / 2^k <= 1, doubled k times
+    in long double."""
+    k = int(dynamics._halvings(dynamics._norm1(a) * h))
+    phi, q = (m.astype(np.longdouble) for m in scipy_pair(a, d, math.ldexp(h, -k)))
+    for _ in range(k):
+        q, phi = phi @ q @ phi.T + q, phi @ phi
+    return phi, q
+
+
+class TestVanLoanPair:
+    """The solve-free pair against scipy's expm of the full block, an independent oracle."""
 
     @staticmethod
-    def captured_blocks(monkeypatch, dds, times) -> np.ndarray:
-        blocks = []
-        original = dynamics._expm
-
-        def capturing(m):
-            blocks.append(m.copy())
-            return original(m)
-
-        monkeypatch.setattr(dynamics, "_expm", capturing)
-        propagate_lti(stack(dds), CovarianceMatrix.vacuum(dds[0].modes), times)
-        return np.concatenate(blocks)
+    def start_pairs(dds, spans):
+        """Each cell's span scaled to ||A||_1 h <= 1, where the pair takes no doubling."""
+        a, d = np.stack([dd.a for dd in dds]), np.stack([dd.d for dd in dds])
+        h = np.array(spans, dtype=float)
+        h = np.ldexp(h, -dynamics._halvings(dynamics._norm1(a) * h))
+        return a, d, h
 
     @staticmethod
-    def assert_matches_scipy(blocks):
-        expm = pytest.importorskip("scipy.linalg").expm
-        for block, ours in zip(blocks, dynamics._expm(blocks)):
-            reference = expm(block)
-            assert np.linalg.norm(ours - reference, 1) <= 1e-14 * np.linalg.norm(reference, 1)
+    def assert_matches_scipy(a, d, h):
+        phi, q = dynamics._van_loan_pair(a, d, h)
+        for cell in range(len(h)):
+            want_phi, want_q = scipy_pair(a[cell], d[cell], h[cell])
+            for got, want in ((phi[cell], want_phi), (q[cell], want_q)):
+                assert np.linalg.norm(got - want, 1) <= 1e-14 * np.linalg.norm(want, 1)
 
-    def test_region_blocks(self, monkeypatch):
-        # the COMM region map's grid: ||A h||_1 <= 1 keeps every scaled block
-        # (1-norm at most 1.00002 over the 50 x 50 map) well inside THETA9
-        dds, taus = [], []
+    def test_region_compare_and_effective_cells(self):
+        dds, spans = [], []
         for kappa_a in (1e-4, 3e-4, 1e-3):
-            for kappa_c in (1e-4, 3e-4, 1e-3):
+            for kappa_c in (1e-4, 1e-3):
                 params = CommParams(**dict(COMM_FIG4, kappa_a=kappa_a, kappa_c=kappa_c))
                 chain = comm_to_chain(params)
                 dds.append(comm_full_drift_diffusion(params, chain))
-                taus.append([characteristic_time(reduce(chain))])
-        blocks = self.captured_blocks(monkeypatch, dds, taus)
-        assert len(blocks) == 9 and np.all(dynamics._norm1(blocks) < 1.0001)
-        self.assert_matches_scipy(blocks)
+                spans.append(characteristic_time(reduce(chain)))
+        eom = [eom_full_drift_diffusion(EomParams(**dict(EOM_FIG3, g_a=g_a)))
+               for g_a in (0.1, 0.12, 0.2)]
+        effective = [build_effective_drift_diffusion(m) for m in (
+            STEADY, UNSTEADY, EffectiveModel(0.5, 1.0, 0.4, n_a=50.0))]
+        platform = self.start_pairs(dds, spans)
+        assert np.all(platform[2] * dynamics._norm1(platform[0]) <= 1.0)
+        self.assert_matches_scipy(*platform)
+        self.assert_matches_scipy(*self.start_pairs(eom, [1e3] * 3))
+        self.assert_matches_scipy(*self.start_pairs(effective, [0.3, 2.0, 5.0]))
 
-    def test_large_diffusion_blocks_are_squared(self, monkeypatch):
-        # ||A h||_1 sets the scaling; the n_a = 50 diffusion alone puts the
-        # block's 1-norm past THETA9, so the exponential scales it again
-        dd = build_effective_drift_diffusion(EffectiveModel(0.5, 1.0, 0.4, n_a=50.0))
-        blocks = self.captured_blocks(monkeypatch, [dd], np.linspace(0.0, 5.0, 7))
-        assert np.all(dynamics._norm1(blocks) > THETA9)
-        self.assert_matches_scipy(blocks)
+    def test_large_diffusion_does_not_set_the_scaling(self):
+        # n_a = 1e12 adds s E to D, with E the unit heating of mode a: Phi stays
+        # bit for bit, and Q(D + s E) = Q(D) + s Q(E) to rounding
+        plain = build_effective_drift_diffusion(EffectiveModel(0.5, 1.0, 0.4))
+        hot = build_effective_drift_diffusion(EffectiveModel(0.5, 1.0, 0.4, n_a=1e12))
+        a, d, h = self.start_pairs([plain, hot], [0.7, 0.7])
+        phi, q = dynamics._van_loan_pair(a, d, h)
+        assert np.array_equal(phi[0], phi[1])
+        heat = np.diag([1.0, 1.0, 0.0, 0.0])
+        _, q_heat = dynamics._van_loan_pair(a[:1], heat[None], h[:1])
+        scale = hot.d[0, 0] - plain.d[0, 0]
+        assert np.max(np.abs(q[1] - q[0] - scale * q_heat[0])) <= 1e-15 * scale * np.max(q_heat)
 
-    def test_zero_and_dense_blocks(self):
-        # one stack, squared 0 and 4 times: unscaled, the degree-9 approximant
-        # of the dense block (1-norm 20) is off by ~1e-6
-        dense = np.random.default_rng(1).standard_normal((1, 8, 8))
-        blocks = np.concatenate([np.zeros((1, 8, 8)), dense * 20.0 / dynamics._norm1(dense)])
-        assert np.array_equal(dynamics._expm(blocks)[0], np.eye(8))
-        self.assert_matches_scipy(blocks)
+    def test_zero_cell_is_exact(self):
+        zero = DriftDiffusion(np.zeros((4, 4)), np.zeros((4, 4)))
+        phi, q = dynamics._van_loan_pair(zero.a[None], zero.d[None], np.array([1.0]))
+        assert np.array_equal(phi[0], np.eye(4)) and not np.any(q)
+
+
+class TestAffineInDiffusion:
+    """A bath occupation enters D alone, so the state is exactly affine in it."""
+
+    @pytest.mark.parametrize("n_b", [1e12, 1e14, 1e16, 1e18, 1e20, 1e77])
+    def test_eom_fig3_is_affine_in_n_b(self, n_b):
+        # when the block exponential was scaled by the 1-norm of [[-A, D], [0, A^T]],
+        # D's size leaked into Phi: 2 tau was off by 4.2e-7 at n_b = 1e12 and by a
+        # factor 180 at 1e20. The reference takes Q by linearity, from the vacuum
+        # diffusion and the unit heating of the mechanical mode, each through scipy.
+        params = EomParams(**dict(EOM_FIG3, n_b=n_b))
+        dd = eom_full_drift_diffusion(params)
+        vacuum = eom_full_drift_diffusion(EomParams(**dict(EOM_FIG3, n_b=0.0)))
+        tau = characteristic_time(reduce(eom_to_chain(params)))
+        heat = dd.d - vacuum.d
+        scale = np.max(heat)
+        phi, q = reference_pair(dd.a, vacuum.d, tau)
+        q = q + scale * reference_pair(dd.a, heat / scale, tau)[1]
+        v = CovarianceMatrix.vacuum(3).data.astype(np.longdouble)
+        for state in propagate_lti(dd, CovarianceMatrix.vacuum(3), [tau, 2.0 * tau]):
+            v = phi @ v @ phi.T + q
+            assert np.max(np.abs(state.data - v)) <= 1e-10 * np.max(np.abs(v))
 
 
 class TestDoublingPrecision:
-    """Doubling (Phi, Q) in double keeps region cells at the accuracy of their Pade block."""
+    """Doubling (Phi, Q) in double keeps region cells at the accuracy of their start pair."""
 
     @pytest.mark.parametrize("kappa_a, kappa_c", [(1e-4, 1e-4), (1e-4, 1e-3), (1e-3, 1e-3)])
     def test_region_corner_against_mpmath(self, kappa_a, kappa_c):
-        # tau is 5e3-2.2e4 here, so k = 16-18 doublings amplify the Pade
-        # block's rounding; measured 1.5e-13-5.1e-12 (2.1e-12 at worst with
-        # long-double doublings)
+        # tau is 5e3-2.2e4 here, so k = 16-18 doublings amplify the start
+        # pair's rounding; measured 7e-13-2.5e-12
         mp = pytest.importorskip("mpmath")
         params = CommParams(**dict(COMM_FIG4, kappa_a=kappa_a, kappa_c=kappa_c))
         chain = comm_to_chain(params)
