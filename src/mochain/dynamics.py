@@ -6,7 +6,7 @@ scalar equation (C. W. Gardiner and P. Zoller, Quantum Noise, Springer 2004,
 on the multivariate Ornstein-Uhlenbeck covariance), and its resources follow
 from that basis without cancellation. Every drift/diffusion pair (the 6x6 and
 8x8 full platform systems, and the effective model's for checks) is
-propagated exactly by propagate_lti, which composes the solution of dv/dt =
+propagated exactly by propagate_lti, which steps the solution of dv/dt =
 A v + v A^T + D along a time grid from Van Loan's block exponential. The
 block is never formed: its Taylor polynomial is evaluated on the n x n
 blocks by Paterson-Stockmeyer at a scale set by the drift alone, then
@@ -319,14 +319,11 @@ def propagate_lti(
     distinct interval length from Van Loan's block exponential (C. F. Van
     Loan, IEEE TAC 23(3):395-404, 1978), taken at h / 2^k and doubled k times
     (_van_loan_pair), and (I, 0) for a zero interval; no fixed point is
-    involved, so the critical coupling is no special case. A log-depth prefix
-    scan (W. D. Hillis and G. L. Steele, CACM 29(12), 1986) composes the
-    maps: the first is folded into its state, then round s = 1, 2, 4, ...
-    sets (Phi_j, Q_j) <- (Phi_j Phi_{j-s}, Phi_j Q_{j-s} Phi_j^T + Q_j) for
-    all cells and columns j >= s, and Q_j is the state after ceil(log2 T)
-    rounds (one or two columns take exactly the operations of stepping).
-    Times must be finite, non-negative and non-decreasing; a repeated time
-    returns the same state.
+    involved, so the critical coupling is no special case. The maps are
+    applied in turn along the grid, all cells together: each column's state
+    is its map of the previous column's (of v0 for the first). A repeated
+    time maps by (I, 0) and so returns its predecessor's state exactly.
+    Times must be finite, non-negative and non-decreasing.
 
     One drift/diffusion pair with times of shape (T,) gives the list of T
     states. A stacked pair of B cells (all started from v0) with times of
@@ -340,11 +337,11 @@ def propagate_lti(
     rounding u = 2^-53 of the start pair past u ||A||_1 h = 2^-20. The
     benchmark, demo and EOM rows to 40 tau reach less than 1e6.
 
-    The composition runs in extended precision (np.longdouble; plain double
+    The stepping runs in extended precision (np.longdouble; plain double
     where the platform has no wider type), while (Phi, Q) are double. In the
     divergent regime the covariance grows to ~1e8 while the resources depend
-    on its O(1) squeezed part, and double rounding at every composition of a
-    fine grid accumulates there: on a 401-point grid to 5 tau it moved the
+    on its O(1) squeezed part, and double rounding at every step of a fine
+    grid accumulates there: on a 401-point grid to 5 tau it moved the
     log-negativity by 1.2e-6.
     """
     if v0.modes != dd.modes:
@@ -382,19 +379,10 @@ def propagate_lti(
     phi[moving], q[moving] = phi_h[pair], q_h[pair]
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
-        first = phi[:, 0]
-        q[:, 0] = first @ v0.data.astype(np.longdouble) @ np.swapaxes(first, -1, -2) + q[:, 0]
-        shift = 1
-        while shift < columns:
-            later = phi[:, shift:]
-            q[:, shift:] = later @ q[:, :-shift] @ np.swapaxes(later, -1, -2) + q[:, shift:]
-            # a column below 2 shift is complete now, so its Phi is not needed again
-            phi[:, 2 * shift:] = phi[:, 2 * shift:] @ phi[:, shift:-shift]
-            shift *= 2
+        state = v0.data.astype(np.longdouble)
+        for j in range(columns):
+            state = q[:, j] = phi[:, j] @ state @ np.swapaxes(phi[:, j], -1, -2) + q[:, j]
         data = q.astype(float)
-    if not np.all(moving[:, 1:]):  # a repeated time copies its predecessor exactly
-        source = np.maximum.accumulate(np.where(moving, np.arange(columns), 0), axis=1)
-        data = data[np.arange(cells)[:, None], source]
     bad = ~np.all(np.isfinite(data), axis=(-2, -1))
     if np.any(bad):
         column, cell = divmod(int(np.argmax(bad.T)), cells)  # first column, then first cell

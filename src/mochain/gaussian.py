@@ -187,12 +187,12 @@ def two_mode_resources(
     covariance is large and the state strongly squeezed, and
     S_ij = ln(det v_i / (4 det v)) / 2.
 
-    Raises NumericError when an invariant leaves double range (nu^2 and the
-    blocks' squared norms are checked before anything reads them) or a steerer
-    block has a condition number above 1e12, UnphysicalStateError when a
-    state's smallest symplectic eigenvalue is below 1/2 - PHYSICALITY_TOL, and
-    ValueError on non-finite entries; each error names the flat position of
-    the first offending state.
+    Raises NumericError when an invariant leaves double range (nu^2, Gamma^2,
+    its counterpart for v itself and the blocks' squared norms are checked
+    before anything reads them) or a steerer block has a condition number
+    above 1e12, UnphysicalStateError when a state's smallest symplectic
+    eigenvalue is below 1/2 - PHYSICALITY_TOL, and ValueError on non-finite
+    entries; each error names the flat position of the first offending state.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-2:] != (4, 4):
@@ -207,10 +207,11 @@ def two_mode_resources(
         inv_a = adj_a / det_a[..., None, None]
         det_v = det_a * _det2(vc - np.swapaxes(vac, -1, -2) @ inv_a @ vac)
         # smallest symplectic eigenvalue of v itself (Gamma with + det v_ac)
-        delta = det_a + det_c + 2.0 * det_ac
-        nu2 = 2.0 * det_v / (delta + np.sqrt(np.maximum(delta * delta - 4.0 * det_v, 0.0)))
+        delta, gamma = det_a + det_c + 2.0 * det_ac, det_a + det_c - 2.0 * det_ac
+        delta2, gamma2 = delta * delta, gamma * gamma
+        nu2 = 2.0 * det_v / (delta + np.sqrt(np.maximum(delta2 - 4.0 * det_v, 0.0)))
         frob2_a, frob2_c = (np.sum(block * block, axis=(-2, -1)) for block in (va, vc))
-        _require_finite(nu2, frob2_a, frob2_c)
+        _require_finite(nu2, delta2, gamma2, frob2_a, frob2_c)
         unphysical = ~(np.sqrt(nu2) >= 0.5 - PHYSICALITY_TOL)
         if np.any(unphysical):
             i = _first_index(unphysical)
@@ -227,8 +228,7 @@ def two_mode_resources(
                 raise NumericError(
                     f"state {i}: steerer block {name} is numerically singular "
                     f"(condition number {cond.reshape(-1)[i]:.3e})")
-        gamma = det_a + det_c - 2.0 * det_ac
-        eta2 = 2.0 * det_v / (gamma + np.sqrt(np.maximum(gamma * gamma - 4.0 * det_v, 0.0)))
+        eta2 = 2.0 * det_v / (gamma + np.sqrt(np.maximum(gamma2 - 4.0 * det_v, 0.0)))
         e_raw = -np.log(4.0 * eta2) / 2.0
         s_ac = np.log(det_a / (4.0 * det_v)) / 2.0
         s_ca = np.log(det_c / (4.0 * det_v)) / 2.0

@@ -151,14 +151,18 @@ def _sample_grid(cfg: RunConfig, tau: float) -> np.ndarray:
     return np.array(sorted(grid))
 
 
-def _mo_block(states: np.ndarray) -> np.ndarray:
-    """The microwave-optical (modes 0 and 1) sub-states of a covariance stack."""
-    return states[..., :4, :4]
+def _platform_resources(dd: DriftDiffusion, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(E, S_ac_raw, S_ca_raw) of a platform's microwave-optical modes, each of shape (B, T).
 
-
-def _stacked(dd: DriftDiffusion) -> DriftDiffusion:
-    """A single drift/diffusion pair as a one-cell stack; a stack as it is."""
-    return dd if dd.a.ndim == 3 else DriftDiffusion(dd.a[None], dd.d[None])
+    The full system dd of B cells (a single pair is a one-cell stack) is
+    propagated exactly from the vacuum to times, of shape (T,) or (B, T), and
+    the resources of every state come from one two_mode_resources call on its
+    modes 0 and 1.
+    """
+    if dd.a.ndim == 2:
+        dd = DriftDiffusion(dd.a[None], dd.d[None])
+    states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), times)
+    return two_mode_resources(states[..., :4, :4])
 
 
 def _column(values: Any, count: int) -> list:
@@ -195,10 +199,9 @@ def _swept_chunks(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
         platform, chain, model = reduce_point(cfg.system, {**cfg.parameters, **columns})
         if full_drift_diffusion is None:
             return chain, model, None
-        dd = _stacked(full_drift_diffusion(platform, chain))
         taus = np.broadcast_to(characteristic_time(model), (len(chunk),))
-        states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), np.outer(taus, multiples))
-        return chain, model, two_mode_resources(_mo_block(states))
+        return chain, model, _platform_resources(full_drift_diffusion(platform, chain),
+                                                 np.outer(taus, multiples))
 
     for start in range(0, len(cells), CHUNK_CELLS):
         chunk = cells[start:start + CHUNK_CELLS]
@@ -240,9 +243,8 @@ def run_evolve(cfg: RunConfig) -> Table:
         columns += ["v11", "v44", "v14"]
         values = [grid, *effective_resources(model, grid)]
     else:
-        dd = _stacked(full_drift_diffusion(platform, chain))
-        data = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), grid)[0]
-        values = [grid, *two_mode_resources(_mo_block(data))]
+        resources = _platform_resources(full_drift_diffusion(platform, chain), grid)
+        values = [grid, *(column[0] for column in resources)]
     rows = [(t, e, s_ac, s_ca, regime.value, *v)
             for t, e, s_ac, s_ca, *v in zip(*(column.tolist() for column in values))]
     return Table(columns=tuple(columns), rows=tuple(rows))

@@ -29,6 +29,7 @@ from .dynamics import (
     analytic_effective_cm,
     build_effective_drift_diffusion,
     characteristic_time,
+    effective_resources,
     propagate_lti,
     squeeze_variances,
     steady_state,
@@ -437,6 +438,32 @@ def check_stationary_dual_route() -> CheckResult:
                        f"{len(models)} models, both regimes")
 
 
+def check_late_time_stationary() -> CheckResult:
+    """The closed-form evolve row at late time against the stationary closed forms.
+
+    The headline claim at machine precision: the covariance of a divergent
+    model grows without bound while its resources settle on the stationary
+    values. Divergent models (g^2/(ka kc) = 1.05 to 1e4) are taken at t =
+    600/mu, with mu = Omega - ka - kc the growth rate, so the covariance has
+    grown by ~e^600; stable ones (0.2 to 0.95) at t = 1e4, past every
+    transient. E, S_ac and S_ca of dynamics.effective_resources must equal
+    stationary_entanglement and stationary_steering to 1e-12.
+    """
+    worst, models = 0.0, 0
+    for ka, kc in ((1.0, 1.0), (0.5, 1.0), (1.2, 0.7)):
+        for ratio in (0.2, 0.6, 0.95, 1.05, 1.5, 4.0, 30.0, 1e4):
+            m = EffectiveModel(math.sqrt(ratio * ka * kc), ka, kc)
+            growth = math.hypot(2.0 * m.g_eff, ka - kc) - ka - kc
+            t = 600.0 / growth if classify_regime(m) is Regime.UNSTEADY else 1e4
+            e, s_ac, s_ca = (float(x[0]) for x in effective_resources(m, t)[:3])
+            worst = max(worst, abs(e - max(0.0, float(stationary_entanglement(m)))),
+                        abs(s_ac - float(stationary_steering(m, "ac"))),
+                        abs(s_ca - float(stationary_steering(m, "ca"))))
+            models += 1
+    return CheckResult("late-time-stationary", worst < 1e-12, worst, 1e-12,
+                       f"{models} models: divergent at growth e^600, stable at t = 1e4")
+
+
 def check_monotonicity_in_coupling() -> CheckResult:
     """E and positive raw steerings never decrease along a g^2 grid."""
     worst_drop = 0.0
@@ -587,9 +614,9 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_steering_bounded_by_entanglement, check_chain_specializations,
     check_coupling_sign_irrelevant, check_energy_shift_middle_modes,
     check_steady_state_residual, check_zeta_vs_squeezed_variance, check_stationary_dual_route,
-    check_monotonicity_in_coupling, check_boundary_continuity, check_region_vs_sign_pattern,
-    check_monogamy_on_trajectories, check_full_vs_effective, check_csv_round_trip,
-    check_region_row_order,
+    check_late_time_stationary, check_monotonicity_in_coupling, check_boundary_continuity,
+    check_region_vs_sign_pattern, check_monogamy_on_trajectories, check_full_vs_effective,
+    check_csv_round_trip, check_region_row_order,
 )
 
 

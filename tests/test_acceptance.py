@@ -56,6 +56,7 @@ from mochain.verify import (
     check_boundary_continuity,
     check_chain_specializations,
     check_full_vs_effective,
+    check_late_time_stationary,
     check_monogamy_on_trajectories,
     check_rk4_convergence,
     check_rotation_invariance,
@@ -114,6 +115,15 @@ def test_criterion_02b_dynamic_route_divergent_regime():
     print(f"\n[acceptance] criterion 02b FAIL (documented): "
           f"|E(2 tau) - E_inf| = {abs(e_dynamic - e_closed):.3e} vs 1e-3")
     assert abs(e_dynamic - e_closed) < 1e-3
+
+
+def test_criterion_02c_late_time_route_at_machine_precision():
+    # the transient of 02b is gone by e^600 growth: the evolve row equals the
+    # stationary closed forms there, in both regimes
+    result = check_late_time_stationary()
+    assert result.passed, result.line()
+    print(f"\n[acceptance] criterion 02c PASS: late-time E and S against the closed forms "
+          f"to {result.worst:.2e}; {result.detail}")
 
 
 def test_criterion_03_boundary_continuity():

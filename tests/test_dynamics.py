@@ -453,7 +453,7 @@ class TestPropagateLti:
 
 def stepped(dd: DriftDiffusion, v0: np.ndarray, times) -> np.ndarray:
     """States from stepping v <- Phi v Phi^T + Q along the grid in extended precision,
-    one Van Loan pair per interval: the oracle of the prefix composition."""
+    one Van Loan pair per interval, each taken alone: the oracle of propagate_lti's fold."""
     v, previous, states = v0.astype(np.longdouble), 0.0, []
     for t in times:
         if t > previous:
@@ -465,8 +465,8 @@ def stepped(dd: DriftDiffusion, v0: np.ndarray, times) -> np.ndarray:
     return (states + np.swapaxes(states, -1, -2)) / 2.0
 
 
-class TestPrefixComposition:
-    """The log-depth composition of propagate_lti against sequential stepping."""
+class TestSteppingFold:
+    """propagate_lti's fold along the grid equals sequential stepping bit for bit."""
 
     MODELS = (EffectiveModel(1.9923732904068676, 1.0, 1.0, n_a=0.1),
               EffectiveModel(0.5, 1.0, 0.4, n_a=1.0),
@@ -478,15 +478,10 @@ class TestPrefixComposition:
         times = np.sort(np.random.default_rng(5).uniform(0.0, 5.0 * tau, 36))
         return np.insert(times, 20, times[19])
 
-    @staticmethod
-    def assert_close(states, reference):
-        scale = np.maximum(1.0, np.max(np.abs(reference), axis=(-2, -1)))
-        assert np.all(np.max(np.abs(states - reference), axis=(-2, -1)) <= 1e-15 * scale)
-
     @pytest.mark.parametrize("system", ["effective", "comm-fig4"])
     def test_single_pair(self, system):
         # the platform's small entries would tell a repeated time's state
-        # from its predecessor's if the scan composed it again
+        # from its predecessor's if the fold moved it
         if system == "effective":
             model = self.MODELS[0]
             dd = build_effective_drift_diffusion(model)
@@ -497,7 +492,7 @@ class TestPrefixComposition:
         times = self.grid(characteristic_time(model))
         vacuum = CovarianceMatrix.vacuum(dd.modes)
         states = np.stack([s.data for s in propagate_lti(dd, vacuum, times)])
-        self.assert_close(states, stepped(dd, vacuum.data, times))
+        assert np.array_equal(states, stepped(dd, vacuum.data, times))
         assert np.array_equal(states[20], states[19])
 
     def test_three_cell_stack(self):
@@ -507,8 +502,18 @@ class TestPrefixComposition:
         batch = propagate_lti(stack(dds), v0, times)
         assert batch.shape == (3, 37, 4, 4)
         for dd, row, states in zip(dds, times, batch):
-            self.assert_close(states, stepped(dd, v0.data, row))
+            assert np.array_equal(states, stepped(dd, v0.data, row))
             assert np.array_equal(states[20], states[19])
+
+    def test_eom_fig3_uniform_grid(self):
+        # the platform evolve grid: 401 uniform samples to 5 tau, whose spans
+        # share a handful of distinct Van Loan pairs
+        params = EomParams(**EOM_FIG3)
+        dd = eom_full_drift_diffusion(params)
+        times = np.linspace(0.0, 5.0 * characteristic_time(reduce(eom_to_chain(params))), 401)
+        vacuum = CovarianceMatrix.vacuum(dd.modes)
+        states = np.stack([s.data for s in propagate_lti(dd, vacuum, times)])
+        assert np.array_equal(states, stepped(dd, vacuum.data, times))
 
 
 class TestBatchedPropagation:

@@ -233,6 +233,12 @@ class TestTwoModeResources:
         stack = np.stack([np.eye(4) / 2, np.eye(4) * 1e200])
         with pytest.raises(NumericError, match="^state 1: two-mode invariants left double range$"):
             two_mode_resources(stack)
+        # a thermal mode at n ~ 1e80 next to vacuum: nu^2 = 2 det v / (Gamma +
+        # sqrt(Gamma^2 - 4 det v)) reads 0 once Gamma^2 overflows, a range
+        # failure, not a violation of the uncertainty bound
+        stack = np.stack([np.eye(4) / 2, np.diag([1e80, 1e80, 0.5, 0.5])])
+        with pytest.raises(NumericError, match="^state 1: two-mode invariants left double range$"):
+            two_mode_resources(stack)
 
     def test_two_mode_dominance(self):
         # states with positive raw steering carry strictly more entanglement
