@@ -6,17 +6,18 @@ scalar equation (C. W. Gardiner and P. Zoller, Quantum Noise, Springer 2004,
 on the multivariate Ornstein-Uhlenbeck covariance), and its resources follow
 from that basis without cancellation. Every drift/diffusion pair (the 6x6 and
 8x8 full platform systems, and the effective model's for checks) is
-propagated exactly by propagate_lti, which steps the solution of dv/dt =
-A v + v A^T + D along a time grid from Van Loan's block exponential. The
+propagated exactly by propagate_lti, which takes the state of dv/dt = A v +
+v A^T + D at each time t straight from v0 with one pair (Phi(t), Q(t)) of
+Van Loan's block exponential, so every row depends only on (A, D, t). The
 block is never formed: its Taylor polynomial is evaluated on the n x n
 blocks by Paterson-Stockmeyer at a scale set by the drift alone, then
 doubled, with matrix products only (no linear solve), so the runtime needs
 numpy alone. It takes one DriftDiffusion, a single pair or a stack of pairs
-(the cells of a sweep chunk) that it propagates together, each cell
-bit-identical to its own single-pair call. Stable systems can also be
-solved directly for their stationary covariance. These are the production
-routes; the RK4 oracle that checks them lives in mochain.verify and is never
-on a command-line data path. All rates are in units of the reference frequency.
+(the cells of a sweep chunk), each row bit-identical to its own
+single-time, single-pair call. Stable systems can also be solved directly
+for their stationary covariance. These are the production routes; the RK4
+oracle that checks them lives in mochain.verify and is never on a
+command-line data path. All rates are in units of the reference frequency.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ TAYLOR18 = tuple(1.0 / math.factorial(j) for j in range(19))
 # The longest reach ||A||_1 h of one Van Loan pair: its k <= 33 doublings amplify
 # the start pair's rounding u = 2^-53 by ~||A||_1 h, to at most u ||A||_1 h = 2^-20.
 MAX_REACH = 2.0**33
+# Rows (cell, time) whose Van Loan pairs propagate_lti takes in one stack, each
+# block's states built after its pairs: a long grid holds one block at a time.
+ROW_BLOCK = 256
 # math.hypot, elementwise. numpy's hypot differs from it in the last bit on
 # ~0.5% of inputs; tau keeps math.hypot's rounding because an evolve grid
 # holds tau and 2 tau as rows, and a 1-ulp shift can add or merge one.
@@ -256,9 +260,10 @@ def _van_loan_pair(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Phi = e^{Ah} and Q = int_0^h e^{As} D e^{A^T s} ds for a stack of cells.
 
-    a and d have shape (B, n, n) and the spans h > 0 shape (B,). Each cell
-    starts at h / 2^k, with k the smallest integer such that ||A||_1 h / 2^k
-    <= 1, from X = A h / 2^k and Y = D h / 2^k: the degree-18 Taylor
+    a and d have shape (B, n, n) and h >= 0, each a row's time, shape (B,);
+    h = 0 gives (I, 0) exactly. Each cell starts at h / 2^k, with k the
+    smallest integer such that ||A||_1 h / 2^k <= 1, from X = A h / 2^k and
+    Y = D h / 2^k: the degree-18 Taylor
     polynomial of Van Loan's block N = [[-X, Y], [0, X^T]] is evaluated on
     its n x n blocks by Paterson-Stockmeyer with s = 4 (M. S. Paterson and L.
     J. Stockmeyer, SIAM J. Comput. 2(1), 1973). Phi comes from the powers of
@@ -271,7 +276,7 @@ def _van_loan_pair(
     times that in T, as ||X^T||_1 <= n ||X||_1; the platforms' drifts have
     ||A^T||_1 = ||A||_1). The pair is then doubled k times, (Phi, Q) <-
     (Phi^2, Phi Q Phi^T + Q), all cells in lockstep, a cell keeping its pair
-    after its own k. Taking the block over the whole span instead cancels
+    after its own k. Taking the block over a row's whole time instead cancels
     catastrophically in Q, because e^{-Ah} grows when A is stable.
 
     The doublings run in double: they amplify the error of the double
@@ -315,34 +320,34 @@ def propagate_lti(
 ) -> list[CovarianceMatrix] | NDArray[np.float64]:
     """Exact covariance at each requested time, starting from v(0) = v0.
 
-    Each interval maps v -> Phi v Phi^T + Q, with (Phi, Q) of each cell and
-    distinct interval length from Van Loan's block exponential (C. F. Van
-    Loan, IEEE TAC 23(3):395-404, 1978), taken at h / 2^k and doubled k times
-    (_van_loan_pair), and (I, 0) for a zero interval; no fixed point is
-    involved, so the critical coupling is no special case. The maps are
-    applied in turn along the grid, all cells together: each column's state
-    is its map of the previous column's (of v0 for the first). A repeated
-    time maps by (I, 0) and so returns its predecessor's state exactly.
+    Each row (cell, t) gets its own pair (Phi(t), Q(t)) of Van Loan's block
+    exponential (C. F. Van Loan, IEEE TAC 23(3):395-404, 1978; C. Moler and
+    C. Van Loan, SIAM Review 45(1), 2003), taken at t / 2^k and doubled k
+    times (_van_loan_pair), and its state is Phi v0 Phi^T + Q in one step.
+    No fixed point is involved, so the critical coupling is no special case,
+    and no row reads another: a row depends only on its cell's (A, D) and
+    its time, so a repeated time gives the same state and t = 0 gives v0.
     Times must be finite, non-negative and non-decreasing.
 
     One drift/diffusion pair with times of shape (T,) gives the list of T
     states. A stacked pair of B cells (all started from v0) with times of
     shape (B, T), or (T,) shared by every cell, gives the symmetrized
-    covariances as one array of shape (B, T, 2M, 2M); every cell's states are
-    bit-identical to propagating that cell alone. Raises
+    covariances as one array of shape (B, T, 2M, 2M); every row is
+    bit-identical to a single-time call on that cell alone. Raises
     CovarianceOverflowError, naming the first time (and the first cell of a
     stack at that time) at which a state leaves double range, and
-    NumericError, naming the first cell's shortest span h whose reach
-    ||A||_1 h exceeds MAX_REACH = 2^33: its doublings would amplify the
-    rounding u = 2^-53 of the start pair past u ||A||_1 h = 2^-20. The
+    NumericError, naming the first cell's shortest span t whose reach
+    ||A||_1 t exceeds MAX_REACH = 2^33: its doublings would amplify the
+    rounding u = 2^-53 of the start pair past u ||A||_1 t = 2^-20. The
     benchmark, demo and EOM rows to 40 tau reach less than 1e6.
 
-    The stepping runs in extended precision (np.longdouble; plain double
-    where the platform has no wider type), while (Phi, Q) are double. In the
-    divergent regime the covariance grows to ~1e8 while the resources depend
-    on its O(1) squeezed part, and double rounding at every step of a fine
-    grid accumulates there: on a 401-point grid to 5 tau it moved the
-    log-negativity by 1.2e-6.
+    The combining step runs in extended precision (np.longdouble; plain
+    double where the platform has no wider type), while (Phi, Q) are double.
+    In the divergent regime the covariance grows to ~1e9 while the resources
+    depend on its O(1) squeezed part, which Phi v0 Phi^T + Q reaches only by
+    cancellation: on a 401-point grid to 5 tau of a divergent thermal model,
+    the squeezed variance is 5.4e-8 off (relative) at row 397 with the step
+    in long double and 5.4e-7 with it in double.
     """
     if v0.modes != dd.modes:
         raise ValueError("initial state and drift matrix disagree on mode count")
@@ -356,33 +361,27 @@ def propagate_lti(
         times = np.broadcast_to(times, (cells, len(times)))
     if times.ndim != 2 or times.shape[0] != cells or not np.all(np.isfinite(times)):
         raise ValueError("times must be finite, of shape (T,) or one row of T per cell")
-    spans = np.diff(times, axis=1, prepend=0.0)
-    if np.any(spans < 0.0):
+    if np.any(np.diff(times, axis=1, prepend=0.0) < 0.0):
         raise ValueError("times must be non-negative and non-decreasing")
 
-    # one Van Loan pair per cell and distinct interval length, found as the distinct
-    # keys cell + i span (exact in complex128); a zero span keeps (I, 0)
-    moving = spans > 0.0
-    keys, pair = np.unique(np.nonzero(moving)[0] + 1j * spans[moving], return_inverse=True)
-    owner = keys.real.astype(int)
-    reach = _norm1(a)[owner] * keys.imag
+    # one row per (cell, time), cell-major; a row's time is its span from v0
+    cell_of, span = np.repeat(np.arange(cells), times.shape[1]), times.ravel()
+    reach = _norm1(a)[cell_of] * span
     if np.any(reach > MAX_REACH):
-        key = int(np.argmax(reach > MAX_REACH))  # the first cell's shortest such span
-        where = f" in cell {owner[key]}" if cells > 1 else ""
-        raise NumericError(f"span {keys.imag[key]:g}{where} is past the doubling bound "
-                           f"u ||A||_1 h <= 2^-20 (||A||_1 h = {reach[key]:.3g})")
-    phi_h, q_h = _van_loan_pair(a[owner], d[owner], keys.imag)
-    # allocated after the pairs, in the heap their temporaries left: no growth per chunk
-    columns, n = times.shape[1], a.shape[-1]
-    phi = np.broadcast_to(np.eye(n, dtype=np.longdouble), (cells, columns, n, n)).copy()
-    q = np.zeros_like(phi)
-    phi[moving], q[moving] = phi_h[pair], q_h[pair]
-
+        row = int(np.argmax(reach > MAX_REACH))  # the first cell's shortest such span
+        where = f" in cell {cell_of[row]}" if cells > 1 else ""
+        raise NumericError(f"span {span[row]:g}{where} is past the doubling bound "
+                           f"u ||A||_1 h <= 2^-20 (||A||_1 h = {reach[row]:.3g})")
+    v = v0.data.astype(np.longdouble)
+    blocks = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
-        state = v0.data.astype(np.longdouble)
-        for j in range(columns):
-            state = q[:, j] = phi[:, j] @ state @ np.swapaxes(phi[:, j], -1, -2) + q[:, j]
-        data = q.astype(float)
+        for start in range(0, len(span), ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            phi, q = _van_loan_pair(a[cell_of[rows]], d[cell_of[rows]], span[rows])
+            phi = phi.astype(np.longdouble)
+            blocks.append((phi @ v @ np.swapaxes(phi, -1, -2) + q).astype(float))
+    data = (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).reshape(
+        *times.shape, *a.shape[-2:])
     bad = ~np.all(np.isfinite(data), axis=(-2, -1))
     if np.any(bad):
         column, cell = divmod(int(np.argmax(bad.T)), cells)  # first column, then first cell

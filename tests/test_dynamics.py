@@ -404,8 +404,10 @@ class TestPropagateLti:
 
     def test_fine_grid_keeps_squeezed_quadrature(self):
         # divergent thermal model over 5 tau: entries reach ~1e9 while the
-        # squeezed variance is 0.18; double rounding at each of the 400 steps
-        # leaves ~9e-7 relative error there, extended precision ~1e-7
+        # squeezed variance is 0.18; each row's one combining step in extended
+        # precision leaves 5.4e-8 (row 397) and 1.08e-7 (row 400) relative
+        # error there, the same step in double 5.4e-7 (row 397), and a long-double fold
+        # over the grid 1.08e-7 and 2.17e-7
         mp = pytest.importorskip("mpmath")
         if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
             pytest.skip("no extended precision type on this platform")
@@ -428,7 +430,7 @@ class TestPropagateLti:
                 variances, directions = mp.eigsy((exact + exact.T) / 2)
                 u = directions[:, 0]
                 error = (u.T * (mp.matrix(states[index].data.tolist()) - exact) * u)[0]
-                assert abs(error) < 3e-7 * variances[0]
+                assert abs(error) < 2e-7 * variances[0]
 
     def test_repeated_time_returns_same_state(self):
         dd = build_effective_drift_diffusion(UNSTEADY)
@@ -453,7 +455,8 @@ class TestPropagateLti:
 
 def stepped(dd: DriftDiffusion, v0: np.ndarray, times) -> np.ndarray:
     """States from stepping v <- Phi v Phi^T + Q along the grid in extended precision,
-    one Van Loan pair per interval, each taken alone: the oracle of propagate_lti's fold."""
+    one Van Loan pair per interval, each taken alone: an oracle that composes the
+    grid's intervals instead of spanning each time from v0."""
     v, previous, states = v0.astype(np.longdouble), 0.0, []
     for t in times:
         if t > previous:
@@ -465,8 +468,20 @@ def stepped(dd: DriftDiffusion, v0: np.ndarray, times) -> np.ndarray:
     return (states + np.swapaxes(states, -1, -2)) / 2.0
 
 
-class TestSteppingFold:
-    """propagate_lti's fold along the grid equals sequential stepping bit for bit."""
+def assert_near_stepped(states, dd, v0, times):
+    """Each state within 1e-10 relative (max norm) of the stepping oracle's."""
+    oracle = stepped(dd, v0, times)
+    error = np.max(np.abs(states - oracle), axis=(-2, -1))
+    assert np.all(error <= 1e-10 * np.max(np.abs(oracle), axis=(-2, -1)))
+
+
+def single_calls(dd: DriftDiffusion, v0: CovarianceMatrix, times) -> np.ndarray:
+    """Each time's state from its own single-time call."""
+    return np.stack([propagate_lti(dd, v0, [t])[0].data for t in times])
+
+
+class TestRowIndependence:
+    """Every row of propagate_lti depends only on its cell's (A, D) and its time."""
 
     MODELS = (EffectiveModel(1.9923732904068676, 1.0, 1.0, n_a=0.1),
               EffectiveModel(0.5, 1.0, 0.4, n_a=1.0),
@@ -480,8 +495,6 @@ class TestSteppingFold:
 
     @pytest.mark.parametrize("system", ["effective", "comm-fig4"])
     def test_single_pair(self, system):
-        # the platform's small entries would tell a repeated time's state
-        # from its predecessor's if the fold moved it
         if system == "effective":
             model = self.MODELS[0]
             dd = build_effective_drift_diffusion(model)
@@ -492,8 +505,9 @@ class TestSteppingFold:
         times = self.grid(characteristic_time(model))
         vacuum = CovarianceMatrix.vacuum(dd.modes)
         states = np.stack([s.data for s in propagate_lti(dd, vacuum, times)])
-        assert np.array_equal(states, stepped(dd, vacuum.data, times))
+        assert np.array_equal(states, single_calls(dd, vacuum, times))
         assert np.array_equal(states[20], states[19])
+        assert_near_stepped(states, dd, vacuum.data, times)
 
     def test_three_cell_stack(self):
         dds = [build_effective_drift_diffusion(m) for m in self.MODELS]
@@ -502,18 +516,30 @@ class TestSteppingFold:
         batch = propagate_lti(stack(dds), v0, times)
         assert batch.shape == (3, 37, 4, 4)
         for dd, row, states in zip(dds, times, batch):
-            assert np.array_equal(states, stepped(dd, v0.data, row))
+            assert np.array_equal(states, single_calls(dd, v0, row))
             assert np.array_equal(states[20], states[19])
+            assert_near_stepped(states, dd, v0.data, row)
 
     def test_eom_fig3_uniform_grid(self):
-        # the platform evolve grid: 401 uniform samples to 5 tau, whose spans
-        # share a handful of distinct Van Loan pairs
+        # the platform evolve grid: 401 uniform samples to 5 tau; a row taken
+        # from the grid's earlier rows would differ from its own call in the
+        # last bits (the stepping oracle is 3.3e-11 away)
         params = EomParams(**EOM_FIG3)
         dd = eom_full_drift_diffusion(params)
         times = np.linspace(0.0, 5.0 * characteristic_time(reduce(eom_to_chain(params))), 401)
         vacuum = CovarianceMatrix.vacuum(dd.modes)
         states = np.stack([s.data for s in propagate_lti(dd, vacuum, times)])
-        assert np.array_equal(states, stepped(dd, vacuum.data, times))
+        assert np.array_equal(states, single_calls(dd, vacuum, times))
+        assert_near_stepped(states, dd, vacuum.data, times)
+
+    def test_row_blocks_straddle_cells(self, monkeypatch):
+        # 10 rows in blocks of 3: blocks cross the cell boundary, one row is left over
+        dds = stack([build_effective_drift_diffusion(m) for m in self.MODELS[:2]])
+        times = np.array([[0.0, 0.7, 1.5, 1.5, 4.0], [0.2, 0.9, 2.5, 3.0, 6.0]])
+        v0 = CovarianceMatrix.vacuum(2)
+        default = propagate_lti(dds, v0, times)
+        monkeypatch.setattr(dynamics, "ROW_BLOCK", 3)
+        assert np.array_equal(propagate_lti(dds, v0, times), default)
 
 
 class TestBatchedPropagation:
