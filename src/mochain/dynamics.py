@@ -296,7 +296,7 @@ def _van_loan_pair(
     f4 = x2f2 - np.swapaxes(x2f2, -1, -2)
     phi, t = c[16] * eye + c[17] * x + c[18] * x2, c[17] * y + c[18] * f2
     for j in (12, 8, 4, 0):
-        t = (x4 @ t + f4 @ np.swapaxes(phi, -1, -2)
+        t = (x4 @ t + f4 @ np.ascontiguousarray(np.swapaxes(phi, -1, -2))
              + (c[j + 1] * y + c[j + 2] * f2 + c[j + 3] * f3))
         phi = x4 @ phi + (c[j] * eye + c[j + 1] * x + c[j + 2] * x2 + c[j + 3] * x3)
     q = phi @ t
@@ -317,6 +317,7 @@ def propagate_lti(
     dd: DriftDiffusion,
     v0: CovarianceMatrix,
     times: ArrayLike,
+    modes: int | None = None,
 ) -> list[CovarianceMatrix] | NDArray[np.float64]:
     """Exact covariance at each requested time, starting from v(0) = v0.
 
@@ -333,16 +334,22 @@ def propagate_lti(
     states. A stacked pair of B cells (all started from v0) with times of
     shape (B, T), or (T,) shared by every cell, gives the symmetrized
     covariances as one array of shape (B, T, 2M, 2M); every row is
-    bit-identical to a single-time call on that cell alone. Raises
-    CovarianceOverflowError, naming the first time (and the first cell of a
-    stack at that time) at which a state leaves double range, and
+    bit-identical to a single-time call on that cell alone. modes = m, an
+    integer from 1 to M (default M), keeps the leading m modes: each state is
+    then 2m x 2m, bit for bit the leading block of the full state, as only
+    Phi's leading 2m rows and Q's leading block enter the combining step.
+    Raises CovarianceOverflowError, naming the first time (and the first cell
+    of a stack at that time) at which a state leaves double range, and
     NumericError, naming the first cell's shortest span t whose reach
     ||A||_1 t exceeds MAX_REACH = 2^33: its doublings would amplify the
     rounding u = 2^-53 of the start pair past u ||A||_1 t = 2^-20. The
     benchmark, demo and EOM rows to 40 tau reach less than 1e6.
 
     The combining step runs in extended precision (np.longdouble; plain
-    double where the platform has no wider type), while (Phi, Q) are double.
+    double where the platform has no wider type), while (Phi, Q) are double;
+    as numpy has no BLAS for long double, it runs only on the kept block.
+    Overflow is checked on the returned states alone: an inf or nan anywhere
+    in an earlier doubling reaches the kept rows of Phi and Q as inf or nan.
     In the divergent regime the covariance grows to ~1e9 while the resources
     depend on its O(1) squeezed part, which Phi v0 Phi^T + Q reaches only by
     cancellation: on a 401-point grid to 5 tau of a divergent thermal model,
@@ -351,6 +358,11 @@ def propagate_lti(
     """
     if v0.modes != dd.modes:
         raise ValueError("initial state and drift matrix disagree on mode count")
+    if modes is None:
+        modes = dd.modes
+    if not isinstance(modes, (int, np.integer)) or not 1 <= modes <= dd.modes:
+        raise ValueError(f"modes must be an integer from 1 to {dd.modes}, got {modes!r}")
+    kept = 2 * int(modes)
     single = dd.a.ndim == 2
     a, d = (dd.a[None], dd.d[None]) if single else (dd.a, dd.d)
     cells = len(a)
@@ -378,10 +390,11 @@ def propagate_lti(
         for start in range(0, len(span), ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             phi, q = _van_loan_pair(a[cell_of[rows]], d[cell_of[rows]], span[rows])
-            phi = phi.astype(np.longdouble)
-            blocks.append((phi @ v @ np.swapaxes(phi, -1, -2) + q).astype(float))
+            phi = phi[:, :kept].astype(np.longdouble)
+            state = phi @ v @ np.swapaxes(phi, -1, -2) + q[:, :kept, :kept]
+            blocks.append(state.astype(float))
     data = (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).reshape(
-        *times.shape, *a.shape[-2:])
+        *times.shape, kept, kept)
     bad = ~np.all(np.isfinite(data), axis=(-2, -1))
     if np.any(bad):
         column, cell = divmod(int(np.argmax(bad.T)), cells)  # first column, then first cell

@@ -189,10 +189,12 @@ def two_mode_resources(
 
     Raises NumericError when an invariant leaves double range (nu^2, Gamma^2,
     its counterpart for v itself and the blocks' squared norms are checked
-    before anything reads them) or a steerer block has a condition number
-    above 1e12, UnphysicalStateError when a state's smallest symplectic
-    eigenvalue is below 1/2 - PHYSICALITY_TOL, and ValueError on non-finite
-    entries; each error names the flat position of the first offending state.
+    before anything reads them), det v is negative (a covariance whose
+    precision is lost, so not positive definite) or a steerer block has a
+    condition number above 1e12, UnphysicalStateError when a state's smallest
+    symplectic eigenvalue is below 1/2 - PHYSICALITY_TOL, and ValueError on
+    non-finite entries; each error names the flat position of the first
+    offending state.
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-2:] != (4, 4):
@@ -212,6 +214,12 @@ def two_mode_resources(
         nu2 = 2.0 * det_v / (delta + np.sqrt(np.maximum(delta2 - 4.0 * det_v, 0.0)))
         frob2_a, frob2_c = (np.sum(block * block, axis=(-2, -1)) for block in (va, vc))
         _require_finite(nu2, delta2, gamma2, frob2_a, frob2_c)
+        # a negative det v is lost precision, not a state below the uncertainty bound
+        indefinite = det_v < 0.0
+        if np.any(indefinite):
+            i = _first_index(indefinite)
+            raise NumericError(f"state {i}: covariance is not positive definite "
+                               f"(det v = {det_v.reshape(-1)[i]:.3e})")
         unphysical = ~(np.sqrt(nu2) >= 0.5 - PHYSICALITY_TOL)
         if np.any(unphysical):
             i = _first_index(unphysical)

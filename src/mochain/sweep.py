@@ -55,8 +55,11 @@ from .stationary import stationary_entanglement, stationary_steering, steering_r
 # Cells propagated and evaluated together: large enough that the per-call
 # overhead of the stacked linear algebra is spread thin, small enough that a
 # chunk's drift and state stacks stay a few hundred kB (the whole 50 x 50
-# region grid stacked at once raised the peak RSS by ~30 MB).
-CHUNK_CELLS = 64
+# region grid stacked at once raised the peak RSS by ~30 MB). On the 50 x 50
+# COMM map (perfbench region-comm) the peak RSS was 62.3-62.5 MB at 128 cells
+# and 63.7-64.1 MB at 256, which ran no faster; a 128-cell compare chunk is
+# one ROW_BLOCK of 256 rows.
+CHUNK_CELLS = 128
 # Rows formatted and written together by write_csv: enough to spread its
 # per-column pass thin, few enough that a block's text stays ~100 kB however
 # large the table (the whole text of a 200 x 200 region map is ~12 MB).
@@ -155,14 +158,14 @@ def _platform_resources(dd: DriftDiffusion, times: np.ndarray) -> tuple[np.ndarr
     """(E, S_ac_raw, S_ca_raw) of a platform's microwave-optical modes, each of shape (B, T).
 
     The full system dd of B cells (a single pair is a one-cell stack) is
-    propagated exactly from the vacuum to times, of shape (T,) or (B, T), and
-    the resources of every state come from one two_mode_resources call on its
-    modes 0 and 1.
+    propagated exactly from the vacuum to times, of shape (T,) or (B, T), as
+    the states of its modes 0 and 1 alone, and the resources of every state
+    come from one two_mode_resources call.
     """
     if dd.a.ndim == 2:
         dd = DriftDiffusion(dd.a[None], dd.d[None])
-    states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), times)
-    return two_mode_resources(states[..., :4, :4])
+    states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), times, modes=2)
+    return two_mode_resources(states)
 
 
 def _column(values: Any, count: int) -> list:

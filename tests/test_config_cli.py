@@ -581,6 +581,19 @@ class TestCli:
             assert abs(table.column("E")[i] - e_inf) < 1e-9
             assert abs(table.column("S_ac_raw")[i] - s_ac_inf) < 1e-9
 
+    def test_lost_precision_is_a_numeric_failure(self, tmp_path, capsys):
+        # EOM Fig-3 at 12 tau: the microwave-optical block comes out with
+        # det v ~ -1.9e26, a covariance that lost its precision, not a state
+        # below the uncertainty bound
+        raw = {"system": "eom", "parameters": dict(EOM_FIG3),
+               "times": {"t_end_in_tau": 40.0, "samples": 41}}
+        config_path = tmp_path / "eom40.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["evolve", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        self.assert_one_line(err, "error: ")
+        assert err.startswith("error: state 12: covariance is not positive definite (det v = -")
+
     @staticmethod
     def assert_one_line(err: str, prefix: str) -> None:
         assert err.startswith(prefix) and err.count("\n") == 1

@@ -596,13 +596,15 @@ class TestBatchedPropagation:
                           CovarianceMatrix.vacuum(2), [1.0])
 
     @pytest.mark.filterwarnings("error")
-    def test_overflow_names_the_cell(self):
+    @pytest.mark.parametrize("modes", [None, 1, 2])
+    def test_overflow_names_the_cell(self, modes):
         # the (Phi, Q) pair of the 90-unit span overflows double in its
-        # doublings; that is reported as the state's overflow, with no warning
+        # doublings; that is reported as the state's overflow, with no
+        # warning, whichever modes the states keep
         dds = [build_effective_drift_diffusion(STEADY),
                build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))]
         with pytest.raises(CovarianceOverflowError, match="t = 100 in cell 1"):
-            propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [10.0, 100.0])
+            propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [10.0, 100.0], modes=modes)
 
     def test_span_past_the_doubling_bound_is_named(self):
         # ||A||_1 h = 1.00001e10 > 2^33: 34 doublings would amplify the start
@@ -611,6 +613,45 @@ class TestBatchedPropagation:
                build_effective_drift_diffusion(EffectiveModel(1e10, 0.01, 0.01))]
         with pytest.raises(NumericError, match=r"^span 1 in cell 1 is past the doubling bound"):
             propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [1.0])
+
+
+class TestKeptModes:
+    """modes = m gives each state's leading 2m x 2m block, bit for bit."""
+
+    def test_single_eom_pair_on_a_long_grid(self):
+        params = EomParams(**EOM_FIG3)
+        dd = eom_full_drift_diffusion(params)
+        times = np.linspace(0.0, 5.0 * characteristic_time(reduce(eom_to_chain(params))), 401)
+        vacuum = CovarianceMatrix.vacuum(dd.modes)
+        full = propagate_lti(dd, vacuum, times)
+        kept = propagate_lti(dd, vacuum, times, modes=2)
+        assert len(kept) == len(full) == 401
+        for block, state in zip(kept, full):
+            assert np.array_equal(block.data, state.data[:4, :4])
+
+    def test_comm_stack_with_times_per_cell(self):
+        _, _, dds, taus = TestBatchedPropagation.comm_grid()
+        vacuum = CovarianceMatrix.vacuum(4)
+        times = np.array([[0.0, tau, 2.0 * tau] for tau in taus])
+        full = propagate_lti(stack(dds), vacuum, times)
+        for modes in (1, 2, 3):
+            kept = propagate_lti(stack(dds), vacuum, times, modes=modes)
+            assert kept.shape == (35, 3, 2 * modes, 2 * modes)
+            assert np.array_equal(kept, full[..., :2 * modes, :2 * modes])
+
+    def test_every_mode_of_an_effective_pair_is_the_full_state(self):
+        dd = build_effective_drift_diffusion(UNSTEADY)
+        v0 = CovarianceMatrix(np.diag([0.5, 0.5, 1.5, 1.5]))
+        times = [0.0, 0.7, 1.5, 4.0]
+        for full, kept in zip(propagate_lti(dd, v0, times),
+                              propagate_lti(dd, v0, times, modes=2)):
+            assert np.array_equal(kept.data, full.data)
+
+    @pytest.mark.parametrize("modes", [0, 3, -1, 2.0, "2"])
+    def test_modes_out_of_range_or_not_an_integer(self, modes):
+        dd = build_effective_drift_diffusion(STEADY)
+        with pytest.raises(ValueError, match="modes must be an integer from 1 to 2"):
+            propagate_lti(dd, CovarianceMatrix.vacuum(2), [1.0], modes=modes)
 
 
 def scipy_pair(a, d, h):

@@ -223,6 +223,13 @@ class TestTwoModeResources:
         with pytest.raises(UnphysicalStateError, match="state 2"):
             two_mode_resources(stack)
 
+    def test_indefinite_state_in_batch_is_a_numeric_failure(self):
+        # det v < 0: precision lost upstream, not a state below the uncertainty bound
+        stack = np.stack([np.eye(4) / 2, np.diag([0.5, 0.5, 0.5, -0.5])])
+        with pytest.raises(NumericError,
+                           match=r"^state 1: covariance is not positive definite \(det v = -"):
+            two_mode_resources(stack)
+
     def test_singular_steerer_in_batch_is_named(self):
         # physical (det v_a = 1) but the a block has condition number 1e14
         stack = np.stack([np.eye(4) / 2, np.diag([1e7, 1e-7, 0.5, 0.5])])
