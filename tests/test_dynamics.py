@@ -596,11 +596,19 @@ class TestBatchedPropagation:
                           CovarianceMatrix.vacuum(2), [1.0])
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("modes", [None, 1, 2])
-    def test_overflow_names_the_cell(self, modes):
+    def test_overflow_names_the_cell(self):
         # the (Phi, Q) pair of the 90-unit span overflows double in its
-        # doublings; that is reported as the state's overflow, with no
-        # warning, whichever modes the states keep
+        # doublings; that is reported as the state's overflow, with no warning
+        dds = [build_effective_drift_diffusion(STEADY),
+               build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))]
+        with pytest.raises(CovarianceOverflowError, match="t = 100 in cell 1"):
+            propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [10.0, 100.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_overflow_names_the_cell_with_modes(self, modes):
+        # the overflow reaches the kept block too, so it is named the same
+        # whichever modes the states keep
         dds = [build_effective_drift_diffusion(STEADY),
                build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))]
         with pytest.raises(CovarianceOverflowError, match="t = 100 in cell 1"):
