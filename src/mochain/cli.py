@@ -6,11 +6,17 @@ property suite and exits nonzero when any check fails. A configuration error,
 an unreadable config file included, exits with 2 and any other library error,
 or an output that cannot be written, with 3, each as one `config error:` or
 `error:` line on stderr.
+
+One argparse parser serves every main call of a process: it is built on the
+first call and kept, and each call parses its own arguments into a fresh
+namespace, so a process that runs many commands (a job loop) does not
+rebuild it per command.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -27,7 +33,9 @@ def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
                         help="output format (default: config outputs.format, else csv)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (cached)."""
     parser = argparse.ArgumentParser(
         prog="mochain",
         description="Microwave-optical quantum resources in chain-coupled hybrid systems",

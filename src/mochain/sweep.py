@@ -175,8 +175,14 @@ def _column(values: Any, count: int) -> list:
 
 
 def _labels(members: Any, count: int) -> list[str]:
-    """The values of a chunk's (B,) enum labels (Regime, SteeringRegion), as _column."""
-    return [member.value for member in _column(members, count)]
+    """The values of a chunk's (B,) enum labels (Regime, SteeringRegion), as _column.
+
+    Each cell's value is looked up in one member-to-value dict of the enum,
+    not read through the enum's value descriptor cell by cell.
+    """
+    members = _column(members, count)
+    value = {member: member.value for member in type(members[0])}
+    return list(map(value.__getitem__, members))
 
 
 def _swept_chunks(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
@@ -248,8 +254,8 @@ def run_evolve(cfg: RunConfig) -> Table:
     else:
         resources = _platform_resources(full_drift_diffusion(platform, chain), grid)
         values = [grid, *(column[0] for column in resources)]
-    rows = [(t, e, s_ac, s_ca, regime.value, *v)
-            for t, e, s_ac, s_ca, *v in zip(*(column.tolist() for column in values))]
+    values = [column.tolist() for column in values]
+    rows = zip(*values[:4], itertools.repeat(regime.value), *values[4:])
     return Table(columns=tuple(columns), rows=tuple(rows))
 
 

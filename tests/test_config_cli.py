@@ -1,6 +1,8 @@
 """Config schema validation, sweep operations, CSV/JSON output, CLI wiring, package surface."""
 
+import argparse
 import ast
+import gc
 import json
 import math
 import subprocess
@@ -656,6 +658,66 @@ class TestCli:
         config_path.write_text(json.dumps(raw))
         assert main(["evolve", "--config", str(config_path)]) == 0
         assert out_path.exists()
+
+
+class TestParsesAreIndependent:
+    """main parses with one parser per process, and no call's arguments reach the next."""
+
+    def test_format_and_out_do_not_carry_over(self, tmp_path):
+        csv_path = tmp_path / "from_config.csv"
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config_with(times={"samples": 3},
+                                                      outputs={"path": str(csv_path)})))
+        json_path = tmp_path / "flagged.json"
+        assert main(["evolve", "--config", str(config_path), "--out", str(json_path),
+                     "--format", "json"]) == 0
+        assert main(["evolve", "--config", str(config_path)]) == 0
+        assert isinstance(json.loads(json_path.read_text()), list)
+        assert csv_path.read_text().startswith("t,E,S_ac_raw")
+        assert len(parse_csv(csv_path.read_text()).rows) == 3
+
+    def test_failed_parse_does_not_carry_over(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as failed:
+            main(["bogus"])
+        assert failed.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config_with(times={"samples": 3})))
+        assert main(["evolve", "--config", str(config_path),
+                     "--out", str(tmp_path / "out.csv")]) == 0
+
+    def test_parser_is_built_at_most_once(self, tmp_path, monkeypatch):
+        built, construct = [], argparse.ArgumentParser.__init__
+
+        def spy(parser, *args, **kwargs):
+            if kwargs.get("prog") == "mochain":  # the top-level parser, not a subcommand's
+                built.append(parser)
+            construct(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config_with(times={"samples": 3})))
+        for i in range(4):
+            assert main(["evolve", "--config", str(config_path),
+                         "--out", str(tmp_path / f"out{i}.csv")]) == 0
+        assert len(built) <= 1
+
+    def test_data_job_leaves_no_cyclic_garbage(self, tmp_path):
+        raw = {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
+            "axis1": {"name": "g_a", "min": 0.08, "max": 0.16, "points": 2}}}
+        config_path = tmp_path / "compare.json"
+        config_path.write_text(json.dumps(raw))
+        argv = ["compare", "--config", str(config_path), "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 0  # warm-up: lazily built state is not garbage
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestOracleStaysOut:
