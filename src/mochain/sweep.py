@@ -121,11 +121,12 @@ def render(table: Table, fmt: str = "csv") -> str:
 
 
 def write_output(table: Table, path: str | None, fmt: str = "csv") -> None:
+    write = write_csv if fmt == "csv" else write_json
     if path is None:
-        write_csv(table, sys.stdout) if fmt == "csv" else write_json(table, sys.stdout)
+        write(table, sys.stdout)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        (write_csv if fmt == "csv" else write_json)(table, handle)
+        write(table, handle)
 
 
 def parse_csv(text: str) -> Table:

@@ -1,24 +1,27 @@
 """Concrete platforms hosting the microwave-optical chain, and the system registry.
 
-Two builders are provided: the electro-optomechanical system (a mechanical
+Two platforms are provided: the electro-optomechanical system (a mechanical
 mode bridges the microwave and optical cavities, one intermediary) and the
 cavity optomagnomechanical system (a magnon mode couples the microwave cavity
 to the mechanics, which drives the optical cavity: two intermediaries). Each
 maps onto the general chain parameters with one ChainParams construction
 (delta_c = None, so the chain itself resolves the matched optical detuning),
-and each exposes the full linearized drift/diffusion pair for the numeric
-route that validates the reduction. Every parameter field may be a float or
-a (B,) array over the cells of a sweep chunk: the checks, the chain mapping
-and the builders then work on all cells at once, and a builder returns the
-stacked (B, 2M, 2M) pair, one 2M x 2M pair being the all-float case.
+and derives its full linearized drift/diffusion pair, for the numeric route
+that validates the reduction, from that mapping alone: one builder,
+chain_full_drift_diffusion, writes the dynamics of any chain. Every
+parameter field may be a float or a (B,) array over the cells of a sweep
+chunk: the checks, the chain mapping and the builder then work on all cells
+at once, and the builder returns the stacked (B, 2M, 2M) pair, one 2M x 2M
+pair being the all-float case.
 
 SYSTEMS names every system a run configuration can select (the effective
 model, the general chain and the two platforms) and holds, for each, its
 parameter dataclass, its chain mapping and its full dynamics. The config
 schema and the sweep operations read everything system-specific from it, so
-a new platform is one parameter dataclass, two functions and one entry.
-EOM_FIG3 and COMM_FIG4 are the read-only reference parameter points of the
-paper's figures 3 and 4, shared by the demos, the verify suite and the tests.
+a new platform is one parameter dataclass, its chain mapping and one entry,
+with no drift to write. EOM_FIG3 and COMM_FIG4 are the read-only reference
+parameter points of the paper's figures 3 and 4, shared by the demos, the
+verify suite and the tests.
 
 Mode ordering of the full systems is always (a, c, intermediaries), so the
 microwave-optical sub-state is rows/columns 0..3 of the covariance matrix.
@@ -156,27 +159,44 @@ def comm_to_chain(p: CommParams) -> ChainParams:
     )
 
 
-def _drift_diffusion(rows: list[list], thermal: tuple) -> DriftDiffusion:
-    """The pair of a drift written as rows of floats and (B,) arrays, and of the
-    diagonal diffusion kappa (2 n + 1) of both quadratures of each (kappa, n) mode.
+def chain_full_drift_diffusion(c: ChainParams) -> DriftDiffusion:
+    """Linearized dynamics of the full chain, modes ordered (a, c, b_1 .. b_N).
 
-    The pair is stacked over B cells when any entry is a (B,) array, and a
-    single 2M x 2M pair otherwise. Finite parameters can give entries past
-    double range (a doubled coupling, a heated rate); any such cell raises
-    CovarianceOverflowError.
+    Each mode of detuning (or frequency) Delta and decay kappa contributes
+    the block [[-kappa, Delta], [-Delta, -kappa]] and the diffusion
+    kappa (2 n + 1) on both its quadratures. An end coupling g at angle theta
+    puts -g (cos theta + sin theta) in both its Y-X entries and
+    g (cos theta - sin theta) in both its X-Y entries; an intermediary-pair
+    coupling g_s puts -2 g_s in both its Y-X entries. The X-Y factor is
+    evaluated as sqrt(2) sin(pi/4 - theta), which is exactly 1 at theta = 0
+    and exactly 0 at pi/4. (B,) fields give the stacked (B, 2M, 2M) pair.
+    Finite parameters can give entries past double range (a doubled
+    coupling, a heated rate); any such cell raises CovarianceOverflowError.
     """
-    with np.errstate(over="ignore"):
-        heat = [kappa * (2.0 * n + 1.0) for kappa, n in thermal]
-    entries = (*heat, *(entry for row in rows for entry in row))
-    stack = np.broadcast_shapes(*(e.shape for e in entries if isinstance(e, np.ndarray)))
-    size = len(rows)
-    a = np.empty((*stack, size, size))
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            a[..., i, j] = entry
-    d = np.zeros_like(a)
-    for mode, value in enumerate(heat):
-        d[..., 2 * mode, 2 * mode] = d[..., 2 * mode + 1, 2 * mode + 1] = value
+    detunings = (c.delta_a, c.delta_c, *c.omegas)
+    kappas = (c.kappa_a, c.kappa_c, *c.kappa_mid)
+    drift, diffusion = [], []  # (row, column, value) entries
+    with np.errstate(over="ignore"):  # a non-finite entry raises below
+        for m, (delta, kappa, n) in enumerate(zip(detunings, kappas, (c.n_a, c.n_c, *c.n_mid))):
+            x, y = 2 * m, 2 * m + 1
+            drift += [(x, x, -kappa), (y, y, -kappa), (x, y, delta), (y, x, -delta)]
+            heat = kappa * (2.0 * n + 1.0)
+            diffusion += [(x, x, heat), (y, y, heat)]
+        # (mode i, mode j, Y-X entry, X-Y entry): a and c to their chain neighbours, then the pairs
+        couplings = [(i, j, -(g * (np.cos(angle) + np.sin(angle))),
+                      g * (_SQRT2 * np.sin(math.pi / 4.0 - angle)))
+                     for i, j, g, angle in ((0, 2, c.g_a, c.theta), (1, c.n + 1, c.g_c, c.phi))]
+        couplings += [(s + 2, s + 3, -2.0 * g, 0.0) for s, g in enumerate(c.g_mid)]
+    for i, j, yx, xy in couplings:
+        drift += [(2 * i + 1, 2 * j, yx), (2 * j + 1, 2 * i, yx),
+                  (2 * i, 2 * j + 1, xy), (2 * j, 2 * i + 1, xy)]
+    size = 2 * len(detunings)
+    stack = np.broadcast_shapes(*(v.shape for _, _, v in (*drift, *diffusion)
+                                  if isinstance(v, np.ndarray)))
+    a, d = np.zeros((*stack, size, size)), np.zeros((*stack, size, size))
+    for matrix, entries in ((a, drift), (d, diffusion)):
+        for i, j, value in entries:
+            matrix[..., i, j] = value
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
         raise CovarianceOverflowError("drift/diffusion overflows double precision")
     return DriftDiffusion(a, d)
@@ -185,50 +205,19 @@ def _drift_diffusion(rows: list[list], thermal: tuple) -> DriftDiffusion:
 def eom_full_drift_diffusion(p: EomParams, chain: ChainParams | None = None) -> DriftDiffusion:
     """Linearized 6x6 dynamics of the full electro-optomechanical system, ordering (a, c, b).
 
-    The optical detuning comes from the matched pair of the chain mapping
-    (figure captions quote only delta_a); pass the already mapped
-    eom_to_chain(p) as `chain` to reuse it instead of mapping again. Float
-    fields give one 6x6 pair; (B,) fields (and their chain) give the stacked
-    (B, 6, 6) pair of a sweep chunk, filled entry by entry from all cells at once.
+    The chain builder on eom_to_chain(p), or on `chain` when that mapping is
+    already at hand; (B,) fields give the stacked (B, 6, 6) pair.
     """
-    dc = (eom_to_chain(p) if chain is None else chain).delta_c
-    da, wb, ka, kc, kb = p.delta_a, p.omega_b, p.kappa_a, p.kappa_c, p.kappa_b
-    with np.errstate(over="ignore"):  # _drift_diffusion raises on a non-finite entry
-        ga2, gc2 = 2.0 * p.g_a, 2.0 * p.g_c
-    rows = [
-        [-ka, da, 0.0, 0.0, 0.0, 0.0],
-        [-da, -ka, 0.0, 0.0, -ga2, 0.0],
-        [0.0, 0.0, -kc, dc, 0.0, 0.0],
-        [0.0, 0.0, -dc, -kc, -gc2, 0.0],
-        [0.0, 0.0, 0.0, 0.0, -kb, wb],
-        [-ga2, 0.0, -gc2, 0.0, -wb, -kb],
-    ]
-    return _drift_diffusion(rows, ((ka, p.n_a), (kc, p.n_c), (kb, p.n_b)))
+    return chain_full_drift_diffusion(eom_to_chain(p) if chain is None else chain)
 
 
 def comm_full_drift_diffusion(p: CommParams, chain: ChainParams | None = None) -> DriftDiffusion:
     """Linearized 8x8 dynamics of the full optomagnomechanical system, ordering (a, c, m, b).
 
-    The optical detuning is the matched one of comm_to_chain(p); pass that
-    mapping as `chain` when it is already at hand. (B,) fields give the
-    stacked (B, 8, 8) pair, as for eom_full_drift_diffusion.
+    The chain builder on comm_to_chain(p), or on `chain` when that mapping
+    is already at hand; (B,) fields give the stacked (B, 8, 8) pair.
     """
-    dc = (comm_to_chain(p) if chain is None else chain).delta_c
-    da, dm, wb, ga = p.delta_a, p.delta_m, p.omega_b, p.g_a
-    ka, kc, km, kb = p.kappa_a, p.kappa_c, p.kappa_m, p.kappa_b
-    with np.errstate(over="ignore"):  # _drift_diffusion raises on a non-finite entry
-        gm2, gc2 = 2.0 * p.g_m, 2.0 * p.g_c
-    rows = [
-        [-ka, da, 0.0, 0.0, 0.0, ga, 0.0, 0.0],
-        [-da, -ka, 0.0, 0.0, -ga, 0.0, 0.0, 0.0],
-        [0.0, 0.0, -kc, dc, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, -dc, -kc, 0.0, 0.0, -gc2, 0.0],
-        [0.0, ga, 0.0, 0.0, -km, dm, 0.0, 0.0],
-        [-ga, 0.0, 0.0, 0.0, -dm, -km, -gm2, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -kb, wb],
-        [0.0, 0.0, -gc2, 0.0, -gm2, 0.0, -wb, -kb],
-    ]
-    return _drift_diffusion(rows, ((ka, p.n_a), (kc, p.n_c), (km, p.n_m), (kb, p.n_b)))
+    return chain_full_drift_diffusion(comm_to_chain(p) if chain is None else chain)
 
 
 @dataclass(frozen=True)
