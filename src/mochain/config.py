@@ -280,8 +280,8 @@ def build_params(system: str, params: dict[str, Any]) -> Any:
 
 
 def reduce_point(system: str, params: dict[str, Any]
-                 ) -> tuple[Any, ChainParams | None, EffectiveModel]:
-    """A configured point's parameter object, chain mapping and effective two-mode model.
+                 ) -> tuple[ChainParams | None, EffectiveModel]:
+    """A configured point's chain mapping and effective two-mode model.
 
     A value of params may be a float or the (B,) values of a sweep chunk's
     cells; each object is then built once, with (B,) fields, for all of them.
@@ -298,4 +298,4 @@ def reduce_point(system: str, params: dict[str, Any]
         model = p if chain is None else chain_mod.reduce(chain)
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    return p, chain, model
+    return chain, model

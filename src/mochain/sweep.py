@@ -2,29 +2,30 @@
 
 Three operations cover the reproduction pipelines: run_evolve emits a resource
 time series for one parameter set, run_region rasterizes the closed-form
-regime/steering maps over a two-axis grid (with an optional full-system
-numeric pass for the platform systems), and run_compare sweeps one axis and
+regime/steering maps over a two-axis grid (with a full-system numeric pass
+for every system with a chain), and run_compare sweeps one axis and
 tabulates closed-form stationary values against the full dynamics at the
 characteristic time and twice it.
 
-Everything system-specific comes from the registry systems.SYSTEMS: a system
-with full dynamics gets the numeric columns and is propagated in full, any
-other system is propagated as its effective two-mode model. An effective
-model's rows come from the drift-eigenbasis closed form of dynamics, for any
-thermal input and coupling; every platform covariance comes from the exact
-propagator dynamics.propagate_lti. region and compare share one chunk loop:
-per chunk of CHUNK_CELLS cells it builds the flat parameter map with a (B,)
-column per swept axis, maps it onto the chain and reduces it with one
-construction of each parameter object, and, for a platform, makes one call
-to its drift/diffusion builder (one stacked pair) and one propagate_lti
-call, at tau (region) or tau and 2 tau (compare). The stationary closed
-forms, regime and region labels, deviations and validity ratios are then
-evaluated on the chunk's (B,) fields, and rows are zipped from the columns.
-Every platform resource column comes from the batched two-mode kernel
-gaussian.two_mode_resources. A library error of a sweep names the axis
-values of the first cell that fails on its own. All tables serialize to CSV
-(LF line endings, shortest round-trip float representation; formatted column
-by column) or JSON (a non-finite float as null).
+A system either is the effective model or maps onto a chain (its registry
+entry in systems.SYSTEMS has a to_chain), and the sweeps branch on that
+alone: a chain's full dynamics is chain_full_drift_diffusion of it, so the
+platforms and the general chain get the numeric columns and are propagated
+in full, while the effective model's rows come from the drift-eigenbasis
+closed form of dynamics, for any thermal input and coupling. Every full
+covariance comes from the exact propagator dynamics.propagate_lti. region
+and compare share one chunk loop: per chunk of CHUNK_CELLS cells it builds
+the flat parameter map with a (B,) column per swept axis, maps it onto the
+chain and reduces it with one construction of each parameter object, and,
+for a chain, makes one chain_full_drift_diffusion call (one stacked pair)
+and one propagate_lti call, at tau (region) or tau and 2 tau (compare). The
+stationary closed forms, regime and region labels, deviations and validity
+ratios are then evaluated on the chunk's (B,) fields, and rows are zipped
+from the columns. Every full-system resource column comes from the batched
+two-mode kernel gaussian.two_mode_resources. A library error of a sweep
+names the axis values of the first cell that fails on its own. All tables
+serialize to CSV (LF line endings, shortest round-trip float representation;
+formatted column by column) or JSON (a non-finite float as null).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .chain import classify_regime, validity_report
+from .chain import ChainParams, classify_regime, validity_report
 from .config import RunConfig, reduce_point, system_entry
 from .dynamics import (
     DriftDiffusion,
@@ -51,6 +52,7 @@ from .dynamics import (
 from .errors import ConfigError, MochainError
 from .gaussian import CovarianceMatrix, two_mode_resources
 from .stationary import stationary_entanglement, stationary_steering, steering_region
+from .systems import chain_full_drift_diffusion
 
 # Cells propagated and evaluated together: large enough that the per-call
 # overhead of the stacked linear algebra is spread thin, small enough that a
@@ -155,14 +157,15 @@ def _sample_grid(cfg: RunConfig, tau: float) -> np.ndarray:
     return np.array(sorted(grid))
 
 
-def _platform_resources(dd: DriftDiffusion, times: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(E, S_ac_raw, S_ca_raw) of a platform's microwave-optical modes, each of shape (B, T).
+def _full_resources(chain: ChainParams, times: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(E, S_ac_raw, S_ca_raw) of a full chain's microwave-optical modes, each of shape (B, T).
 
-    The full system dd of B cells (a single pair is a one-cell stack) is
-    propagated exactly from the vacuum to times, of shape (T,) or (B, T), as
-    the states of its modes 0 and 1 alone, and the resources of every state
-    come from one two_mode_resources call.
+    The chain_full_drift_diffusion pair of the B cells of chain (all-float
+    fields give a one-cell stack) is propagated exactly from the vacuum to
+    times, of shape (T,) or (B, T), as the states of its modes 0 and 1 alone,
+    and the resources of every state come from one two_mode_resources call.
     """
+    dd = chain_full_drift_diffusion(chain)
     if dd.a.ndim == 2:
         dd = DriftDiffusion(dd.a[None], dd.d[None])
     states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), times, modes=2)
@@ -192,26 +195,23 @@ def _swept_chunks(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
 
     chunk is the chunk's list of axis values; chain and model are its chain
     mapping and effective model, built once with a (B,) field wherever an
-    axis is swept. full is None for a system without full dynamics, else
-    (E, S_ac, S_ca) of the full systems propagated exactly from the vacuum,
+    axis is swept. full is None for the effective model (chain None), else
+    (E, S_ac, S_ca) of the full chains propagated exactly from the vacuum,
     each of shape (B, len(multiples)) over the multiples of each cell's
-    characteristic time: one stacked drift/diffusion pair, one propagate_lti
-    and one two_mode_resources call per chunk.
+    characteristic time: one stacked chain_full_drift_diffusion pair, one
+    propagate_lti and one two_mode_resources call per chunk.
 
     The one place that names an error's cell: a failing chunk is run again
     cell by cell, and the first failing cell's own error, which a one-point
     run prints too, is raised with its axis values (without axes: unchanged).
     """
-    full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
-
     def evaluate(chunk: list[tuple]) -> tuple:
         columns = dict(zip(names, np.array(chunk, dtype=float).T))
-        platform, chain, model = reduce_point(cfg.system, {**cfg.parameters, **columns})
-        if full_drift_diffusion is None:
+        chain, model = reduce_point(cfg.system, {**cfg.parameters, **columns})
+        if chain is None:
             return chain, model, None
         taus = np.broadcast_to(characteristic_time(model), (len(chunk),))
-        return chain, model, _platform_resources(full_drift_diffusion(platform, chain),
-                                                 np.outer(taus, multiples))
+        return chain, model, _full_resources(chain, np.outer(taus, multiples))
 
     for start in range(0, len(cells), CHUNK_CELLS):
         chunk = cells[start:start + CHUNK_CELLS]
@@ -233,27 +233,26 @@ def _swept_chunks(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
 def run_evolve(cfg: RunConfig) -> Table:
     """Resource time series for a single parameter set.
 
-    Effective (and chain-reduced) systems take the covariance columns and the
-    resources from the drift-eigenbasis closed form, for any thermal input
-    and coupling; the platform systems propagate their full linearized
-    dynamics exactly (the propagator on a one-cell stack) and take the
-    resources of all rows of the microwave-optical sub-state from one
-    two_mode_resources call.
+    The effective model takes the covariance columns and the resources from
+    the drift-eigenbasis closed form, for any thermal input and coupling;
+    every other system (a platform or the general chain) propagates the full
+    linearized dynamics of its chain exactly (the propagator on a one-cell
+    stack) and takes the resources of all rows of the microwave-optical
+    sub-state from one two_mode_resources call.
     """
     if cfg.sweep:
         raise ConfigError("run_evolve takes no sweep axes (use region or compare)")
-    platform, chain, model = reduce_point(cfg.system, cfg.parameters)
+    chain, model = reduce_point(cfg.system, cfg.parameters)
     regime = classify_regime(model)
     tau = characteristic_time(model)
     grid = _sample_grid(cfg, tau)
 
-    full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
     columns = ["t", "E", "S_ac_raw", "S_ca_raw", "regime"]
-    if full_drift_diffusion is None:
+    if chain is None:
         columns += ["v11", "v44", "v14"]
         values = [grid, *effective_resources(model, grid)]
     else:
-        resources = _platform_resources(full_drift_diffusion(platform, chain), grid)
+        resources = _full_resources(chain, grid)
         values = [grid, *(column[0] for column in resources)]
     values = [column.tolist() for column in values]
     rows = zip(*values[:4], itertools.repeat(regime.value), *values[4:])
@@ -263,10 +262,11 @@ def run_evolve(cfg: RunConfig) -> Table:
 def run_region(cfg: RunConfig) -> Table:
     """Closed-form regime/steering map over a two-axis grid, one row per cell.
 
-    Rows come in axis1-major order of the axis values. For the platform
-    systems the table carries a full-system numeric pass: the covariance at
-    the cell's characteristic time (exact propagation) and a flag recording
-    whether the numeric steering signs agree with the closed-form directions.
+    Rows come in axis1-major order of the axis values. Every system with a
+    chain (the platforms and the general chain) gets a full-system numeric
+    pass: the covariance at the cell's characteristic time (exact
+    propagation) and a flag recording whether the numeric steering signs
+    agree with the closed-form directions.
     The cells come from _swept_chunks (chunks of CHUNK_CELLS), and each
     chunk's rows are zipped from its columns.
     """
@@ -274,7 +274,7 @@ def run_region(cfg: RunConfig) -> Table:
         raise ConfigError("run_region needs sweep.axis1 and sweep.axis2")
     axis1, axis2 = cfg.sweep
     names = (axis1.name, axis2.name)
-    numeric = system_entry(cfg.system).full_drift_diffusion is not None
+    numeric = system_entry(cfg.system).to_chain is not None
 
     header = [axis1.name, axis2.name, "regime", "region", "E", "S_ac", "S_ca"]
     if numeric:
@@ -315,10 +315,9 @@ def run_compare(cfg: RunConfig) -> Table:
     perturbative reduction. The cells come from _swept_chunks, as for
     run_region.
     """
-    full_drift_diffusion = system_entry(cfg.system).full_drift_diffusion
-    if full_drift_diffusion is None:
-        raise ConfigError(f"run_compare needs a platform system (one with full dynamics), "
-                          f"got {cfg.system!r}")
+    if system_entry(cfg.system).to_chain is None:
+        raise ConfigError(f"run_compare needs a platform or chain system (one with full "
+                          f"dynamics), got {cfg.system!r}")
     if len(cfg.sweep) > 1:
         raise ConfigError("run_compare sweeps at most one axis")
     if cfg.sweep:

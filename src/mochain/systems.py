@@ -16,12 +16,15 @@ pair being the all-float case.
 
 SYSTEMS names every system a run configuration can select (the effective
 model, the general chain and the two platforms) and holds, for each, its
-parameter dataclass, its chain mapping and its full dynamics. The config
-schema and the sweep operations read everything system-specific from it, so
-a new platform is one parameter dataclass, its chain mapping and one entry,
-with no drift to write. EOM_FIG3 and COMM_FIG4 are the read-only reference
-parameter points of the paper's figures 3 and 4, shared by the demos, the
-verify suite and the tests.
+parameter dataclass and its chain mapping. The rule is stated once: a system
+has full dynamics iff it maps onto a chain, and that dynamics is
+chain_full_drift_diffusion of its chain; only the effective model, already
+reduced, has none. The config schema and the sweep operations read
+everything system-specific from the registry, so a new platform is one
+parameter dataclass, its chain mapping and one entry, with no drift to
+write. EOM_FIG3 and COMM_FIG4 are the read-only reference parameter points
+of the paper's figures 3 and 4, shared by the demos, the verify suite and
+the tests.
 
 Mode ordering of the full systems is always (a, c, intermediaries), so the
 microwave-optical sub-state is rows/columns 0..3 of the covariance matrix.
@@ -202,48 +205,41 @@ def chain_full_drift_diffusion(c: ChainParams) -> DriftDiffusion:
     return DriftDiffusion(a, d)
 
 
-def eom_full_drift_diffusion(p: EomParams, chain: ChainParams | None = None) -> DriftDiffusion:
+def eom_full_drift_diffusion(p: EomParams) -> DriftDiffusion:
     """Linearized 6x6 dynamics of the full electro-optomechanical system, ordering (a, c, b).
 
-    The chain builder on eom_to_chain(p), or on `chain` when that mapping is
-    already at hand; (B,) fields give the stacked (B, 6, 6) pair.
+    The chain builder on eom_to_chain(p); (B,) fields give the stacked (B, 6, 6) pair.
     """
-    return chain_full_drift_diffusion(eom_to_chain(p) if chain is None else chain)
+    return chain_full_drift_diffusion(eom_to_chain(p))
 
 
-def comm_full_drift_diffusion(p: CommParams, chain: ChainParams | None = None) -> DriftDiffusion:
+def comm_full_drift_diffusion(p: CommParams) -> DriftDiffusion:
     """Linearized 8x8 dynamics of the full optomagnomechanical system, ordering (a, c, m, b).
 
-    The chain builder on comm_to_chain(p), or on `chain` when that mapping
-    is already at hand; (B,) fields give the stacked (B, 8, 8) pair.
+    The chain builder on comm_to_chain(p); (B,) fields give the stacked (B, 8, 8) pair.
     """
-    return chain_full_drift_diffusion(comm_to_chain(p) if chain is None else chain)
+    return chain_full_drift_diffusion(comm_to_chain(p))
 
 
 @dataclass(frozen=True)
 class System:
-    """A selectable system: parameter type, chain mapping, full linearized dynamics.
+    """A selectable system: its parameter type and its chain mapping.
 
-    to_chain is None for the effective model, which is already reduced;
-    full_drift_diffusion is None where the effective model is the whole dynamics.
-    full_drift_diffusion(params, chain) takes the chain that to_chain
-    returned, so a cell is mapped onto the chain once; given the (B,) fields
-    of a chunk, both map and build all its cells in one call.
+    to_chain is None for the effective model, which is already reduced. Every
+    other system has full dynamics, chain_full_drift_diffusion of its chain;
+    given the (B,) fields of a chunk, to_chain maps all its cells in one call.
     """
 
     params: type
     to_chain: Callable[[Any], ChainParams] | None = None
-    full_drift_diffusion: Callable[[Any, ChainParams], DriftDiffusion] | None = None
 
 
-# The platform entries look the module-level functions up at call time, so a
+# The platform entries look the module-level mappings up at call time, so a
 # rebinding of those names (the layer tracer in perfbench/ does this) reaches
 # every dispatch through the registry.
 SYSTEMS: dict[str, System] = {
     "effective": System(EffectiveModel),
-    "chain": System(ChainParams, to_chain=lambda p: p),
-    "eom": System(EomParams, lambda p: eom_to_chain(p),
-                  lambda p, chain: eom_full_drift_diffusion(p, chain)),
-    "comm": System(CommParams, lambda p: comm_to_chain(p),
-                   lambda p, chain: comm_full_drift_diffusion(p, chain)),
+    "chain": System(ChainParams, lambda p: p),
+    "eom": System(EomParams, lambda p: eom_to_chain(p)),
+    "comm": System(CommParams, lambda p: comm_to_chain(p)),
 }

@@ -59,7 +59,7 @@ from .systems import (
     EOM_FIG3,
     CommParams,
     EomParams,
-    comm_full_drift_diffusion,
+    chain_full_drift_diffusion,
     comm_to_chain,
     eom_full_drift_diffusion,
     eom_to_chain,
@@ -528,19 +528,19 @@ def check_monogamy_on_trajectories(horizon_in_tau: float | None = None,
                                    samples: int = 7) -> CheckResult:
     """Residuals non-negative after t = 0 on both full-system trajectories from the vacuum.
 
-    Each platform (EOM Fig. 3, COMM Fig. 4) is sampled at `samples` equal steps
-    to half the inverse of its drift's fastest rate (a shortened horizon), or
-    to horizon_in_tau times its reduced model's characteristic time.
+    The full dynamics of each platform's chain (EOM Fig. 3, COMM Fig. 4) is
+    sampled at `samples` equal steps to half the inverse of its drift's
+    fastest rate (a shortened horizon), or to horizon_in_tau times the
+    characteristic time of the chain's reduced model.
     """
     worst = np.inf
-    for p, to_chain, build in ((EomParams(**EOM_FIG3), eom_to_chain, eom_full_drift_diffusion),
-                               (CommParams(**COMM_FIG4), comm_to_chain, comm_full_drift_diffusion)):
-        dd = build(p)
+    for chain in (eom_to_chain(EomParams(**EOM_FIG3)), comm_to_chain(CommParams(**COMM_FIG4))):
+        dd = chain_full_drift_diffusion(chain)
         if horizon_in_tau is None:
             rate = float(np.max(np.abs(np.real(np.linalg.eigvals(dd.a)))))
             horizon = 0.5 / rate if rate > 0 else 1.0
         else:
-            horizon = horizon_in_tau * characteristic_time(reduce_chain(to_chain(p)))
+            horizon = horizon_in_tau * characteristic_time(reduce_chain(chain))
         grid = np.linspace(0.0, horizon, samples)
         for state in propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), grid)[1:]:
             ent_res, steer_res = monogamy_residuals(state, 0)

@@ -52,15 +52,9 @@ from mochain.systems import (
 )
 from mochain.verify import (
     STEERING_FLOOR,
-    check_analytic_vs_rk4,
-    check_boundary_continuity,
-    check_chain_specializations,
     check_full_vs_effective,
-    check_late_time_stationary,
     check_monogamy_on_trajectories,
-    check_rk4_convergence,
     check_rotation_invariance,
-    check_symplectic_oracle,
     effective_parameter_sets,
     run_verify,
 )
@@ -72,15 +66,19 @@ def announce(number: int, detail: str) -> None:
     print(f"\n[acceptance] criterion {number:02d} PASS: {detail}")
 
 
-def test_criterion_01_analytic_vs_numeric_cm():
+@pytest.fixture(scope="module")
+def verify_results():
+    """The verify suite, run once: each check's result by its name, in report order."""
+    return {result.name: result for result in run_verify()}
+
+
+def test_criterion_01_analytic_vs_numeric_cm(verify_results):
     assert len(effective_parameter_sets()) >= 20
-    start = time.time()
-    result = check_analytic_vs_rk4()
-    elapsed = time.time() - start
+    result = verify_results["analytic-cm-vs-rk4"]
     assert result.passed, result.line()
-    assert elapsed < 5.0
+    assert result.seconds < 5.0
     announce(1, f"{result.detail}, max |analytic - RK4| = {result.worst:.2e}, "
-                f"{elapsed:.2f} s")
+                f"{result.seconds:.2f} s")
 
 
 def test_criterion_02_closed_form_stationary_values():
@@ -117,17 +115,17 @@ def test_criterion_02b_dynamic_route_divergent_regime():
     assert abs(e_dynamic - e_closed) < 1e-3
 
 
-def test_criterion_02c_late_time_route_at_machine_precision():
+def test_criterion_02c_late_time_route_at_machine_precision(verify_results):
     # the transient of 02b is gone by e^600 growth: the evolve row equals the
     # stationary closed forms there, in both regimes
-    result = check_late_time_stationary()
+    result = verify_results["late-time-stationary"]
     assert result.passed, result.line()
     print(f"\n[acceptance] criterion 02c PASS: late-time E and S against the closed forms "
           f"to {result.worst:.2e}; {result.detail}")
 
 
-def test_criterion_03_boundary_continuity():
-    result = check_boundary_continuity()
+def test_criterion_03_boundary_continuity(verify_results):
+    result = verify_results["boundary-continuity"]
     assert result.passed, result.line()
     announce(3, f"worst branch gap {result.worst:.2e}; {result.detail}")
 
@@ -181,8 +179,8 @@ def test_criterion_05b_stability_for_weak_couplings():
     assert worst < 0.01
 
 
-def test_criterion_06_specialization_identities():
-    result = check_chain_specializations(10_000)
+def test_criterion_06_specialization_identities(verify_results):
+    result = verify_results["chain-platform-specializations"]  # 10^4 draws per platform
     assert result.passed, result.line()
     g_eom = reduce(eom_to_chain(EomParams(**EOM_FIG3))).g_eff
     assert abs(g_eom - 0.0012) < 1e-15
@@ -331,11 +329,11 @@ def test_criterion_09_monogamy():
                 "microwave-optical pair carries >95% of both resources")
 
 
-def test_criterion_10_oracle_suite():
-    eig_check = check_symplectic_oracle(1000)
+def test_criterion_10_oracle_suite(verify_results):
+    eig_check = verify_results["symplectic-eigenvalues-vs-closed-form"]  # 1000 states
     assert eig_check.passed, eig_check.line()
 
-    convergence = check_rk4_convergence()
+    convergence = verify_results["rk4-fourth-order-convergence"]
     assert convergence.passed, convergence.line()
 
     rotation = check_rotation_invariance(200)
@@ -345,10 +343,9 @@ def test_criterion_10_oracle_suite():
                  f"rotation invariance at {rotation.worst:.2e}")
 
 
-def test_self_verification_suite():
-    start = time.time()
-    results = run_verify()
-    elapsed = time.time() - start
+def test_self_verification_suite(verify_results):
+    results = list(verify_results.values())
+    elapsed = sum(result.seconds for result in results)
     failed = [r.name for r in results if not r.passed]
     assert not failed, f"verification checks failed: {failed}"
     assert elapsed < 300.0

@@ -21,7 +21,7 @@ from mochain.dynamics import characteristic_time
 from mochain.errors import ConfigError, SingularCouplingError
 from mochain.stationary import stationary_entanglement, stationary_steering, steering_region
 from mochain.sweep import Table, parse_csv, render, run_compare, run_evolve, run_region
-from mochain.systems import COMM_FIG4, EOM_FIG3, SYSTEMS
+from mochain.systems import COMM_FIG4, EOM_FIG3, chain_full_drift_diffusion
 
 EFFECTIVE = {
     "system": "effective",
@@ -239,30 +239,28 @@ class TestChunkMapping:
                                                 "n_a": [0.0, 0.1, 0.0, 1.0]}),
     ], ids=["eom", "comm", "chain", "effective"])
     def test_chunk_is_bit_identical_to_single_cells(self, system, base, columns):
-        platform, chain, model = config.reduce_point(
+        chain, model = config.reduce_point(
             system, {**base, **{name: np.array(values) for name, values in columns.items()}})
-        build = SYSTEMS[system].full_drift_diffusion
-        stack = None if build is None else build(platform, chain)
+        stack = None if chain is None else chain_full_drift_diffusion(chain)
         taus, regimes, regions = (characteristic_time(model), classify_regime(model),
                                   steering_region(model))
         closed = [stationary_entanglement(model), stationary_steering(model, "ac"),
                   stationary_steering(model, "ca")]
         for cell in range(4):
-            one = config.reduce_point(system, {**base, **{name: values[cell]
-                                                          for name, values in columns.items()}})
-            assert one[2].g_eff == model.g_eff[cell]
+            one_chain, one = config.reduce_point(
+                system, {**base, **{name: values[cell] for name, values in columns.items()}})
+            assert one.g_eff == model.g_eff[cell]
             if chain is not None:
-                assert one[1].delta_c == chain.delta_c[cell]
-            if stack is not None:
-                single = build(one[0], one[1])
+                assert one_chain.delta_c == chain.delta_c[cell]
+                single = chain_full_drift_diffusion(one_chain)
                 assert np.array_equal(stack.a[cell], single.a)
                 assert np.array_equal(stack.d[cell], single.d)
-            tau = characteristic_time(one[2])
+            tau = characteristic_time(one)
             assert abs(taus[cell] - tau) <= np.spacing(tau)
-            assert classify_regime(one[2]) is regimes[cell]
-            assert steering_region(one[2]) is regions[cell]
-            assert [stationary_entanglement(one[2]), stationary_steering(one[2], "ac"),
-                    stationary_steering(one[2], "ca")] == [values[cell] for values in closed]
+            assert classify_regime(one) is regimes[cell]
+            assert steering_region(one) is regions[cell]
+            assert [stationary_entanglement(one), stationary_steering(one, "ac"),
+                    stationary_steering(one, "ca")] == [values[cell] for values in closed]
 
     def test_invalid_value_inside_a_chunk_names_its_cell(self):
         # a RunConfig built directly skips parse_config's end-point checks:
@@ -297,6 +295,55 @@ class TestChunkMapping:
             run_region(RunConfig("chain", params, sweep=axes))
         assert str(info.value) == ("resonant denominator omega_1^2 - delta_a^2 = 0.000e+00 "
                                    "at kappa_a = 0.001, delta_a = 1.0")
+
+
+# The platforms' reference points spelled as general chains, mapping written out
+# by hand: the EOM couples position to position at both ends (theta = phi =
+# pi/4, couplings times sqrt(2)) through the mechanics; the COMM couples the
+# microwave cavity to the magnon as a beam splitter (theta = 0), the magnon to
+# the mechanics, and the mechanics to the optical cavity position to position.
+EOM_AS_CHAIN = {
+    "n": 1, "delta_a": EOM_FIG3["delta_a"], "theta": math.pi / 4, "phi": math.pi / 4,
+    "g_a": math.sqrt(2.0) * EOM_FIG3["g_a"], "g_c": math.sqrt(2.0) * EOM_FIG3["g_c"],
+    "kappa_a": EOM_FIG3["kappa_a"], "kappa_c": EOM_FIG3["kappa_c"],
+    "omega_1": EOM_FIG3["omega_b"], "kappa_mid_1": EOM_FIG3["kappa_b"], "n_mid_1": EOM_FIG3["n_b"],
+}
+COMM_AS_CHAIN = {
+    "n": 2, "delta_a": COMM_FIG4["delta_a"], "theta": 0.0, "phi": math.pi / 4,
+    "g_a": COMM_FIG4["g_a"], "g_mid_1": COMM_FIG4["g_m"], "g_c": math.sqrt(2.0) * COMM_FIG4["g_c"],
+    "kappa_a": COMM_FIG4["kappa_a"], "kappa_c": COMM_FIG4["kappa_c"],
+    "omega_1": COMM_FIG4["omega_b"], "omega_2": COMM_FIG4["omega_b"],
+    "kappa_mid_1": COMM_FIG4["kappa_m"], "kappa_mid_2": COMM_FIG4["kappa_b"],
+    "n_mid_2": COMM_FIG4["n_b"],
+}
+
+
+@pytest.mark.parametrize("system, platform, chain, delta_a", [
+    ("eom", EOM_FIG3, EOM_AS_CHAIN, (4.0, 6.0)),
+    ("comm", COMM_FIG4, COMM_AS_CHAIN, (2.5, 3.5)),
+], ids=["eom", "comm"])
+class TestChainIsPlatform:
+    """A chain config mapped from a platform renders the platform's tables byte for byte."""
+
+    @staticmethod
+    def assert_same_text(run, system, platform, chain, **extra):
+        as_platform = parse_config({"system": system, "parameters": dict(platform), **extra})
+        as_chain = parse_config({"system": "chain", "parameters": chain, **extra})
+        assert render(run(as_chain)) == render(run(as_platform))
+
+    def test_region(self, system, platform, chain, delta_a):
+        self.assert_same_text(run_region, system, platform, chain, sweep={
+            "axis1": {"name": "kappa_a", "min": 1e-4, "max": 1e-3, "points": 6, "scale": "log"},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 1e-3, "points": 5, "scale": "log"}})
+
+    def test_compare(self, system, platform, chain, delta_a):
+        lo, hi = delta_a
+        self.assert_same_text(run_compare, system, platform, chain, sweep={
+            "axis1": {"name": "delta_a", "min": lo, "max": hi, "points": 3}})
+
+    def test_evolve(self, system, platform, chain, delta_a):
+        self.assert_same_text(run_evolve, system, platform, chain,
+                              times={"t_end_in_tau": 2.0, "samples": 21})
 
 
 class TestRunCompare:

@@ -26,6 +26,7 @@ from mochain.systems import (
     EOM_FIG3,
     CommParams,
     EomParams,
+    chain_full_drift_diffusion,
     comm_full_drift_diffusion,
     comm_to_chain,
     eom_full_drift_diffusion,
@@ -499,9 +500,8 @@ class TestRowIndependence:
             model = self.MODELS[0]
             dd = build_effective_drift_diffusion(model)
         else:
-            params = CommParams(**COMM_FIG4)
-            chain = comm_to_chain(params)
-            dd, model = comm_full_drift_diffusion(params, chain), reduce(chain)
+            chain = comm_to_chain(CommParams(**COMM_FIG4))
+            dd, model = chain_full_drift_diffusion(chain), reduce(chain)
         times = self.grid(characteristic_time(model))
         vacuum = CovarianceMatrix.vacuum(dd.modes)
         states = np.stack([s.data for s in propagate_lti(dd, vacuum, times)])
@@ -551,9 +551,8 @@ class TestBatchedPropagation:
         cells = [(x1, x2) for x1 in axes[0].values() for x2 in axes[1].values()]
         dds, taus = [], []
         for x1, x2 in cells:
-            params = CommParams(**dict(COMM_FIG4, kappa_a=x1, kappa_c=x2))
-            chain = comm_to_chain(params)
-            dds.append(comm_full_drift_diffusion(params, chain))
+            chain = comm_to_chain(CommParams(**dict(COMM_FIG4, kappa_a=x1, kappa_c=x2)))
+            dds.append(chain_full_drift_diffusion(chain))
             taus.append(characteristic_time(reduce(chain)))
         return axes, cells, dds, taus
 
@@ -707,9 +706,9 @@ class TestVanLoanPair:
         dds, spans = [], []
         for kappa_a in (1e-4, 3e-4, 1e-3):
             for kappa_c in (1e-4, 1e-3):
-                params = CommParams(**dict(COMM_FIG4, kappa_a=kappa_a, kappa_c=kappa_c))
-                chain = comm_to_chain(params)
-                dds.append(comm_full_drift_diffusion(params, chain))
+                chain = comm_to_chain(CommParams(**dict(COMM_FIG4, kappa_a=kappa_a,
+                                                        kappa_c=kappa_c)))
+                dds.append(chain_full_drift_diffusion(chain))
                 spans.append(characteristic_time(reduce(chain)))
         eom = [eom_full_drift_diffusion(EomParams(**dict(EOM_FIG3, g_a=g_a)))
                for g_a in (0.1, 0.12, 0.2)]
@@ -771,9 +770,8 @@ class TestDoublingPrecision:
         # tau is 5e3-2.2e4 here, so k = 16-18 doublings amplify the start
         # pair's rounding; measured 7e-13-2.5e-12
         mp = pytest.importorskip("mpmath")
-        params = CommParams(**dict(COMM_FIG4, kappa_a=kappa_a, kappa_c=kappa_c))
-        chain = comm_to_chain(params)
-        dd = comm_full_drift_diffusion(params, chain)
+        chain = comm_to_chain(CommParams(**dict(COMM_FIG4, kappa_a=kappa_a, kappa_c=kappa_c)))
+        dd = chain_full_drift_diffusion(chain)
         tau = characteristic_time(reduce(chain))
         state = propagate_lti(dd, CovarianceMatrix.vacuum(4), [tau])[0].data[:4, :4]
         got = [float(r[0]) for r in two_mode_resources(state[None])]

@@ -157,11 +157,11 @@ class TestStackedBuilders:
     ], ids=["eom", "comm"])
     def test_stack_is_bit_identical_to_single_cells(self, builder, to_chain, cells):
         params = stacked(cells)
-        stack = builder(params, to_chain(params))
+        stack = chain_full_drift_diffusion(to_chain(params))
         assert stack.a.shape == (len(cells), *builder(cells[0]).a.shape)
         assert np.array_equal(builder(params).a, stack.a)  # chain mapped here
         for cell, p in enumerate(cells):
-            single = builder(p, to_chain(p))
+            single = chain_full_drift_diffusion(to_chain(p))
             assert np.array_equal(stack.a[cell], single.a)
             assert np.array_equal(stack.d[cell], single.d)
 
