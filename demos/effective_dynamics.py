@@ -16,7 +16,6 @@ import numpy as np
 from mochain import (
     CovarianceMatrix,
     EffectiveModel,
-    ModePartition,
     analytic_effective_cm,
     build_effective_drift_diffusion,
     characteristic_time,
@@ -27,8 +26,6 @@ from mochain import (
     stationary_steering,
 )
 from mochain.verify import lyapunov_rk4
-
-MO = ModePartition({0}, {1})
 
 # kappa_c = 2 kappa_a throughout; the coupling sets g^2/(ka kc) to 0.5 or 4
 SCENARIOS = {
@@ -49,7 +46,7 @@ for label, model in SCENARIOS.items():
     for t, state in zip(grid, states):
         closed = analytic_effective_cm(model, float(t))
         gap = np.max(np.abs(closed.data - state.data))
-        e = log_negativity(state, MO)
+        e = log_negativity(state, {0}, {1})
         s_ac = gaussian_steering(state, {0}, {1})[0]
         s_ca = gaussian_steering(state, {1}, {0})[0]
         v = state.data

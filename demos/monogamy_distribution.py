@@ -17,7 +17,6 @@ from mochain import (
     CommParams,
     CovarianceMatrix,
     EomParams,
-    ModePartition,
     characteristic_time,
     comm_full_drift_diffusion,
     comm_to_chain,
@@ -53,12 +52,12 @@ for label, params, dd_builder, to_chain, mode_names in (
 
     at_tau = states[3]
     rest = list(range(1, n_modes))
-    e_global = log_negativity(at_tau, ModePartition({0}, rest))
+    e_global = log_negativity(at_tau, {0}, rest)
     s_global = gaussian_steering(at_tau, {0}, rest)[1]
     print(f"at tau: E(microwave | rest) = {e_global:.4f}, "
           f"S(microwave -> rest) = {s_global:.4f}")
     for j, name in zip(rest, ("optical",) + mode_names[1:]):
-        e_pair = log_negativity(at_tau, ModePartition({0}, {j}))
+        e_pair = log_negativity(at_tau, {0}, {j})
         s_pair = gaussian_steering(at_tau, {0}, {j})[1]
         print(f"  pairwise with {name:>10}: E = {e_pair:.4f} "
               f"({e_pair**2 / e_global**2:6.2%} of E^2 budget), "

@@ -18,7 +18,6 @@ import numpy as np
 
 from mochain import (
     EffectiveModel,
-    ModePartition,
     analytic_effective_cm,
     characteristic_time,
     log_negativity,
@@ -36,8 +35,7 @@ print(f"\n{'t/tau':>6} {'dX':>9} {'dY':>12} {'2dX':>9} {'exp(-E)':>9}")
 for t_over_tau in (0.1, 0.25, 0.5, 0.75, 1.0, 1.25, 2.0):
     t = t_over_tau * tau
     dx, dy, _ = squeeze_variances(model, t)
-    zeta = np.exp(-log_negativity(analytic_effective_cm(model, t),
-                                  ModePartition({0}, {1})))
+    zeta = np.exp(-log_negativity(analytic_effective_cm(model, t), {0}, {1}))
     print(f"{t_over_tau:6.2f} {dx:9.5f} {dy:12.4f} {2 * dx:9.5f} {zeta:9.5f}")
 
 print(f"\nstationary E = {stationary_entanglement(model):.5f}  "

@@ -38,7 +38,6 @@ from .errors import (
 )
 from .gaussian import (
     CovarianceMatrix,
-    ModePartition,
     Regime,
     gaussian_steering,
     local_phase_rotate,
@@ -77,7 +76,6 @@ __all__ = [
     "EffectiveModel",
     "EomParams",
     "MochainError",
-    "ModePartition",
     "NumericError",
     "ParameterError",
     "Regime",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .chain import EffectiveModel, Field, per_cell
+from .chain import EffectiveModel, Field, per_cell, reject_cells
 from .errors import CovarianceOverflowError, NumericError, RegimeError
 from .gaussian import CovarianceMatrix
 
@@ -408,13 +408,15 @@ def propagate_lti(
 def characteristic_time(m: EffectiveModel) -> Field:
     """Timescale 4 pi / (Omega + kappa_a + kappa_c) after which resources are stationary.
 
-    A model with (B,) fields gives the (B,) times of its cells.
+    A model with (B,) fields gives the (B,) times of its cells. ParameterError
+    if a time is not finite and positive (rates so small that it overflows).
     """
     omega = np.asarray(_hypot(2.0 * m.g_eff, m.kappa_a - m.kappa_c), dtype=float)
-    denom = omega + m.kappa_a + m.kappa_c
-    if np.any(denom <= 0.0):
-        raise ValueError("characteristic time undefined for all-zero rates")
-    return per_cell(4.0 * math.pi / denom)
+    with np.errstate(divide="ignore", over="ignore"):
+        tau = 4.0 * math.pi / (omega + m.kappa_a + m.kappa_c)
+    reject_cells([~((0.0 < tau) & (tau < math.inf))], "characteristic time 4 pi / "
+                 "(Omega + kappa_a + kappa_c) is not finite and positive")
+    return per_cell(tau)
 
 
 def squeeze_variances(m: EffectiveModel, t: float) -> tuple[float, float, float]:

@@ -3,8 +3,9 @@
 Every library error derives from MochainError, which the command line prints
 as one line instead of a traceback. Each also keeps the built-in base it had
 before the common one (ValueError, ArithmeticError, ...), so callers that
-catch those still do. Which cell of a sweep an error belongs to is decided
-by the sweep's chunk loop alone (sweep._swept_chunks).
+catch those still do. The sweep alone names where an error happened: the
+failing cell's axis values (sweep._swept_chunks) and the failing full-system
+state's time (sweep._full_resources).
 """
 
 

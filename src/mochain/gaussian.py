@@ -17,6 +17,10 @@ determinant closed forms; every table row of the sweeps comes from it. The
 general route (log_negativity, gaussian_steering, symplectic_eigenvalues)
 diagonalizes Omega v and serves states of three or more modes (monogamy)
 and, on two modes, the tests and the verify suite as an independent oracle.
+Both of its resources measure one mode against a set of modes and take them
+the same way, as (v, one_mode_set, other_modes): one helper checks the sides
+and the state's physicality and reduces v to that mode followed by the
+others in ascending order.
 """
 
 from __future__ import annotations
@@ -81,22 +85,6 @@ class CovarianceMatrix:
         return CovarianceMatrix(self.data[np.ix_(idx, idx)])
 
 
-@dataclass(frozen=True)
-class ModePartition:
-    """Disjoint bipartition (left | right) of a subset of the modes."""
-
-    left: frozenset[int]
-    right: frozenset[int]
-
-    def __init__(self, left: Iterable[int], right: Iterable[int]) -> None:
-        object.__setattr__(self, "left", frozenset(int(m) for m in left))
-        object.__setattr__(self, "right", frozenset(int(m) for m in right))
-        if not self.left or not self.right:
-            raise ValueError("both sides of a partition must be non-empty")
-        if self.left & self.right:
-            raise ValueError(f"partition sides overlap: {sorted(self.left & self.right)}")
-
-
 class Regime(Enum):
     """Dynamical classification of the effective two-mode model."""
 
@@ -121,11 +109,7 @@ def symplectic_eigenvalues(v: CovarianceMatrix) -> NDArray[np.float64]:
     any symmetric v come in +/- pairs; the pairs are deduplicated to M values.
     Works unchanged for partial transposes (still symmetric positive definite).
     """
-    arr = v.data
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("covariance matrix has non-finite entries")
-    m = v.modes
-    eigs = np.linalg.eigvals(symplectic_form(m) @ arr)
+    eigs = np.linalg.eigvals(symplectic_form(v.modes) @ v.data)
     magnitudes = np.sort(np.abs(eigs))
     lo, hi = magnitudes[0::2], magnitudes[1::2]
     residual = float(np.max(np.abs(hi - lo) / np.maximum(PAIRING_ATOL / PAIRING_RTOL, hi)))
@@ -161,15 +145,17 @@ def _det2(m: NDArray[np.float64]) -> NDArray[np.float64]:
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def _first_index(bad: NDArray[np.bool_]) -> int:
-    return int(np.flatnonzero(bad.reshape(-1))[0])
+def _state(bad: NDArray[np.bool_]) -> tuple[int, str]:
+    """Flat index of the first flagged state and its "state i: " prefix ("" for one state)."""
+    i = int(np.flatnonzero(bad.reshape(-1))[0])
+    return i, f"state {i}: " if bad.ndim else ""
 
 
 def _require_finite(*invariants: NDArray[np.float64]) -> None:
     """Raise NumericError naming the first state at which an invariant is not finite."""
     finite = functools.reduce(np.logical_and, map(np.isfinite, invariants))
     if not finite.all():
-        raise NumericError(f"state {_first_index(~finite)}: two-mode invariants left double range")
+        raise NumericError(f"{_state(~finite)[1]}two-mode invariants left double range")
 
 
 def two_mode_resources(
@@ -194,7 +180,7 @@ def two_mode_resources(
     condition number above 1e12, UnphysicalStateError when a state's smallest
     symplectic eigenvalue is below 1/2 - PHYSICALITY_TOL, and ValueError on
     non-finite entries; each error names the flat position of the first
-    offending state.
+    offending state of a stack (of one 4 x 4 state, no position).
     """
     v = np.asarray(v, dtype=float)
     if v.shape[-2:] != (4, 4):
@@ -217,24 +203,24 @@ def two_mode_resources(
         # a negative det v is lost precision, not a state below the uncertainty bound
         indefinite = det_v < 0.0
         if np.any(indefinite):
-            i = _first_index(indefinite)
-            raise NumericError(f"state {i}: covariance is not positive definite "
+            i, state = _state(indefinite)
+            raise NumericError(f"{state}covariance is not positive definite "
                                f"(det v = {det_v.reshape(-1)[i]:.3e})")
         unphysical = ~(np.sqrt(nu2) >= 0.5 - PHYSICALITY_TOL)
         if np.any(unphysical):
-            i = _first_index(unphysical)
+            i = _state(unphysical)[0]
             raise UnphysicalStateError(
-                f"state {i} violates the uncertainty bound: min symplectic eigenvalue "
-                f"{np.sqrt(nu2.reshape(-1)[i]):.12g}")
+                f"state{f' {i}' if unphysical.ndim else ''} violates the uncertainty bound: "
+                f"min symplectic eigenvalue {np.sqrt(nu2.reshape(-1)[i]):.12g}")
         for name, frob2, det in (("a", frob2_a, det_a), ("c", frob2_c, det_c)):
             # scale-free: x = 2 |det| / |block|_F^2 is at most 1 however large the block
             x = 2.0 * np.abs(det) / frob2
             cond = (1.0 + np.sqrt(np.maximum(1.0 - x * x, 0.0))) / x
             singular = ~(cond <= 1e12)
             if np.any(singular):
-                i = _first_index(singular)
+                i, state = _state(singular)
                 raise NumericError(
-                    f"state {i}: steerer block {name} is numerically singular "
+                    f"{state}steerer block {name} is numerically singular "
                     f"(condition number {cond.reshape(-1)[i]:.3e})")
         eta2 = 2.0 * det_v / (gamma + np.sqrt(np.maximum(gamma2 - 4.0 * det_v, 0.0)))
         e_raw = -np.log(4.0 * eta2) / 2.0
@@ -244,51 +230,47 @@ def two_mode_resources(
     return np.where(e_raw > 0.0, e_raw, 0.0), s_ac, s_ca
 
 
-def log_negativity(v: CovarianceMatrix, partition: ModePartition) -> float:
-    """Logarithmic negativity max[0, -ln(2 eta^-)] across the given bipartition.
+def _one_vs_rest(v: CovarianceMatrix, one: Iterable[int],
+                 others: Iterable[int]) -> CovarianceMatrix:
+    """Sub-state of a physical v on its single mode `one`, then `others` in ascending order.
 
-    The left side must be a single mode (only 1-vs-1 and 1-vs-rest splits are
-    supported); modes outside the partition are traced out first.
+    Modes outside one + others are traced out. ValueError unless one names a
+    single mode and others a non-empty set disjoint from it,
+    UnphysicalStateError for v below the uncertainty bound, IndexError for a
+    mode out of range.
     """
-    if len(partition.left) != 1:
-        raise ValueError("left side of the partition must be a single mode")
+    one, others = sorted(set(map(int, one))), sorted(set(map(int, others)))
+    if len(one) != 1:
+        raise ValueError("the first side must be a single mode")
+    if not others or one[0] in others:
+        raise ValueError("the second side must be non-empty and disjoint from the first")
     _require_physical(v)
-    all_modes = sorted(partition.left | partition.right)
-    if len(all_modes) < v.modes:
-        order = {m: i for i, m in enumerate(all_modes)}
-        v = v.reduced(all_modes)
-        left = {order[m] for m in partition.left}
-    elif len(all_modes) > v.modes:
-        raise ValueError("partition covers all modes on one side or references extra modes")
-    else:
-        left = set(partition.left)
-    eta_min = float(symplectic_eigenvalues(partial_transpose(v, left))[0])
+    return v.reduced(one + others)
+
+
+def log_negativity(v: CovarianceMatrix, left: Iterable[int], right: Iterable[int]) -> float:
+    """Logarithmic negativity max[0, -ln(2 eta^-)] of the single mode left against right.
+
+    Modes in neither set are traced out first (_one_vs_rest).
+    """
+    sub = _one_vs_rest(v, left, right)
+    eta_min = float(symplectic_eigenvalues(partial_transpose(sub, {0}))[0])
     return max(0.0, -float(np.log(2.0 * eta_min)))
 
 
 def gaussian_steering(
     v: CovarianceMatrix, steerer: Iterable[int], steered: Iterable[int]
 ) -> tuple[float, float]:
-    """Directional Gaussian steering steerer -> steered, (raw, clamped).
+    """Directional Gaussian steering of the single mode steerer -> steered, (raw, clamped).
 
     raw = -ln(2 mu) where mu is the minimum symplectic eigenvalue of the Schur
     complement of the steerer block, nu = v_B - v_aB^T v_a^{-1} v_aB. For a
     single steered mode this reduces to the determinant-ratio form
-    ln[det v_a / (4 det v)]/2. The steerer must be a single mode; modes outside
-    steerer + steered are traced out first.
+    ln[det v_a / (4 det v)]/2. Modes in neither set are traced out first
+    (_one_vs_rest).
     """
-    steerer_set = sorted(set(int(m) for m in steerer))
-    steered_set = sorted(set(int(m) for m in steered))
-    if len(steerer_set) != 1:
-        raise ValueError("multi-mode steerers are not supported")
-    if not steered_set or set(steerer_set) & set(steered_set):
-        raise ValueError("steered set must be non-empty and disjoint from the steerer")
-    _require_physical(v)
-    sub = v.reduced(steerer_set + steered_set)
-    n_b = len(steered_set)
-    v_a = sub.data[:2, :2]
-    v_ab = sub.data[:2, 2:]
-    v_b = sub.data[2:, 2:]
+    sub = _one_vs_rest(v, steerer, steered).data
+    v_a, v_ab, v_b = sub[:2, :2], sub[:2, 2:], sub[2:, 2:]
     cond = float(np.linalg.cond(v_a))
     if not np.isfinite(cond) or cond > 1e12:
         raise NumericError(f"steerer block is numerically singular (condition number {cond:.3e})")
@@ -309,15 +291,13 @@ def monogamy_residuals(v: CovarianceMatrix, focus: int) -> tuple[float, float]:
     m = v.modes
     if m < 3:
         raise ValueError("monogamy residuals need at least three modes")
-    if not 0 <= focus < m:
-        raise IndexError(f"mode index {focus} out of range for {m} modes")
     rest = [j for j in range(m) if j != focus]
-    e_global = log_negativity(v, ModePartition({focus}, rest))
+    e_global = log_negativity(v, {focus}, rest)
     s_global = gaussian_steering(v, {focus}, rest)[1]
     ent_residual = e_global**2
     steer_residual = s_global
     for j in rest:
-        ent_residual -= log_negativity(v, ModePartition({focus}, {j})) ** 2
+        ent_residual -= log_negativity(v, {focus}, {j}) ** 2
         steer_residual -= gaussian_steering(v, {focus}, {j})[1]
     return float(ent_residual), float(steer_residual)
 

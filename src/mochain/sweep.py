@@ -23,7 +23,8 @@ stationary closed forms, regime and region labels, deviations and validity
 ratios are then evaluated on the chunk's (B,) fields, and rows are zipped
 from the columns. Every full-system resource column comes from the batched
 two-mode kernel gaussian.two_mode_resources. A library error of a sweep
-names the axis values of the first cell that fails on its own. All tables
+names the axis values of the first cell that fails on its own, and a failing
+full-system state its time. All tables
 serialize to CSV (LF line endings, shortest round-trip float representation;
 formatted column by column) or JSON (a non-finite float as null).
 """
@@ -150,6 +151,9 @@ def parse_csv(text: str) -> Table:
 def _sample_grid(cfg: RunConfig, tau: float) -> np.ndarray:
     """Requested samples on [0, t_end], always containing tau and 2*tau exactly."""
     t_end = cfg.t_end_in_tau * tau
+    if not math.isfinite(t_end):
+        raise ConfigError(f"times.t_end_in_tau = {cfg.t_end_in_tau!r} times tau = {tau!r} "
+                          "is not a finite time")
     grid = set(np.linspace(0.0, t_end, cfg.samples).tolist())
     for special in (tau, 2.0 * tau):
         if special <= t_end * (1.0 + 1e-12):
@@ -164,12 +168,23 @@ def _full_resources(chain: ChainParams, times: np.ndarray) -> tuple[np.ndarray, 
     fields give a one-cell stack) is propagated exactly from the vacuum to
     times, of shape (T,) or (B, T), as the states of its modes 0 and 1 alone,
     and the resources of every state come from one two_mode_resources call.
+    If that call fails, the states are evaluated again one at a time, and the
+    first failing state's own error is raised with its time.
     """
     dd = chain_full_drift_diffusion(chain)
     if dd.a.ndim == 2:
         dd = DriftDiffusion(dd.a[None], dd.d[None])
     states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), times, modes=2)
-    return two_mode_resources(states)
+    try:
+        return two_mode_resources(states)
+    except MochainError:
+        for t, state in zip(np.broadcast_to(times, states.shape[:-2]).reshape(-1).tolist(),
+                            states.reshape(-1, 4, 4)):
+            try:
+                two_mode_resources(state)
+            except MochainError as exc:
+                raise type(exc)(f"{exc} at t = {t!r}") from exc
+        raise
 
 
 def _column(values: Any, count: int) -> list:

@@ -36,7 +36,6 @@ from .dynamics import (
 )
 from .gaussian import (
     CovarianceMatrix,
-    ModePartition,
     Regime,
     gaussian_steering,
     local_phase_rotate,
@@ -68,7 +67,6 @@ from .systems import (
 SEED = 20250613
 STEPS_PER_PERIOD = 200
 STEERING_FLOOR = 0.05
-_MO = ModePartition({0}, {1})
 
 
 @dataclass(frozen=True)
@@ -201,7 +199,7 @@ def check_symplectic_oracle(n_samples: int = 1000) -> CheckResult:
         worst = max(worst, float(np.max(np.abs(spectrum - nu))))
     closed = two_mode_resources(np.stack([state.data for state in states]))
     for i, state in enumerate(states):
-        general = (log_negativity(state, _MO), gaussian_steering(state, {0}, {1})[0],
+        general = (log_negativity(state, {0}, {1}), gaussian_steering(state, {0}, {1})[0],
                    gaussian_steering(state, {1}, {0})[0])
         worst = max(worst, max(abs(g - float(c[i])) for g, c in zip(general, closed)))
     return CheckResult("symplectic-eigenvalues-vs-closed-form", worst < 1e-10, worst, 1e-10,
@@ -226,7 +224,8 @@ def check_rotation_invariance(n_samples: int = 100) -> CheckResult:
     for _ in range(n_samples):
         state, _ = random_physical_cm(rng)
         rotated = local_phase_rotate(state, int(rng.integers(0, 2)), rng.uniform(0, 2 * np.pi))
-        worst = max(worst, abs(log_negativity(rotated, _MO) - log_negativity(state, _MO)))
+        worst = max(worst, abs(log_negativity(rotated, {0}, {1})
+                               - log_negativity(state, {0}, {1})))
         for direction in (({0}, {1}), ({1}, {0})):
             worst = max(worst, abs(gaussian_steering(rotated, *direction)[0]
                                    - gaussian_steering(state, *direction)[0]))
@@ -276,13 +275,13 @@ def check_rk4_convergence() -> CheckResult:
 
 
 def check_physicality_under_evolution() -> CheckResult:
+    """The closed-form covariance the product computes stays above the uncertainty bound."""
     worst = 1.0
     for m in (EffectiveModel(0.5, 1.0, 1.0), EffectiveModel(1.0, 0.5, 1.0),
               EffectiveModel(0.8, 1.0, 0.6, n_a=0.5, n_c=1.0)):
-        dd = build_effective_drift_diffusion(m)
-        tau = characteristic_time(m)
-        for state in lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), np.linspace(0, 2 * tau, 15)):
-            worst = min(worst, float(symplectic_eigenvalues(state)[0]))
+        grid = np.linspace(0, 2 * characteristic_time(m), 15)
+        for state in analytic_effective_cm(m, grid):
+            worst = min(worst, float(symplectic_eigenvalues(CovarianceMatrix(state))[0]))
     return CheckResult("physicality-under-evolution", worst >= 0.5 - 1e-9, worst, 0.5 - 1e-9,
                        "min symplectic eigenvalue along trajectories")
 
@@ -299,7 +298,7 @@ def check_steering_bounded_by_entanglement() -> CheckResult:
             tau = characteristic_time(m)
             states += [analytic_effective_cm(m, t) for t in (0.5 * tau, tau, 2.0 * tau)]
         for state in states:
-            e = log_negativity(state, _MO)
+            e = log_negativity(state, {0}, {1})
             for direction in (({0}, {1}), ({1}, {0})):
                 raw, clamped = gaussian_steering(state, *direction)
                 if raw > 0:
@@ -354,8 +353,8 @@ def check_coupling_sign_irrelevant() -> CheckResult:
     worst = max(worst, abs(stationary_entanglement(m1) - stationary_entanglement(m2)))
     worst = max(worst, abs(stationary_steering(m1, "ac") - stationary_steering(m2, "ac")))
     tau = characteristic_time(m1)
-    e1 = log_negativity(analytic_effective_cm(m1, tau), _MO)
-    e2 = log_negativity(analytic_effective_cm(m2, tau), _MO)
+    e1 = log_negativity(analytic_effective_cm(m1, tau), {0}, {1})
+    e2 = log_negativity(analytic_effective_cm(m2, tau), {0}, {1})
     worst = max(worst, abs(e1 - e2))
     return CheckResult("coupling-sign-independence", worst < 1e-12, worst, 1e-12,
                        "g_eff odd under theta -> theta + pi, resources even")
@@ -431,7 +430,7 @@ def check_stationary_dual_route() -> CheckResult:
             state = steady_state(build_effective_drift_diffusion(m))
         else:
             state = analytic_effective_cm(m, 2.0 * characteristic_time(m))
-        worst = max(worst, abs(log_negativity(state, _MO) - max(0.0, e_closed)))
+        worst = max(worst, abs(log_negativity(state, {0}, {1}) - max(0.0, e_closed)))
         worst = max(worst, abs(gaussian_steering(state, {0}, {1})[0] - s_ac_closed))
         worst = max(worst, abs(gaussian_steering(state, {1}, {0})[0] - s_ca_closed))
     return CheckResult("stationary-dual-route", worst < 1e-3, worst, 1e-3,

@@ -29,7 +29,6 @@ from mochain.dynamics import (
 )
 from mochain.gaussian import (
     CovarianceMatrix,
-    ModePartition,
     gaussian_steering,
     log_negativity,
 )
@@ -58,8 +57,6 @@ from mochain.verify import (
     effective_parameter_sets,
     run_verify,
 )
-
-MO = ModePartition({0}, {1})
 
 
 def announce(number: int, detail: str) -> None:
@@ -93,7 +90,7 @@ def test_criterion_02_closed_form_stationary_values():
 
     # dynamic routes for the two stable points: functionals on the steady state
     v_sym = steady_state(build_effective_drift_diffusion(EffectiveModel(0.5, 1.0, 1.0)))
-    assert abs(log_negativity(v_sym, MO) - e_sym) < 1e-3
+    assert abs(log_negativity(v_sym, {0}, {1}) - e_sym) < 1e-3
     v_asym = steady_state(build_effective_drift_diffusion(EffectiveModel(0.5, 0.5, 1.0)))
     assert abs(gaussian_steering(v_asym, {0}, {1})[0] - s_steady) < 1e-3
     announce(2, f"ln 1.5 to {abs(e_sym - math.log(1.5)):.1e}, "
@@ -109,7 +106,7 @@ def test_criterion_02_closed_form_stationary_values():
 def test_criterion_02b_dynamic_route_divergent_regime():
     m = EffectiveModel(1.0, 0.5, 1.0)
     e_closed = stationary_entanglement(m)
-    e_dynamic = log_negativity(analytic_effective_cm(m, 2.0 * characteristic_time(m)), MO)
+    e_dynamic = log_negativity(analytic_effective_cm(m, 2.0 * characteristic_time(m)), {0}, {1})
     print(f"\n[acceptance] criterion 02b FAIL (documented): "
           f"|E(2 tau) - E_inf| = {abs(e_dynamic - e_closed):.3e} vs 1e-3")
     assert abs(e_dynamic - e_closed) < 1e-3
@@ -153,8 +150,8 @@ def test_criterion_05_characteristic_time_and_stability():
         for ratio in (3.0, 4.0, 6.0):
             m = EffectiveModel(math.sqrt(ratio * ka * kc), ka, kc)
             t1 = characteristic_time(m)
-            e1 = log_negativity(analytic_effective_cm(m, t1), MO)
-            e2 = log_negativity(analytic_effective_cm(m, 2.0 * t1), MO)
+            e1 = log_negativity(analytic_effective_cm(m, t1), {0}, {1})
+            e2 = log_negativity(analytic_effective_cm(m, 2.0 * t1), {0}, {1})
             worst = max(worst, abs(e1 - e2) / e2)
     assert worst < 0.01
     announce(5, f"tau = {tau:.5f}; |E(tau)-E(2tau)|/E(2tau) <= {worst:.3%} "
@@ -172,8 +169,8 @@ def test_criterion_05b_stability_for_weak_couplings():
         for ratio in (0.5, 2.0, 4.0):
             m = EffectiveModel(math.sqrt(ratio * ka * kc), ka, kc)
             tau = characteristic_time(m)
-            e1 = log_negativity(analytic_effective_cm(m, tau), MO)
-            e2 = log_negativity(analytic_effective_cm(m, 2.0 * tau), MO)
+            e1 = log_negativity(analytic_effective_cm(m, tau), {0}, {1})
+            e2 = log_negativity(analytic_effective_cm(m, 2.0 * tau), {0}, {1})
             worst = max(worst, abs(e1 - e2) / e2)
     print(f"\n[acceptance] criterion 05b FAIL (documented): worst ratio {worst:.3%} vs 1%")
     assert worst < 0.01
@@ -314,14 +311,14 @@ def test_criterion_09_monogamy():
         tau = characteristic_time(reduce(to_chain(p)))
         state = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), [tau])[0]
         rest = list(range(1, state.modes))
-        e_global = log_negativity(state, ModePartition({0}, rest))
-        e_mo = log_negativity(state, ModePartition({0}, {1}))
+        e_global = log_negativity(state, {0}, rest)
+        e_mo = log_negativity(state, {0}, {1})
         assert abs(e_mo**2 - e_global**2) / e_global**2 < 0.05, label
         s_global = gaussian_steering(state, {0}, rest)[1]
         s_mo = gaussian_steering(state, {0}, {1})[1]
         assert abs(s_mo - s_global) / s_global < 0.05, label
         for j in rest[1:]:
-            e_pair = log_negativity(state, ModePartition({0}, {j}))
+            e_pair = log_negativity(state, {0}, {j})
             assert e_pair**2 < 0.05 * e_global**2, label
             s_pair = gaussian_steering(state, {0}, {j})[1]
             assert s_pair < 0.05 * s_global, label

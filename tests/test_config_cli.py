@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mochain.chain import EffectiveModel, classify_regime
+from mochain.chain import EffectiveModel, classify_regime, reduce
 import mochain
 from mochain import cli, config, dynamics, verify
 from mochain.cli import main
@@ -21,7 +21,13 @@ from mochain.dynamics import characteristic_time
 from mochain.errors import ConfigError, SingularCouplingError
 from mochain.stationary import stationary_entanglement, stationary_steering, steering_region
 from mochain.sweep import Table, parse_csv, render, run_compare, run_evolve, run_region
-from mochain.systems import COMM_FIG4, EOM_FIG3, chain_full_drift_diffusion
+from mochain.systems import (
+    COMM_FIG4,
+    EOM_FIG3,
+    EomParams,
+    chain_full_drift_diffusion,
+    eom_to_chain,
+)
 
 EFFECTIVE = {
     "system": "effective",
@@ -552,28 +558,30 @@ class TestCli:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("command, raw, message", [
-        # invariants past double range are reported as such, not as unphysical or singular
+        # invariants past double range are reported as such, not as unphysical or
+        # singular, with the time of the first failing state: tau, then 2 tau
         ("compare", {"system": "comm", "parameters": dict(COMM_FIG4, n_m=1e300)},
-         "state 0: two-mode invariants left double range"),
+         "two-mode invariants left double range at t = 18654.68441019048"),
         ("compare", {"system": "eom", "parameters": dict(EOM_FIG3, n_b=1e80)},
-         "state 1: two-mode invariants left double range"),
+         "two-mode invariants left double range at t = 6360.255489325155"),
         # two resonance kinds in one chunk: omega_N = omega_b meets delta_c at cell 1,
         # omega_1 = delta_m meets delta_a at cell 3
         ("compare", {"system": "comm", "parameters": dict(COMM_FIG4, delta_m=2.0), "sweep": {
             "axis1": {"name": "delta_a", "min": 0.5, "max": 2.5, "points": 5}}},
          "resonant denominator omega_N^2 - delta_c^2 = 0.000e+00 at delta_a = 1.0"),
-        # the kernel's "state i" counts (cell, column) pairs, not cells
+        # a failing state is named by its time, then its cell by the axis values
         ("compare", {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
             "axis1": {"name": "n_b", "min": 1e79, "max": 1e81, "points": 3, "scale": "log"}}},
-         "state 1: two-mode invariants left double range at n_b = 1e+80"),
+         "two-mode invariants left double range at t = 6360.255489325155 at n_b = 1e+80"),
         ("compare", {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
             "axis1": {"name": "n_b", "min": 1e79, "max": 1e93, "points": 8, "scale": "log"}}},
-         "state 1: two-mode invariants left double range at n_b = 1e+81"),
+         "two-mode invariants left double range at t = 6360.255489325155 at n_b = 1e+81"),
         # the first cell fails before the stage that overflows in the last one
         ("region", {"system": "comm", "parameters": dict(COMM_FIG4), "sweep": {
             "axis1": {"name": "n_m", "min": 1e300, "max": 1e308, "points": 3, "scale": "log"},
             "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}},
-         "state 0: two-mode invariants left double range at n_m = 1e+300, kappa_c = 0.0001"),
+         "two-mode invariants left double range at t = 22439.947525641383 "
+         "at n_m = 1e+300, kappa_c = 0.0001"),
         ("region", {"system": "comm", "parameters": dict(COMM_FIG4, g_a=1e-160, g_c=1e-160),
                     "sweep": {
             "axis1": {"name": "g_m", "min": 1e300, "max": 1e308, "points": 3, "scale": "log"},
@@ -633,7 +641,7 @@ class TestCli:
     def test_lost_precision_is_a_numeric_failure(self, tmp_path, capsys):
         # EOM Fig-3 at 12 tau: the microwave-optical block comes out with
         # det v ~ -1.9e26, a covariance that lost its precision, not a state
-        # below the uncertainty bound
+        # below the uncertainty bound; the row is named by its time
         raw = {"system": "eom", "parameters": dict(EOM_FIG3),
                "times": {"t_end_in_tau": 40.0, "samples": 41}}
         config_path = tmp_path / "eom40.json"
@@ -641,7 +649,47 @@ class TestCli:
         assert main(["evolve", "--config", str(config_path)]) == 3
         err = capsys.readouterr().err
         self.assert_one_line(err, "error: ")
-        assert err.startswith("error: state 12: covariance is not positive definite (det v = -")
+        assert err.startswith("error: covariance is not positive definite (det v = -")
+        tau = characteristic_time(reduce(eom_to_chain(EomParams(**EOM_FIG3))))
+        assert float(err.rsplit(") at t = ", 1)[1]) == pytest.approx(12.0 * tau, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("system", ["effective", "eom"])
+    def test_non_finite_time_grid_is_a_config_error(self, tmp_path, capsys, system):
+        # t_end_in_tau * tau overflows to inf
+        params = {"g_eff": 0.5, "kappa_a": 1.0, "kappa_c": 1.0} if system == "effective" \
+            else dict(EOM_FIG3)
+        raw = {"system": system, "parameters": params,
+               "times": {"t_end_in_tau": 1e308, "samples": 5}}
+        config_path = tmp_path / "inf.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["evolve", "--config", str(config_path)]) == 2
+        err = capsys.readouterr().err
+        self.assert_one_line(err, "config error: times.t_end_in_tau = 1e+308 times tau = ")
+        assert err.endswith(" is not a finite time\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, sweep, where", [
+        ("compare", None, ""),
+        ("compare", {"axis1": {"name": "n_b", "min": 1.0, "max": 10.0, "points": 2}},
+         " at n_b = 1.0"),
+        ("region", {"axis1": {"name": "delta_a", "min": 4.0, "max": 5.0, "points": 2},
+                    "axis2": {"name": "n_b", "min": 1.0, "max": 10.0, "points": 2}},
+         " at delta_a = 4.0, n_b = 1.0"),
+    ], ids=["compare-point", "compare-sweep", "region"])
+    def test_non_finite_tau_is_a_parameter_error(self, tmp_path, capsys, command, sweep, where):
+        # g_eff = 0 and subnormal rates: 4 pi / (Omega + kappa_a + kappa_c) overflows
+        raw = {"system": "eom",
+               "parameters": dict(EOM_FIG3, g_a=0.0, kappa_a=1e-320, kappa_c=1e-320)}
+        if sweep:
+            raw["sweep"] = sweep
+        config_path = tmp_path / "tau.json"
+        config_path.write_text(json.dumps(raw))
+        assert main([command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        self.assert_one_line(err, "error: ")
+        assert err == ("error: characteristic time 4 pi / (Omega + kappa_a + kappa_c) "
+                       f"is not finite and positive{where}\n")
 
     @staticmethod
     def assert_one_line(err: str, prefix: str) -> None:
@@ -804,8 +852,9 @@ def test_public_surface():
     assert sorted(mochain.__all__) == sorted(n for n in imported if not n.startswith("_"))
     for name in mochain.__all__:
         getattr(mochain, name)
-    for name in ("lyapunov_rk4", "Trajectory", "matched_detunings"):
+    for name in ("lyapunov_rk4", "Trajectory", "matched_detunings", "ModePartition"):
         assert name not in mochain.__all__ and not hasattr(mochain, name)
+    assert not hasattr(mochain.gaussian, "ModePartition")
 
 
 def test_sweep_axis_values():

@@ -14,16 +14,25 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.fixture(scope="module")
 def demo_runs(tmp_path_factory):
-    """Run each demo in a temporary copy of demos/, so the tracked outputs stay untouched."""
+    """Run the demos concurrently in a temporary copy of demos/, so the tracked outputs
+    stay untouched; each gets the whole 300 s timeout from its own wait."""
     work = tmp_path_factory.mktemp("demos")
     path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    runs = {}
     for script in DEMOS:
         shutil.copy(script, work)
-        runs[script.stem] = subprocess.run(
-            [sys.executable, script.name], cwd=work, env=env,
-            capture_output=True, text=True, timeout=300)
+    procs = {script.stem: subprocess.Popen(
+        [sys.executable, script.name], cwd=work, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for script in DEMOS}
+    runs = {}
+    try:
+        for name, proc in procs.items():
+            stdout, stderr = proc.communicate(timeout=300)
+            runs[name] = subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+    finally:
+        for proc in procs.values():
+            proc.kill()
+            proc.wait()
     return work, runs
 
 

@@ -20,7 +20,6 @@ from mochain.dynamics import (
 from mochain.errors import NumericError, UnphysicalStateError
 from mochain.gaussian import (
     CovarianceMatrix,
-    ModePartition,
     gaussian_steering,
     local_phase_rotate,
     log_negativity,
@@ -32,7 +31,6 @@ from mochain.gaussian import (
 )
 from mochain.verify import random_physical_cm, two_mode_squeeze_symplectic
 
-MO = ModePartition({0}, {1})
 
 
 def symmetric_steady_cm() -> CovarianceMatrix:
@@ -126,10 +124,10 @@ class TestPartialTranspose:
 class TestLogNegativity:
     def test_product_state_unentangled(self):
         v = CovarianceMatrix(np.diag([0.7, 0.7, 1.1, 1.1]))
-        assert log_negativity(v, MO) == 0.0
+        assert log_negativity(v, {0}, {1}) == 0.0
 
     def test_symmetric_steady_value(self):
-        assert abs(log_negativity(symmetric_steady_cm(), MO) - np.log(1.5)) < 1e-12
+        assert abs(log_negativity(symmetric_steady_cm(), {0}, {1}) - np.log(1.5)) < 1e-12
 
     def test_late_time_unsteady_value(self):
         # frozen from two independent routes (closed-form CM + RK4 trajectory,
@@ -139,9 +137,9 @@ class TestLogNegativity:
 
         m = EffectiveModel(1.0, 0.5, 1.0)
         tau = characteristic_time(m)
-        e_2tau = log_negativity(analytic_effective_cm(m, 2 * tau), MO)
+        e_2tau = log_negativity(analytic_effective_cm(m, 2 * tau), {0}, {1})
         assert abs(e_2tau - 0.7882735556584425) < 1e-9
-        e_3tau = log_negativity(analytic_effective_cm(m, 3 * tau), MO)
+        e_3tau = log_negativity(analytic_effective_cm(m, 3 * tau), {0}, {1})
         assert abs(e_3tau - 0.786988) < 2e-4
 
     def test_two_mode_closed_form_agreement(self):
@@ -152,23 +150,64 @@ class TestLogNegativity:
         e, s_ac, s_ca = two_mode_resources(stack)
         assert e.shape == s_ac.shape == s_ca.shape == (10, 10)
         for state, closed in zip(states, zip(e.ravel(), s_ac.ravel(), s_ca.ravel())):
-            general = (log_negativity(state, MO), gaussian_steering(state, {0}, {1})[0],
+            general = (log_negativity(state, {0}, {1}), gaussian_steering(state, {0}, {1})[0],
                        gaussian_steering(state, {1}, {0})[0])
             assert np.max(np.abs(np.subtract(general, closed))) < 1e-10
 
     def test_one_vs_rest_and_reduction(self):
         v = CovarianceMatrix(np.kron(np.eye(3), np.eye(2)) * 0.5)
-        assert log_negativity(v, ModePartition({0}, {1, 2})) == 0.0
-        assert log_negativity(v, ModePartition({0}, {2})) == 0.0
+        assert log_negativity(v, {0}, {1, 2}) == 0.0
+        assert log_negativity(v, {0}, {2}) == 0.0
 
     def test_rejects_unphysical_and_bad_partitions(self):
         with pytest.raises(UnphysicalStateError):
-            log_negativity(CovarianceMatrix(np.eye(4) * 0.1), MO)
+            log_negativity(CovarianceMatrix(np.eye(4) * 0.1), {0}, {1})
         v = CovarianceMatrix.vacuum(2)
         with pytest.raises(ValueError):
-            log_negativity(v, ModePartition({0, 1}, {0}))  # overlapping sides
-        with pytest.raises(ValueError):
-            log_negativity(v, ModePartition({0}, {1, 2}))  # references extra modes
+            log_negativity(v, {0, 1}, {0})  # overlapping sides
+        with pytest.raises(IndexError):
+            log_negativity(v, {0}, {1, 2})  # references a mode the state lacks
+
+
+class TestOneVsRest:
+    """log_negativity and gaussian_steering take and reduce their modes the same way."""
+
+    @pytest.mark.parametrize("one, others, error", [
+        ({0, 1}, {2}, ValueError),   # first side is not a single mode
+        (set(), {2}, ValueError),
+        ({0}, set(), ValueError),    # empty second side
+        ({0}, {0, 1}, ValueError),   # overlapping sides
+        ({0}, {1, 3}, IndexError),   # a mode the state lacks
+        ({-1}, {0}, IndexError),
+    ])
+    def test_same_error_for_the_same_modes(self, one, others, error):
+        v = CovarianceMatrix.vacuum(3)
+        for functional in (log_negativity, gaussian_steering):
+            with pytest.raises(error):
+                functional(v, one, others)
+
+    def test_unphysical_state_is_rejected_by_both(self):
+        v = CovarianceMatrix(np.eye(6) * 0.2)
+        for functional in (log_negativity, gaussian_steering):
+            with pytest.raises(UnphysicalStateError):
+                functional(v, {0}, {1})
+
+    def test_sides_are_the_mode_then_the_others_in_ascending_order(self):
+        # a random three-mode state: mode 2 against (1, 0) listed in any order
+        # is mode 0 against (1, 2) of the state with modes reordered as (2, 0, 1)
+        rng = np.random.default_rng(5)
+        pair, _ = random_physical_cm(rng)
+        v = np.eye(6) * 0.5
+        v[2:, 2:] = pair.data
+        v = local_phase_rotate(CovarianceMatrix(v), 0, 0.3)
+        s = two_mode_squeeze_symplectic(0.4)
+        full = np.eye(6)
+        full[np.ix_([0, 1, 2, 3], [0, 1, 2, 3])] = s
+        v = CovarianceMatrix(full @ v.data @ full.T)
+        permuted = v.reduced([2, 0, 1])
+        for functional in (log_negativity, gaussian_steering):
+            assert functional(v, {2}, [1, 0]) == functional(permuted, {0}, {1, 2})
+            assert functional(v, {2}, {1}) == functional(permuted, {0}, {2})
 
 
 class TestTwoModeResources:
@@ -213,7 +252,7 @@ class TestTwoModeResources:
         with mp.workdps(60):
             of_input = entanglement(mp.matrix(state.data.tolist()))
         kernel = float(two_mode_resources(state.data)[0])
-        general = log_negativity(state, MO)
+        general = log_negativity(state, {0}, {1})
         assert abs(kernel - of_input) <= abs(general - of_input)
         assert abs(kernel - of_input) < 1e-8
         assert abs(float(two_mode_resources(rounded)[0]) - exact) < 3e-7
@@ -257,6 +296,19 @@ class TestTwoModeResources:
             v = steady_state(build_effective_drift_diffusion(EffectiveModel(g, ka, kc)))
             (e,), (s_ac,), (s_ca,) = two_mode_resources(v.data[None])
             assert e > max(0.0, s_ac, s_ca)
+
+    def test_one_state_is_not_numbered(self):
+        # a single 4 x 4 state has no position in a stack to name
+        with pytest.raises(NumericError,
+                           match=r"^covariance is not positive definite \(det v = -"):
+            two_mode_resources(np.diag([0.5, 0.5, 0.5, -0.5]))
+        with pytest.raises(NumericError, match="^two-mode invariants left double range$"):
+            two_mode_resources(np.eye(4) * 1e200)
+        with pytest.raises(NumericError, match="^steerer block a is numerically singular"):
+            two_mode_resources(np.diag([1e7, 1e-7, 0.5, 0.5]))
+        with pytest.raises(UnphysicalStateError,
+                           match="^state violates the uncertainty bound: min symplectic "):
+            two_mode_resources(np.eye(4) * 0.1)
 
     def test_rejects_bad_shapes_and_values(self):
         with pytest.raises(ValueError):
@@ -336,6 +388,6 @@ class TestLocalPhaseRotate:
             angle = rng.uniform(0, 2 * np.pi)
             mode = int(rng.integers(0, 2))
             rotated = local_phase_rotate(state, mode, angle)
-            assert abs(log_negativity(rotated, MO) - log_negativity(state, MO)) < 1e-10
+            assert abs(log_negativity(rotated, {0}, {1}) - log_negativity(state, {0}, {1})) < 1e-10
             assert np.allclose(symplectic_eigenvalues(rotated),
                                symplectic_eigenvalues(state), atol=1e-10)

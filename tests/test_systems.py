@@ -10,7 +10,7 @@ import pytest
 from mochain.chain import ChainParams, effective_coupling, reduce
 from mochain.dynamics import DriftDiffusion, steady_state
 from mochain.errors import CovarianceOverflowError
-from mochain.gaussian import CovarianceMatrix, ModePartition, log_negativity, symplectic_form
+from mochain.gaussian import CovarianceMatrix, log_negativity, symplectic_form
 from mochain.systems import (
     COMM_FIG4,
     EOM_FIG3,
@@ -143,7 +143,7 @@ class TestCommDriftDiffusion:
         dd = comm_full_drift_diffusion(replace(FIG4_COMM, g_a=0.0))
         final = lyapunov_rk4(dd, CovarianceMatrix.vacuum(4), [0.0, 50.0])[-1]
         assert np.max(np.abs(final.reduced([0]).data - np.eye(2) / 2)) < 1e-8
-        assert log_negativity(final, ModePartition({0}, {1})) == 0.0
+        assert log_negativity(final, {0}, {1}) == 0.0
 
 
 class TestStackedBuilders:
