@@ -4,8 +4,9 @@ Every library error derives from MochainError, which the command line prints
 as one line instead of a traceback. Each also keeps the built-in base it had
 before the common one (ValueError, ArithmeticError, ...), so callers that
 catch those still do. The sweep alone names where an error happened: the
-failing cell's axis values (sweep._swept_chunks) and the failing full-system
-state's time (sweep._full_resources).
+failing cell's axis values (sweep._swept_chunks, which runs a failing chunk
+again block by block and the first failing block cell by cell) and the
+failing full-system state's time (sweep._full_resources).
 """
 
 

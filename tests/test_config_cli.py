@@ -14,11 +14,11 @@ import pytest
 
 from mochain.chain import EffectiveModel, classify_regime, reduce
 import mochain
-from mochain import cli, config, dynamics, verify
+from mochain import cli, config, dynamics, sweep, verify
 from mochain.cli import main
-from mochain.config import RunConfig, SweepAxis, load_config, parse_config
+from mochain.config import RunConfig, SweepAxis, load_config, parse_config, reduce_point
 from mochain.dynamics import characteristic_time
-from mochain.errors import ConfigError, SingularCouplingError
+from mochain.errors import ConfigError, NumericError, SingularCouplingError
 from mochain.stationary import stationary_entanglement, stationary_steering, steering_region
 from mochain.sweep import Table, parse_csv, render, run_compare, run_evolve, run_region
 from mochain.systems import (
@@ -301,6 +301,59 @@ class TestChunkMapping:
             run_region(RunConfig("chain", params, sweep=axes))
         assert str(info.value) == ("resonant denominator omega_1^2 - delta_a^2 = 0.000e+00 "
                                    "at kappa_a = 0.001, delta_a = 1.0")
+
+
+class TestSweepBlocking:
+    """Tables and the named failing cell do not depend on the chunk and block sizes.
+
+    A chunk of SWEEP_CELLS cells runs the cell-vector stage once; its matrix
+    stage runs in blocks of CHUNK_CELLS. With (7, 3) the cells of a sweep
+    split into chunks of 7 and each chunk into blocks of 3, 3 and 1.
+    """
+
+    CASES = {
+        "comm-region": ("region", RunConfig("comm", dict(COMM_FIG4), sweep=(
+            SweepAxis("kappa_a", 5e-5, 2e-4, 7), SweepAxis("kappa_c", 1e-4, 4e-4, 5)))),
+        "eom-compare": ("compare", RunConfig("eom", dict(EOM_FIG3), sweep=(
+            SweepAxis("g_a", 0.08, 0.16, 9),))),
+        "chain-region": ("region", RunConfig("chain", dict(CHAIN["parameters"]), sweep=(
+            SweepAxis("delta_a", 2.5, 3.5, 4), SweepAxis("kappa_c", 1e-4, 3e-4, 4)))),
+    }
+
+    @staticmethod
+    def small_blocks(monkeypatch) -> None:
+        monkeypatch.setattr(sweep, "SWEEP_CELLS", 7)
+        monkeypatch.setattr(sweep, "CHUNK_CELLS", 3)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_table_is_byte_identical(self, monkeypatch, case):
+        command, cfg = self.CASES[case]
+        run = run_region if command == "region" else run_compare
+        default = render(run(cfg))
+        self.small_blocks(monkeypatch)
+        assert render(run(cfg)) == default
+
+    def test_first_failing_cell_is_found_block_then_cell(self, monkeypatch):
+        # n_b = 1e80 is the first value whose two-mode invariants leave double
+        # range: cell 13 of 21, the third block (one cell) of the second chunk
+        axis = SweepAxis("n_b", 1e67, 1e87, 21, scale="log")
+        values = axis.values()
+        run_compare(RunConfig("eom", dict(EOM_FIG3, n_b=values[12])))
+        with pytest.raises(NumericError) as alone:
+            run_compare(RunConfig("eom", dict(EOM_FIG3, n_b=values[13])))
+        self.small_blocks(monkeypatch)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return reduce_point(*args)
+
+        monkeypatch.setattr(sweep, "reduce_point", spy)
+        with pytest.raises(NumericError) as info:
+            run_compare(RunConfig("eom", dict(EOM_FIG3), sweep=(axis,)))
+        assert str(info.value) == f"{alone.value} at n_b = {values[13]!r}"
+        # two chunks, the second chunk's three blocks, the failing block's one cell
+        assert len(calls) == 6 <= math.ceil(21 / 7) + math.ceil(7 / 3) + 3
 
 
 # The platforms' reference points spelled as general chains, mapping written out

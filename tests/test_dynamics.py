@@ -334,6 +334,48 @@ class TestLyapunovRk4:
         assert 1 < len(states) < 21
         assert all(np.all(np.isfinite(s.data)) for s in states)
 
+    def test_stack_equals_per_model_calls(self):
+        # per-model grids and steps: the three models take 16, 32 and 48
+        # substeps on their own, so the first two pad with h = 0
+        models = (STEADY, UNSTEADY, EffectiveModel(0.8, 1.0, 0.6, n_a=0.5, n_c=1.0))
+        dds = [build_effective_drift_diffusion(m) for m in models]
+        grids = np.stack([np.linspace(0.0, 2.0 * characteristic_time(m), 5) for m in models])
+        steps = grids[:, -1] / np.array([64.0, 128.0, 192.0])
+        vacuum = CovarianceMatrix.vacuum(2)
+        states = lyapunov_rk4(stack(dds), vacuum, grids, h=steps)
+        assert states.shape == (3, 5, 4, 4)
+        for dd, grid, h, rows in zip(dds, grids, steps, states):
+            alone = np.stack([s.data for s in lyapunov_rk4(dd, vacuum, grid, h=float(h))])
+            assert np.max(np.abs(rows - alone)) <= 1e-12 * np.max(np.abs(alone))
+        # a shared grid and the default step per model
+        shared = lyapunov_rk4(stack(dds[:2]), vacuum, grids[0])
+        for dd, rows in zip(dds[:2], shared):
+            alone = np.stack([s.data for s in lyapunov_rk4(dd, vacuum, grids[0])])
+            assert np.max(np.abs(rows - alone)) <= 1e-12 * np.max(np.abs(alone))
+
+    def test_stack_rows_past_double_range_are_nan(self):
+        # the second model overflows: its rows after the last finite state
+        # (where its own call's list ends) are nan, the first model's all finite
+        dds = [build_effective_drift_diffusion(STEADY),
+               build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))]
+        grid = np.linspace(0.0, 50.0, 11)
+        vacuum = CovarianceMatrix.vacuum(2)
+        alone = lyapunov_rk4(dds[1], vacuum, grid, h=0.02)
+        states = lyapunov_rk4(stack(dds), vacuum, grid, h=0.02)
+        assert states.shape == (2, 11, 4, 4) and 1 < len(alone) < 11
+        assert np.all(np.isfinite(states[0]))
+        assert np.all(np.isfinite(states[1, :len(alone)]))
+        assert np.all(np.isnan(states[1, len(alone):]))
+
+    def test_stack_validation(self):
+        dds = stack([build_effective_drift_diffusion(STEADY)] * 2)
+        with pytest.raises(ValueError):
+            lyapunov_rk4(dds, CovarianceMatrix.vacuum(2), [[0.0, 1.0]])
+        with pytest.raises(ValueError):
+            lyapunov_rk4(dds, CovarianceMatrix.vacuum(2), [[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError):
+            lyapunov_rk4(dds, CovarianceMatrix.vacuum(2), [0.0, 1.0], h=[0.1, 0.0])
+
     def test_grid_validation(self):
         dd = build_effective_drift_diffusion(STEADY)
         with pytest.raises(ValueError):
@@ -540,6 +582,40 @@ class TestRowIndependence:
         default = propagate_lti(dds, v0, times)
         monkeypatch.setattr(dynamics, "ROW_BLOCK", 3)
         assert np.array_equal(propagate_lti(dds, v0, times), default)
+
+
+class TestDiagonalStart:
+    """A diagonal v0 combines as the column scaling Phi diag(v0): the bits of Phi v0 Phi^T."""
+
+    @staticmethod
+    def two_products(dd: DriftDiffusion, v0: CovarianceMatrix, times: np.ndarray,
+                     kept: int) -> np.ndarray:
+        """propagate_lti's states with the combining step written as two long-double products."""
+        cell_of = np.repeat(np.arange(len(dd.a)), times.shape[1])
+        phi, q = dynamics._van_loan_pair(dd.a[cell_of], dd.d[cell_of], times.ravel())
+        phi = phi[:, :kept].astype(np.longdouble)
+        state = (phi @ v0.data.astype(np.longdouble) @ np.swapaxes(phi, -1, -2)
+                 + q[:, :kept, :kept]).astype(float)
+        state = (state + np.swapaxes(state, -1, -2)) / 2.0
+        return state.reshape(*times.shape, kept, kept)
+
+    @pytest.mark.parametrize("diagonal", [[0.5] * 4, [0.5, 0.5, 1.5, 1.5], [1.0] * 4],
+                             ids=["vacuum", "thermal", "identity"])
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_effective_stack(self, diagonal, modes):
+        dds = stack([build_effective_drift_diffusion(m) for m in TestRowIndependence.MODELS])
+        times = np.stack([TestRowIndependence.grid(characteristic_time(m))
+                          for m in TestRowIndependence.MODELS])
+        v0 = CovarianceMatrix(np.diag(diagonal))
+        assert np.array_equal(propagate_lti(dds, v0, times, modes=modes),
+                              self.two_products(dds, v0, times, 2 * modes))
+
+    def test_comm_region_block(self):
+        _, _, dds, taus = TestBatchedPropagation.comm_grid()
+        times = np.array(taus)[:, None]
+        vacuum = CovarianceMatrix.vacuum(4)
+        assert np.array_equal(propagate_lti(stack(dds), vacuum, times, modes=2),
+                              self.two_products(stack(dds), vacuum, times, 4))
 
 
 class TestBatchedPropagation:
