@@ -20,7 +20,7 @@ import functools
 import sys
 from pathlib import Path
 
-from .config import load_config
+from .config import FORMATS, load_config
 from .errors import ConfigError, MochainError
 from .sweep import run_compare, run_evolve, run_region, write_output
 from .verify import run_and_format
@@ -29,7 +29,7 @@ from .verify import run_and_format
 def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
+    parser.add_argument("--format", choices=FORMATS, default=None,
                         help="output format (default: config outputs.format, else csv)")
 
 

@@ -29,7 +29,8 @@ batched two-mode kernel gaussian.two_mode_resources per chunk. A library
 error of a sweep names the axis values of the first cell that fails on its
 own, and a failing full-system state its time. All tables
 serialize to CSV (LF line endings, shortest round-trip float representation;
-formatted column by column) or JSON (a non-finite float as null).
+formatted column by column) or JSON (a non-finite float as null), the formats
+of config.FORMATS; any other format name raises ValueError.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from .chain import ChainParams, classify_regime, validity_report
-from .config import RunConfig, reduce_point, system_entry
+from .config import FORMATS, RunConfig, reduce_point, system_entry
 from .dynamics import (
     DriftDiffusion,
     characteristic_time,
@@ -130,14 +131,25 @@ def write_json(table: Table, stream) -> None:
     stream.write("\n")
 
 
+# The writer of each output format; its keys are config.FORMATS.
+WRITERS: dict[str, Callable[[Table, Any], None]] = {"csv": write_csv, "json": write_json}
+
+
+def _writer(fmt: str) -> Callable[[Table, Any], None]:
+    if fmt not in WRITERS:
+        raise ValueError(f"unknown output format {fmt!r}: must be one of {FORMATS}")
+    return WRITERS[fmt]
+
+
 def render(table: Table, fmt: str = "csv") -> str:
     buf = io.StringIO()
-    (write_csv if fmt == "csv" else write_json)(table, buf)
+    _writer(fmt)(table, buf)
     return buf.getvalue()
 
 
 def write_output(table: Table, path: str | None, fmt: str = "csv") -> None:
-    write = write_csv if fmt == "csv" else write_json
+    """Write the table to path, or to stdout when path is None; an unknown format raises first."""
+    write = _writer(fmt)
     if path is None:
         write(table, sys.stdout)
         return

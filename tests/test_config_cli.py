@@ -469,6 +469,22 @@ class TestSerialization:
         assert set(records[0]) == {"t", "E", "S_ac_raw", "S_ca_raw", "regime",
                                    "v11", "v44", "v14"}
 
+    def test_one_writer_per_config_format(self):
+        assert tuple(sweep.WRITERS) == config.FORMATS
+
+    @pytest.mark.parametrize("fmt", ["xml", "CSV", "Json", ""])
+    def test_unknown_format_is_refused(self, fmt, tmp_path, capsys):
+        table = Table(("x",), ((0.1,),))
+        with pytest.raises(ValueError, match=r"unknown output format .*'csv', 'json'"):
+            render(table, fmt)
+        with pytest.raises(ValueError, match=r"unknown output format .*'csv', 'json'"):
+            sweep.write_output(table, None, fmt)
+        out_path = tmp_path / "out.txt"
+        with pytest.raises(ValueError):
+            sweep.write_output(table, str(out_path), fmt)
+        assert not out_path.exists()
+        assert capsys.readouterr().out == ""
+
 
 class TestCli:
     def test_evolve_to_file(self, tmp_path, capsys):
