@@ -13,7 +13,7 @@ block is never formed: its Taylor polynomial is evaluated on the n x n
 blocks by Paterson-Stockmeyer at a scale set by the drift alone, then
 doubled, with matrix products only (no linear solve), so the runtime needs
 numpy alone. It takes one DriftDiffusion, a single pair or a stack of pairs
-(the cells of a sweep block), each row bit-identical to its own
+(the cells of a sweep chunk), each row bit-identical to its own
 single-time, single-pair call. Stable systems can also be solved directly
 for their stationary covariance. These are the production routes; the RK4
 oracle that checks them lives in mochain.verify and is never on a
@@ -39,8 +39,11 @@ TAYLOR18 = tuple(1.0 / math.factorial(j) for j in range(19))
 # the start pair's rounding u = 2^-53 by ~||A||_1 h, to at most u ||A||_1 h = 2^-20.
 MAX_REACH = 2.0**33
 # Rows (cell, time) whose Van Loan pairs propagate_lti takes in one stack, each
-# block's states built after its pairs: a long grid holds one block at a time.
-ROW_BLOCK = 256
+# block's states built after its pairs: a long grid or a sweep chunk holds one
+# block of pairs at a time. On 512-cell sweep chunks of 8 x 8 pairs, 256-row
+# blocks raised region-comm's peak RSS by ~1.7 MB over 128-row ones at the
+# same speed (2-core Xeon, numpy 2.4.6, one BLAS thread).
+ROW_BLOCK = 128
 # math.hypot, elementwise. numpy's hypot differs from it in the last bit on
 # ~0.5% of inputs; tau keeps math.hypot's rounding because an evolve grid
 # holds tau and 2 tau as rows, and a 1-ulp shift can add or merge one.
@@ -59,7 +62,7 @@ class DriftDiffusion:
     """Drift/diffusion pair (A, D) generating dv/dt = A v + v A^T + D.
 
     a and d have shape (2M, 2M) for one pair, or (B, 2M, 2M) for a stack of B
-    pairs (the cells of a sweep block). The checks run once over the whole
+    pairs (the cells of a sweep chunk). The checks run once over the whole
     stack as array tests: every entry finite, D symmetric and positive
     semidefinite (to -1e-12 max(1, max|D|) per cell). A diagonal diffusion
     (every platform's) is checked by its diagonal; eigvalsh runs only on the
@@ -335,9 +338,10 @@ def propagate_lti(
     shape (B, T), or (T,) shared by every cell, gives the symmetrized
     covariances as one array of shape (B, T, 2M, 2M); every row is
     bit-identical to a single-time call on that cell alone. modes = m, an
-    integer from 1 to M (default M), keeps the leading m modes: each state is
-    then 2m x 2m, bit for bit the leading block of the full state, as only
-    Phi's leading 2m rows and Q's leading block enter the combining step.
+    integer (not a bool) from 1 to M (default M), keeps the leading m modes:
+    each state is then 2m x 2m, bit for bit the leading block of the full
+    state, as only Phi's leading 2m rows and Q's leading block enter the
+    combining step.
     Raises CovarianceOverflowError, naming the first time (and the first cell
     of a stack at that time) at which a state leaves double range, and
     NumericError, naming the first cell's shortest span t whose reach
@@ -363,7 +367,8 @@ def propagate_lti(
         raise ValueError("initial state and drift matrix disagree on mode count")
     if modes is None:
         modes = dd.modes
-    if not isinstance(modes, (int, np.integer)) or not 1 <= modes <= dd.modes:
+    if (isinstance(modes, bool) or not isinstance(modes, (int, np.integer))
+            or not 1 <= modes <= dd.modes):
         raise ValueError(f"modes must be an integer from 1 to {dd.modes}, got {modes!r}")
     kept = 2 * int(modes)
     single = dd.a.ndim == 2

@@ -5,8 +5,9 @@ as one line instead of a traceback. Each also keeps the built-in base it had
 before the common one (ValueError, ArithmeticError, ...), so callers that
 catch those still do. The sweep alone names where an error happened: the
 failing cell's axis values (sweep._swept_chunks, which runs a failing chunk
-again block by block and the first failing block cell by cell) and the
-failing full-system state's time (sweep._full_resources).
+again one cell at a time) and the failing full-system state's time
+(sweep._full_resources, which evaluates a failing stack of states one state
+at a time).
 """
 
 

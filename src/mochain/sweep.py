@@ -14,20 +14,19 @@ platforms and the general chain get the numeric columns and are propagated
 in full, while the effective model's rows come from the drift-eigenbasis
 closed form of dynamics, for any thermal input and coupling. Every full
 covariance comes from the exact propagator dynamics.propagate_lti. region
-and compare share one chunk loop with two granularities. Per chunk of up to
-SWEEP_CELLS cells (a 50 x 50 map is one chunk), the cell-vector stage runs
-once: it builds the flat parameter map with a (B,) column per swept axis,
-maps it onto the chain and reduces it with one construction of each
-parameter object, and evaluates tau, the stationary closed forms, regime and
-region labels, deviations and validity ratios on the chunk's (B,) fields;
-rows are zipped from the columns. For a chain, the matrix stage runs per
-block of CHUNK_CELLS cells: one chain_full_drift_diffusion call (one
-stacked pair) on the block's slice of the chain and one propagate_lti call,
-at tau (region) or tau and 2 tau (compare), written into the chunk's array
-of states. Every full-system resource column comes from one call of the
-batched two-mode kernel gaussian.two_mode_resources per chunk. A library
-error of a sweep names the axis values of the first cell that fails on its
-own, and a failing full-system state its time. All tables
+and compare share one chunk loop, and a chunk of up to SWEEP_CELLS cells
+runs every stage once. Its cell-vector stage builds the flat parameter map
+with a (B,) column per swept axis, maps it onto the chain and reduces it
+with one construction of each parameter object, and evaluates tau, the
+stationary closed forms, regime and region labels, deviations and validity
+ratios on the chunk's (B,) fields. For a chain, its matrix stage makes one
+chain_full_drift_diffusion call (one stacked pair) on that checked chain
+and one propagate_lti call, at tau (region) or tau and 2 tau (compare),
+which takes the chunk's rows in blocks of dynamics.ROW_BLOCK. Every
+full-system resource column comes from one call of the batched two-mode
+kernel gaussian.two_mode_resources per chunk, and rows are zipped from the
+columns. A library error of a sweep names the axis values of the first cell
+that fails on its own, and a failing full-system state its time. All tables
 serialize to CSV (LF line endings, shortest round-trip float representation;
 formatted column by column) or JSON (a non-finite float as null), the formats
 of config.FORMATS; any other format name raises ValueError.
@@ -41,7 +40,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -59,24 +58,17 @@ from .gaussian import CovarianceMatrix, two_mode_resources
 from .stationary import stationary_entanglement, stationary_steering, steering_region
 from .systems import chain_full_drift_diffusion
 
-# Cells whose vector stage runs together: the flat parameter map, the chain
-# mapping and reduction, tau, the closed forms, labels, validity ratios, one
-# two_mode_resources call and the row zip are ~200 small numpy calls, paid
-# once per chunk, so the 2500 cells of the 50 x 50 COMM map (perfbench
-# region-comm) are one chunk. The cap keeps a chunk's (B,) fields, its
-# (B, T, 4, 4) states and their resource temporaries small however large the
-# grid: a 200 x 200 COMM map peaked at 49.4-49.6 MB RSS in 4096-cell chunks,
-# 48.4-49.5 MB in 128-cell ones and 62.6 MB as one 40 000-cell chunk (2-core
-# Xeon, numpy 2.4.6, one BLAS thread).
-SWEEP_CELLS = 4096
-# Cells whose full drift/diffusion stack is built and propagated together
-# (the matrix stage, inside _full_resources): large enough that the per-call
-# overhead of the stacked linear algebra is spread thin, small enough that a
-# block's (B, 2M, 2M) stacks stay a few hundred kB (building the pair of all
-# 2500 region-comm cells at once raised the peak RSS by ~5.9 MB, and the
-# whole grid propagated at once by ~30 MB). A 128-cell compare block is one
-# ROW_BLOCK of 256 rows.
-CHUNK_CELLS = 128
+# Cells whose stages run together: the cell-vector stage (the flat parameter
+# map, the chain mapping and reduction, tau, the closed forms, labels,
+# validity ratios, one two_mode_resources call and the row zip, ~200 small
+# numpy calls) and the matrix stage (one stacked drift/diffusion pair and one
+# propagate_lti call, whose ROW_BLOCK bounds its Van Loan stacks). Larger
+# chunks spread the ~200 calls thinner but hold a larger pair and states:
+# the 2500 cells of region-comm (a 50 x 50 COMM map) peaked at 63.3-63.7 MB
+# RSS in 512-cell chunks, 64.8-64.9 MB in 1024-cell and 68.4 MB in 4096-cell
+# ones, and took 9% longer in 256-cell ones (2-core Xeon, numpy 2.4.6, one
+# BLAS thread).
+SWEEP_CELLS = 512
 # Rows formatted and written together by write_csv: enough to spread its
 # per-column pass thin, few enough that a block's text stays ~100 kB however
 # large the table (the whole text of a 200 x 200 region map is ~12 MB).
@@ -186,45 +178,24 @@ def _sample_grid(cfg: RunConfig, tau: float) -> np.ndarray:
     return np.array(sorted(grid))
 
 
-def _chain_cells(chain: ChainParams, cells: slice) -> ChainParams:
-    """The chain of a slice of a chunk's cells: each (B,) field sliced, float fields kept.
-
-    Built through ChainParams, so its checks run again on the slice (delta_c
-    is resolved already, so it is not matched again).
-    """
-    def part(value: Any) -> Any:
-        if isinstance(value, tuple):
-            return tuple(map(part, value))
-        return value[cells] if isinstance(value, np.ndarray) else value
-
-    return ChainParams(**{field.name: part(getattr(chain, field.name))
-                          for field in fields(chain)})
-
-
 def _full_resources(chain: ChainParams, times: np.ndarray) -> tuple[np.ndarray, ...]:
     """(E, S_ac_raw, S_ca_raw) of a full chain's microwave-optical modes, each of shape (B, T).
 
     times has shape (B, T), one row per cell of chain, or (T,) for an
-    all-float chain (one cell). The cells are taken in blocks of CHUNK_CELLS:
-    each block's chain_full_drift_diffusion pair is propagated exactly from
-    the vacuum to its cells' times as the states of modes 0 and 1 alone, and
-    written into one (B, T, 4, 4) array, so no (B, 2M, 2M) stack spans more
-    than a block. The resources of every state come from one
-    two_mode_resources call. If that call fails, the states are evaluated
-    again one at a time, and the first failing state's own error is raised
-    with its time.
+    all-float chain (one cell). One chain_full_drift_diffusion call builds
+    the stacked pair of every cell from the chain the caller already checked,
+    and one propagate_lti call takes each cell exactly from the vacuum to its
+    times as the states of modes 0 and 1 alone (its ROW_BLOCK rows bound the
+    memory of the Van Loan stacks). The resources of every state come from
+    one two_mode_resources call. If that call fails, the states are
+    evaluated again one at a time, and the first failing state's own error
+    is raised with its time.
     """
     times = np.atleast_2d(times)
-    cells = len(times)
-    states = np.empty((*times.shape, 4, 4))
-    for start in range(0, cells, CHUNK_CELLS):
-        block = slice(start, start + CHUNK_CELLS)
-        dd = chain_full_drift_diffusion(chain if cells <= CHUNK_CELLS
-                                        else _chain_cells(chain, block))
-        if dd.a.ndim == 2:
-            dd = DriftDiffusion(dd.a[None], dd.d[None])
-        states[block] = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), times[block],
-                                      modes=2)
+    dd = chain_full_drift_diffusion(chain)
+    if dd.a.ndim == 2:
+        dd = DriftDiffusion(dd.a[None], dd.d[None])
+    states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), times, modes=2)
     try:
         return two_mode_resources(states)
     except MochainError:
@@ -253,18 +224,6 @@ def _labels(members: Any, count: int) -> list[str]:
     return list(map(value.__getitem__, members))
 
 
-def _first_failing(evaluate: Callable[[list[tuple]], Any], cells: list[tuple],
-                   size: int) -> tuple | None:
-    """(part, error) of the first part of size cells whose evaluation fails, else None."""
-    for start in range(0, len(cells), size):
-        part = cells[start:start + size]
-        try:
-            evaluate(part)
-        except MochainError as exc:
-            return part, exc
-    return None
-
-
 def _swept_chunks(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
                   multiples: tuple[float, ...]) -> Iterator[tuple]:
     """(chunk, chain, model, full) of each chunk of SWEEP_CELLS cells, in order.
@@ -276,15 +235,14 @@ def _swept_chunks(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
     is None for the effective model (chain None), else (E, S_ac, S_ca) of
     the full chains propagated exactly from the vacuum, each of shape (B,
     len(multiples)) over the multiples of each cell's characteristic time:
-    _full_resources builds and propagates the matrix stacks in blocks of
-    CHUNK_CELLS cells and takes the resources of the whole chunk in one call.
+    _full_resources builds the chunk's stacked pair from its checked chain,
+    propagates it in one call and takes the resources in one call.
 
     The one place that names an error's cell: a failing chunk is run again
-    block by block (CHUNK_CELLS cells), and the first failing block cell by
-    cell; the first failing cell's own error, which a one-point run prints
-    too, is raised with its axis values (without axes: unchanged). As every
-    cell evaluates alike alone and among others, the first failing block
-    holds the first cell that fails alone.
+    one cell at a time, in order, and the first failing cell's own error,
+    which a one-point run prints too, is raised with its axis values
+    (without axes: unchanged). As every cell evaluates alike alone and among
+    others, a failing chunk holds a cell that fails alone.
     """
     def evaluate(chunk: list[tuple]) -> tuple:
         columns = dict(zip(names, np.array(chunk, dtype=float).T))
@@ -301,13 +259,13 @@ def _swept_chunks(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
         except MochainError:
             if not names:
                 raise
-            block = _first_failing(evaluate, chunk, CHUNK_CELLS)
-            failing = None if block is None else _first_failing(evaluate, block[0], 1)
-            if failing is None:
-                raise
-            (cell,), exc = failing
-            where = ", ".join(f"{name} = {value!r}" for name, value in zip(names, cell))
-            raise type(exc)(f"{exc} at {where}") from exc
+            for cell in chunk:
+                try:
+                    evaluate([cell])
+                except MochainError as exc:
+                    where = ", ".join(f"{name} = {value!r}" for name, value in zip(names, cell))
+                    raise type(exc)(f"{exc} at {where}") from exc
+            raise
         yield chunk, chain, model, full
 
 

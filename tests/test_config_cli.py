@@ -304,11 +304,12 @@ class TestChunkMapping:
 
 
 class TestSweepBlocking:
-    """Tables and the named failing cell do not depend on the chunk and block sizes.
+    """Tables and the named failing cell do not depend on the chunk and row-block sizes.
 
-    A chunk of SWEEP_CELLS cells runs the cell-vector stage once; its matrix
-    stage runs in blocks of CHUNK_CELLS. With (7, 3) the cells of a sweep
-    split into chunks of 7 and each chunk into blocks of 3, 3 and 1.
+    A chunk of SWEEP_CELLS cells runs both stages once; propagate_lti takes
+    its rows in blocks of dynamics.ROW_BLOCK. With (7, 3) the cells of a
+    sweep split into chunks of 7 and each chunk's rows into blocks of 3, so
+    a compare chunk's blocks (two rows per cell) straddle its cells.
     """
 
     CASES = {
@@ -323,7 +324,7 @@ class TestSweepBlocking:
     @staticmethod
     def small_blocks(monkeypatch) -> None:
         monkeypatch.setattr(sweep, "SWEEP_CELLS", 7)
-        monkeypatch.setattr(sweep, "CHUNK_CELLS", 3)
+        monkeypatch.setattr(dynamics, "ROW_BLOCK", 3)
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_table_is_byte_identical(self, monkeypatch, case):
@@ -333,9 +334,9 @@ class TestSweepBlocking:
         self.small_blocks(monkeypatch)
         assert render(run(cfg)) == default
 
-    def test_first_failing_cell_is_found_block_then_cell(self, monkeypatch):
+    def test_first_failing_cell_is_found_cell_by_cell(self, monkeypatch):
         # n_b = 1e80 is the first value whose two-mode invariants leave double
-        # range: cell 13 of 21, the third block (one cell) of the second chunk
+        # range: cell 13 of 21, the last cell of the second chunk
         axis = SweepAxis("n_b", 1e67, 1e87, 21, scale="log")
         values = axis.values()
         run_compare(RunConfig("eom", dict(EOM_FIG3, n_b=values[12])))
@@ -352,8 +353,8 @@ class TestSweepBlocking:
         with pytest.raises(NumericError) as info:
             run_compare(RunConfig("eom", dict(EOM_FIG3), sweep=(axis,)))
         assert str(info.value) == f"{alone.value} at n_b = {values[13]!r}"
-        # two chunks, the second chunk's three blocks, the failing block's one cell
-        assert len(calls) == 6 <= math.ceil(21 / 7) + math.ceil(7 / 3) + 3
+        # two chunks, then the failing chunk's seven cells one at a time
+        assert len(calls) == 9
 
 
 # The platforms' reference points spelled as general chains, mapping written out

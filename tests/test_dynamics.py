@@ -645,7 +645,7 @@ class TestBatchedPropagation:
 
     def test_chunked_region_rows_match_single_cells(self, monkeypatch):
         # 35 cells in chunks of 8: four full chunks and a remainder of three
-        monkeypatch.setattr(sweep, "CHUNK_CELLS", 8)
+        monkeypatch.setattr(sweep, "SWEEP_CELLS", 8)
         axes, cells, dds, taus = self.comm_grid()
         table = sweep.run_region(RunConfig("comm", dict(COMM_FIG4), sweep=axes))
         assert [row[:2] for row in table.rows] == cells
@@ -730,7 +730,7 @@ class TestKeptModes:
                               propagate_lti(dd, v0, times, modes=2)):
             assert np.array_equal(kept.data, full.data)
 
-    @pytest.mark.parametrize("modes", [0, 3, -1, 2.0, "2"])
+    @pytest.mark.parametrize("modes", [0, 3, -1, 2.0, "2", True, False])
     def test_modes_out_of_range_or_not_an_integer(self, modes):
         dd = build_effective_drift_diffusion(STEADY)
         with pytest.raises(ValueError, match="modes must be an integer from 1 to 2"):
@@ -856,18 +856,22 @@ class TestDoublingPrecision:
 
 
 class TestOneConstructionPerCell:
-    """region and compare build one ChainParams per chunk, with (B,) fields for its cells."""
+    """region and compare build one ChainParams and one DriftDiffusion per chunk.
+
+    Each has (B,) fields, or a (B, 2M, 2M) stack, for the chunk's cells, and
+    runs its checks once for all of them.
+    """
 
     @staticmethod
-    def count_constructions(monkeypatch) -> list:
+    def count_constructions(monkeypatch, cls: type = ChainParams) -> list:
         calls = []
-        original = ChainParams.__post_init__
+        original = cls.__post_init__
 
         def counting(self):
             calls.append(self)
             original(self)
 
-        monkeypatch.setattr(ChainParams, "__post_init__", counting)
+        monkeypatch.setattr(cls, "__post_init__", counting)
         return calls
 
     def test_region(self, monkeypatch):
@@ -881,6 +885,16 @@ class TestOneConstructionPerCell:
         axes = (SweepAxis("g_a", 0.1, 0.2, 3),)
         table = sweep.run_compare(RunConfig("eom", dict(EOM_FIG3), sweep=axes))
         assert len(table.rows) == 3 and len(calls) == 1
+
+    def test_region_wider_than_a_row_block(self, monkeypatch):
+        # 225 cells are one chunk but two row blocks of propagate_lti: the
+        # chunk's checked chain and pair are not built again per block
+        chains = self.count_constructions(monkeypatch)
+        pairs = self.count_constructions(monkeypatch, DriftDiffusion)
+        axes = (SweepAxis("kappa_a", 1e-4, 1e-3, 15, scale="log"),
+                SweepAxis("kappa_c", 1e-4, 1e-3, 15, scale="log"))
+        table = sweep.run_region(RunConfig("comm", dict(COMM_FIG4), sweep=axes))
+        assert len(table.rows) == 225 and len(chains) == 1 and len(pairs) == 1
 
 
 class TestCharacteristicTime:
