@@ -43,7 +43,7 @@ for label, model in SCENARIOS.items():
           f"tau = {tau:.4f} ===")
     print(f"{'t/tau':>6} {'v11':>10} {'v44':>10} {'v14':>10} "
           f"{'E':>8} {'S_ac':>8} {'S_ca':>8} {'|closed-RK4|':>12}")
-    for t, state in zip(grid, states):
+    for t, state in zip(grid, map(CovarianceMatrix, states)):
         closed = analytic_effective_cm(model, float(t))
         gap = np.max(np.abs(closed.data - state.data))
         e = log_negativity(state, {0}, {1})

@@ -45,7 +45,7 @@ for label, params, dd_builder, to_chain, mode_names in (
     print(f"\n=== {label} (tau = {tau:.0f}) ===")
     print(f"{'t/tau':>6} {'ent residual':>13} {'steer residual':>15}")
     times = np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0]) * tau
-    states = propagate_lti(dd, CovarianceMatrix.vacuum(n_modes), times)
+    states = [CovarianceMatrix(state) for state in propagate_lti(dd, times)]
     for t, state in zip(times, states):
         ent_res, steer_res = monogamy_residuals(state, 0)
         print(f"{t / tau:6.2f} {ent_res:13.3e} {steer_res:15.3e}")

@@ -24,7 +24,7 @@ from typing import Any
 
 from .chain import ChainParams, EffectiveModel
 from . import chain as chain_mod
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, SingularCouplingError
 # comm_to_chain and eom_to_chain stay bound here as before the registry:
 # perfbench's tracer rebinds them in every module that holds them, and its
 # self-test checks that they are restored
@@ -149,7 +149,14 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
             params[key] = float(_count(value, f"{source}.parameters.n", 1))
         else:
             params[key] = _number(value, f"{source}.parameters.{key}")
-    required, allowed = _flat_schema(system, int(params.get("n", 0)))
+    n = int(params.get("n", 0))
+    # a chain of n intermediaries needs 3n + 7 parameters; an n past the size of
+    # the given map is refused before any name is built, so memory and the
+    # missing-key message stay within a few times the config's own size
+    if system_entry(system).params is ChainParams and n > len(params):
+        raise ConfigError(f"{source}.parameters.n: {n} intermediaries need "
+                          f"{3 * n + 7} parameters, {len(params)} given")
+    required, allowed = _flat_schema(system, n)
     _reject_unknown(params, allowed, f"{source}.parameters")
     missing = required - set(params)
     if missing:
@@ -179,17 +186,20 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
             raise ConfigError(f"{source}.sweep: both axes sweep {axes[0].name!r}")
 
     # each dataclass __post_init__ check bounds a single field, so the end
-    # points of an axis cover the whole axis for those checks; the chain's
-    # joint resonance of delta_a and omega_s can still lie inside an axis and
-    # is only met by the cell that hits it
+    # points of an axis cover the whole axis for those checks. A resonance
+    # (SingularCouplingError) is a joint property of delta_a and omega_s that
+    # only the chain meets when it is built, so it is left to the run, which
+    # reports it as a library error for every system, naming a swept cell
     points = [("", params)]
     points += [(f" at {axis.name} = {end!r}", {**params, axis.name: end})
                for axis in axes for end in (axis.minimum, axis.maximum)]
     for where, point in points:
         try:
             build_params(system, point)
-        except ValueError as exc:
+        except ParameterError as exc:
             raise ConfigError(f"{source}.parameters: {exc}{where}") from exc
+        except SingularCouplingError:
+            pass
 
     t_end_in_tau, samples = 2.0, 201
     if "times" in raw:

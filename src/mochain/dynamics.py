@@ -7,17 +7,18 @@ on the multivariate Ornstein-Uhlenbeck covariance), and its resources follow
 from that basis without cancellation. Every drift/diffusion pair (the 6x6 and
 8x8 full platform systems, and the effective model's for checks) is
 propagated exactly by propagate_lti, which takes the state of dv/dt = A v +
-v A^T + D at each time t straight from v0 with one pair (Phi(t), Q(t)) of
-Van Loan's block exponential, so every row depends only on (A, D, t). The
-block is never formed: its Taylor polynomial is evaluated on the n x n
-blocks by Paterson-Stockmeyer at a scale set by the drift alone, then
-doubled, with matrix products only (no linear solve), so the runtime needs
-numpy alone. It takes one DriftDiffusion, a single pair or a stack of pairs
-(the cells of a sweep chunk), each row bit-identical to its own
-single-time, single-pair call. Stable systems can also be solved directly
-for their stationary covariance. These are the production routes; the RK4
-oracle that checks them lives in mochain.verify and is never on a
-command-line data path. All rates are in units of the reference frequency.
+v A^T + D at each time t straight from the vacuum v(0) = I/2 with one pair
+(Phi(t), Q(t)) of Van Loan's block exponential, so every row depends only
+on (A, D, t). The block is never formed: its Taylor polynomial is evaluated
+on the n x n blocks by Paterson-Stockmeyer at a scale set by the drift
+alone, then doubled, with matrix products only (no linear solve), so the
+runtime needs numpy alone. It takes one DriftDiffusion, a single pair or a
+stack of pairs (the cells of a sweep chunk), and returns one array of
+states, each row bit-identical to its own single-time, single-pair call.
+Stable systems can also be solved directly for their stationary
+covariance. These are the production routes; the RK4 oracle that checks
+them lives in mochain.verify and is never on a command-line data path. All
+rates are in units of the reference frequency.
 """
 
 from __future__ import annotations
@@ -318,30 +319,29 @@ def _van_loan_pair(
 
 def propagate_lti(
     dd: DriftDiffusion,
-    v0: CovarianceMatrix,
     times: ArrayLike,
     modes: int | None = None,
-) -> list[CovarianceMatrix] | NDArray[np.float64]:
-    """Exact covariance at each requested time, starting from v(0) = v0.
+) -> NDArray[np.float64]:
+    """Exact covariance at each requested time, starting from the vacuum v(0) = I/2.
 
     Each row (cell, t) gets its own pair (Phi(t), Q(t)) of Van Loan's block
     exponential (C. F. Van Loan, IEEE TAC 23(3):395-404, 1978; C. Moler and
     C. Van Loan, SIAM Review 45(1), 2003), taken at t / 2^k and doubled k
-    times (_van_loan_pair), and its state is Phi v0 Phi^T + Q in one step.
+    times (_van_loan_pair), and its state is Phi Phi^T / 2 + Q in one step.
     No fixed point is involved, so the critical coupling is no special case,
     and no row reads another: a row depends only on its cell's (A, D) and
-    its time, so a repeated time gives the same state and t = 0 gives v0.
+    its time, so a repeated time gives the same state and t = 0 gives I/2.
     Times must be finite, non-negative and non-decreasing.
 
-    One drift/diffusion pair with times of shape (T,) gives the list of T
-    states. A stacked pair of B cells (all started from v0) with times of
-    shape (B, T), or (T,) shared by every cell, gives the symmetrized
-    covariances as one array of shape (B, T, 2M, 2M); every row is
-    bit-identical to a single-time call on that cell alone. modes = m, an
-    integer (not a bool) from 1 to M (default M), keeps the leading m modes:
-    each state is then 2m x 2m, bit for bit the leading block of the full
-    state, as only Phi's leading 2m rows and Q's leading block enter the
-    combining step.
+    The result is one array of symmetrized covariances. One drift/diffusion
+    pair with times of shape (T,) gives shape (T, 2M, 2M) (times of shape
+    (1, T) give (1, T, 2M, 2M)). A stacked pair of B cells with times of
+    shape (B, T), or (T,) shared by every cell, gives (B, T, 2M, 2M); every
+    row is bit-identical to a single-time call on that cell alone. modes =
+    m, an integer (not a bool) from 1 to M (default M), keeps the leading m
+    modes: each state is then 2m x 2m, bit for bit the leading block of the
+    full state, as only Phi's leading 2m rows and Q's leading block enter
+    the combining step.
     Raises CovarianceOverflowError, naming the first time (and the first cell
     of a stack at that time) at which a state leaves double range, and
     NumericError, naming the first cell's shortest span t whose reach
@@ -351,20 +351,16 @@ def propagate_lti(
 
     The combining step runs in extended precision (np.longdouble; plain
     double where the platform has no wider type), while (Phi, Q) are double;
-    as numpy has no BLAS for long double, it runs only on the kept block, and
-    a diagonal v0 (the vacuum of every sweep) enters as the column scaling
-    Phi diag(v0), exact entrywise, so the step takes one long-double product
-    per row instead of two, bit for bit the same states.
+    as numpy has no BLAS for long double, it runs only on the kept block, as
+    the one product (Phi / 2) Phi^T per row (Phi / 2 is exact).
     Overflow is checked on the returned states alone: an inf or nan anywhere
     in an earlier doubling reaches the kept rows of Phi and Q as inf or nan.
     In the divergent regime the covariance grows to ~1e9 while the resources
-    depend on its O(1) squeezed part, which Phi v0 Phi^T + Q reaches only by
+    depend on its O(1) squeezed part, which Phi Phi^T / 2 + Q reaches only by
     cancellation: on a 401-point grid to 5 tau of a divergent thermal model,
     the squeezed variance is 5.4e-8 off (relative) at row 397 with the step
     in long double and 5.4e-7 with it in double.
     """
-    if v0.modes != dd.modes:
-        raise ValueError("initial state and drift matrix disagree on mode count")
     if modes is None:
         modes = dd.modes
     if (isinstance(modes, bool) or not isinstance(modes, (int, np.integer))
@@ -377,6 +373,7 @@ def propagate_lti(
     if not cells:
         raise ValueError("propagate_lti needs at least one drift/diffusion pair")
     times = np.asarray(times, dtype=float)
+    shape = times.shape  # a single pair's result keeps it
     if times.ndim == 1:
         times = np.broadcast_to(times, (cells, len(times)))
     if times.ndim != 2 or times.shape[0] != cells or not np.all(np.isfinite(times)):
@@ -384,7 +381,7 @@ def propagate_lti(
     if np.any(np.diff(times, axis=1, prepend=0.0) < 0.0):
         raise ValueError("times must be non-negative and non-decreasing")
 
-    # one row per (cell, time), cell-major; a row's time is its span from v0
+    # one row per (cell, time), cell-major; a row's time is its span from the vacuum
     cell_of, span = np.repeat(np.arange(cells), times.shape[1]), times.ravel()
     reach = _norm1(a)[cell_of] * span
     if np.any(reach > MAX_REACH):
@@ -392,17 +389,13 @@ def propagate_lti(
         where = f" in cell {cell_of[row]}" if cells > 1 else ""
         raise NumericError(f"span {span[row]:g}{where} is past the doubling bound "
                            f"u ||A||_1 h <= 2^-20 (||A||_1 h = {reach[row]:.3g})")
-    v = v0.data.astype(np.longdouble)
-    scale = np.diagonal(v)
-    diagonal = np.array_equal(v, np.diag(scale))
     blocks = []
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
         for start in range(0, len(span), ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             phi, q = _van_loan_pair(a[cell_of[rows]], d[cell_of[rows]], span[rows])
             phi = phi[:, :kept].astype(np.longdouble)
-            left = phi * scale if diagonal else phi @ v
-            state = left @ np.swapaxes(phi, -1, -2) + q[:, :kept, :kept]
+            state = (phi * 0.5) @ np.swapaxes(phi, -1, -2) + q[:, :kept, :kept]
             blocks.append(state.astype(float))
     data = (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).reshape(
         *times.shape, kept, kept)
@@ -413,7 +406,7 @@ def propagate_lti(
         raise CovarianceOverflowError(
             f"covariance overflows double precision at t = {times[cell, column]:g}{where}")
     out = (data + np.swapaxes(data, -1, -2)) / 2.0
-    return [CovarianceMatrix(state) for state in out[0]] if single else out
+    return out.reshape(*shape, kept, kept) if single else out
 
 
 def characteristic_time(m: EffectiveModel) -> Field:

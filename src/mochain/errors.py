@@ -3,11 +3,13 @@
 Every library error derives from MochainError, which the command line prints
 as one line instead of a traceback. Each also keeps the built-in base it had
 before the common one (ValueError, ArithmeticError, ...), so callers that
-catch those still do. The sweep alone names where an error happened: the
-failing cell's axis values (sweep._swept_chunks, which runs a failing chunk
-again one cell at a time) and the failing full-system state's time
-(sweep._full_resources, which evaluates a failing stack of states one state
-at a time).
+catch those still do. A routine given a stack names the first bad cell or
+state in its message (DriftDiffusion, dynamics.propagate_lti and
+gaussian.two_mode_resources), and a run names where an error happened in
+its own terms: the failing cell's axis values (sweep._swept_chunks, which
+runs a failing chunk again one cell at a time) and the failing full-system
+state's time (sweep._full_resources, which evaluates a failing stack of
+states one state at a time).
 """
 
 

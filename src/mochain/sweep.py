@@ -47,14 +47,9 @@ import numpy as np
 
 from .chain import ChainParams, classify_regime, validity_report
 from .config import FORMATS, RunConfig, reduce_point, system_entry
-from .dynamics import (
-    DriftDiffusion,
-    characteristic_time,
-    effective_resources,
-    propagate_lti,
-)
+from .dynamics import characteristic_time, effective_resources, propagate_lti
 from .errors import ConfigError, MochainError
-from .gaussian import CovarianceMatrix, two_mode_resources
+from .gaussian import two_mode_resources
 from .stationary import stationary_entanglement, stationary_steering, steering_region
 from .systems import chain_full_drift_diffusion
 
@@ -179,23 +174,19 @@ def _sample_grid(cfg: RunConfig, tau: float) -> np.ndarray:
 
 
 def _full_resources(chain: ChainParams, times: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(E, S_ac_raw, S_ca_raw) of a full chain's microwave-optical modes, each of shape (B, T).
+    """(E, S_ac_raw, S_ca_raw) of a full chain's microwave-optical modes, each of times' shape.
 
-    times has shape (B, T), one row per cell of chain, or (T,) for an
-    all-float chain (one cell). One chain_full_drift_diffusion call builds
-    the stacked pair of every cell from the chain the caller already checked,
-    and one propagate_lti call takes each cell exactly from the vacuum to its
-    times as the states of modes 0 and 1 alone (its ROW_BLOCK rows bound the
-    memory of the Van Loan stacks). The resources of every state come from
+    times has shape (B, T), one row per cell of chain, or (T,) or (1, T)
+    for an all-float chain (one cell). One chain_full_drift_diffusion call
+    builds the pair (a stack for B cells) from the chain the caller already
+    checked, and one propagate_lti call takes each cell exactly from the
+    vacuum to its times as the states of modes 0 and 1 alone (its ROW_BLOCK
+    rows bound the memory of the Van Loan stacks). The resources of every state come from
     one two_mode_resources call. If that call fails, the states are
     evaluated again one at a time, and the first failing state's own error
     is raised with its time.
     """
-    times = np.atleast_2d(times)
-    dd = chain_full_drift_diffusion(chain)
-    if dd.a.ndim == 2:
-        dd = DriftDiffusion(dd.a[None], dd.d[None])
-    states = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), times, modes=2)
+    states = propagate_lti(chain_full_drift_diffusion(chain), times, modes=2)
     try:
         return two_mode_resources(states)
     except MochainError:
@@ -275,8 +266,8 @@ def run_evolve(cfg: RunConfig) -> Table:
     The effective model takes the covariance columns and the resources from
     the drift-eigenbasis closed form, for any thermal input and coupling;
     every other system (a platform or the general chain) propagates the full
-    linearized dynamics of its chain exactly (the propagator on a one-cell
-    stack) and takes the resources of all rows of the microwave-optical
+    linearized dynamics of its chain exactly (the propagator on its one
+    pair) and takes the resources of all rows of the microwave-optical
     sub-state from one two_mode_resources call.
     """
     if cfg.sweep:
@@ -291,8 +282,7 @@ def run_evolve(cfg: RunConfig) -> Table:
         columns += ["v11", "v44", "v14"]
         values = [grid, *effective_resources(model, grid)]
     else:
-        resources = _full_resources(chain, grid)
-        values = [grid, *(column[0] for column in resources)]
+        values = [grid, *_full_resources(chain, grid)]
     values = [column.tolist() for column in values]
     rows = zip(*values[:4], itertools.repeat(regime.value), *values[4:])
     return Table(columns=tuple(columns), rows=tuple(rows))

@@ -155,20 +155,18 @@ def _rk4_step(a, d, v, h):
 
 
 def lyapunov_rk4(dd: DriftDiffusion, v0: CovarianceMatrix, grid: np.ndarray,
-                 h: float | np.ndarray | None = None
-                 ) -> list[CovarianceMatrix] | np.ndarray:
+                 h: float | np.ndarray | None = None) -> np.ndarray:
     """RK4 oracle: the states on a strictly ascending grid, v0 being the one at grid[0].
 
-    On a grid from t = 0 it returns what propagate_lti(dd, v0, grid) does, up
-    to its O(h^4) error: between grid points it substeps uniformly at (at
-    most) h, by default auto_step(A), symmetrizing every substep. One pair
-    gives the list of states; past double range (deep unsteady regime) the
-    list ends at the last finite state, so it is shorter than the grid.
-
-    A stacked pair of B models takes a grid of shape (B, T), or (T,) shared
-    by all, and h as one step or one per model, and returns the (B, T, 2M,
-    2M) array of states, a model's rows after its last finite state being
-    nan. All models step in lockstep: over each grid interval every model
+    On a grid from t = 0 with v0 the vacuum it returns what
+    propagate_lti(dd, grid) does, up to its O(h^4) error, in the same array
+    shape: between grid points it substeps uniformly at (at most) h, by
+    default auto_step(A), symmetrizing every substep. One pair gives the (T,
+    2M, 2M) array of states. A stacked pair of B models takes a grid of
+    shape (B, T), or (T,) shared by all, and h as one step or one per model,
+    and returns the (B, T, 2M, 2M) array of states. Past double range (deep
+    unsteady regime) a model's rows after its last finite state are nan.
+    All models step in lockstep: over each grid interval every model
     takes its own substeps, and one that has finished them (or has left
     double range) pads with h = 0, an exact identity step on a finite
     symmetric state, so each model's rows are those of its own call up to
@@ -206,10 +204,7 @@ def lyapunov_rk4(dd: DriftDiffusion, v0: CovarianceMatrix, grid: np.ndarray,
             if not finite.any():
                 break
             states[finite, interval + 1] = v[finite]
-    if not single:
-        return states
-    kept = int(np.sum(np.all(np.isfinite(states[0]), axis=(1, 2))))
-    return [CovarianceMatrix(state) for state in states[0, :kept]]
+    return states[0] if single else states
 
 
 def effective_parameter_sets() -> list[EffectiveModel]:
@@ -301,7 +296,7 @@ def check_rk4_convergence() -> CheckResult:
     m = EffectiveModel(0.9, 0.7, 1.0)
     dd = build_effective_drift_diffusion(m)
     exact = analytic_effective_cm(m, 2.0).data
-    finals = (lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), np.array([0.0, 2.0]), h=h)[-1].data
+    finals = (lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), np.array([0.0, 2.0]), h=h)[-1]
               for h in (0.08, 0.04))
     coarse, fine = (float(np.max(np.abs(final - exact))) for final in finals)
     ratio = coarse / fine
@@ -564,8 +559,8 @@ def check_monogamy_on_trajectories() -> CheckResult:
     for chain in (eom_to_chain(EomParams(**EOM_FIG3)), comm_to_chain(CommParams(**COMM_FIG4))):
         dd = chain_full_drift_diffusion(chain)
         grid = np.linspace(0.0, 1.25 * characteristic_time(reduce_chain(chain)), 26)
-        for state in propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), grid)[1:]:
-            ent_res, steer_res = monogamy_residuals(state, 0)
+        for state in propagate_lti(dd, grid)[1:]:
+            ent_res, steer_res = monogamy_residuals(CovarianceMatrix(state), 0)
             worst = min(worst, ent_res, steer_res)
     return CheckResult("monogamy-residuals-nonnegative", worst, ">=", -1e-9,
                        "26 samples to 1.25 tau on EOM Fig. 3 and COMM Fig. 4")

@@ -300,7 +300,7 @@ def test_criterion_09_monogamy(verify_results):
             ("comm", CommParams(**COMM_FIG4), comm_to_chain, comm_full_drift_diffusion)):
         dd = build(p)
         tau = characteristic_time(reduce(to_chain(p)))
-        state = propagate_lti(dd, CovarianceMatrix.vacuum(dd.modes), [tau])[0]
+        state = CovarianceMatrix(propagate_lti(dd, [tau])[0])
         rest = list(range(1, state.modes))
         e_global = log_negativity(state, {0}, rest)
         e_mo = log_negativity(state, {0}, {1})

@@ -130,6 +130,15 @@ class TestSchema:
         with pytest.raises(ConfigError, match="g_mid_1"):
             parse_config({**CHAIN, "parameters": params})
 
+    def test_chain_length_past_the_map_is_refused_briefly(self):
+        # n = 1e5 needs 300007 parameters: refused before any of their names is built
+        raw = {"system": "chain", "parameters": {"n": 10**5, "delta_a": 1.0}}
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == ("config.parameters.n: 100000 intermediaries need "
+                                   "300007 parameters, 2 given")
+        assert len(str(info.value)) < 200
+
     def test_invalid_axis_end_point_is_config_error(self):
         with pytest.raises(ConfigError, match="at n_a = -0.5"):
             parse_config(config_with(sweep={"axis1": {
@@ -558,6 +567,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "at delta_a = 1.0" in err
+
+    @pytest.mark.parametrize("command, point, sweep", [
+        ("evolve", {"delta_a": 1.0}, None),
+        ("region", {}, {
+            "axis1": {"name": "delta_a", "min": 0.5, "max": 1.0, "points": 2},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}),
+        ("region", {}, {
+            "axis1": {"name": "delta_a", "min": 0.5, "max": 1.5, "points": 3},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}),
+    ], ids=["evolve", "region-end", "region-interior"])
+    def test_resonance_is_one_error_whatever_the_spelling(self, tmp_path, capsys,
+                                                          command, point, sweep):
+        # delta_a = omega_1 = 1: a library error (exit 3) for eom and for the
+        # same point spelled as a chain, with the same message and cell
+        results = []
+        for system, params in (("eom", EOM_FIG3), ("chain", EOM_AS_CHAIN)):
+            raw = {"system": system, "parameters": {**params, **point}}
+            if sweep:
+                raw["sweep"] = sweep
+            config_path = tmp_path / "resonant.json"
+            config_path.write_text(json.dumps(raw))
+            results.append((main([command, "--config", str(config_path)]),
+                            capsys.readouterr().err))
+        assert results[0] == results[1]
+        code, err = results[0]
+        assert code == 3
+        assert err.startswith("error: resonant denominator omega_1^2 - delta_a^2 = 0.000e+00")
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_swept_diffusion_names_the_cell(self, tmp_path, capsys):

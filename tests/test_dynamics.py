@@ -194,10 +194,10 @@ class TestAnalyticCovariance:
                              ids=["vacuum", "thermal"])
     def test_critical_coupling_matches_propagator(self, m):
         grid = np.linspace(0.0, 2.0 * characteristic_time(m), 9)
-        exact = propagate_lti(build_effective_drift_diffusion(m), CovarianceMatrix.vacuum(2), grid)
+        exact = propagate_lti(build_effective_drift_diffusion(m), grid)
         closed = analytic_effective_cm(m, grid)
         for state, v in zip(exact, closed):
-            assert np.max(np.abs(v - state.data)) < 1e-12 * np.max(np.abs(v))
+            assert np.max(np.abs(v - state)) < 1e-12 * np.max(np.abs(v))
 
     @pytest.mark.parametrize("m", [EffectiveModel(0.5, 1.0, 1.0, n_a=0.2),
                                    EffectiveModel(1.3, 0.7, 1.2, n_a=0.4, n_c=2.0),
@@ -205,10 +205,10 @@ class TestAnalyticCovariance:
                              ids=["steady", "unsteady", "uncoupled"])
     def test_thermal_input_matches_propagator(self, m):
         grid = np.linspace(0.0, characteristic_time(m), 6)
-        exact = propagate_lti(build_effective_drift_diffusion(m), CovarianceMatrix.vacuum(2), grid)
+        exact = propagate_lti(build_effective_drift_diffusion(m), grid)
         closed = analytic_effective_cm(m, grid)
         for state, v in zip(exact, closed):
-            assert np.max(np.abs(v - state.data)) < 1e-12 * np.max(np.abs(v))
+            assert np.max(np.abs(v - state)) < 1e-12 * np.max(np.abs(v))
 
     def test_sign_symmetry_of_coupling(self):
         plus = analytic_effective_cm(UNSTEADY, 2.0).data
@@ -303,7 +303,7 @@ class TestLyapunovRk4:
         assert len(states) == len(grid)
         for t, state in zip(grid, states):
             expected = np.eye(4) * (0.5 + 0.5 * math.exp(-2.0 * t))
-            assert np.max(np.abs(state.data - expected)) < 1e-10
+            assert np.max(np.abs(state - expected)) < 1e-10
 
     def test_matches_analytic_covariance(self):
         dd = build_effective_drift_diffusion(STEADY)
@@ -311,7 +311,7 @@ class TestLyapunovRk4:
         grid = np.linspace(0, 2 * tau, 11)
         states = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), grid)
         worst = max(
-            float(np.max(np.abs(analytic_effective_cm(STEADY, t).data - s.data)))
+            float(np.max(np.abs(analytic_effective_cm(STEADY, t).data - s)))
             for t, s in zip(grid, states)
         )
         assert worst < 1e-8
@@ -322,17 +322,19 @@ class TestLyapunovRk4:
 
         def err(h):
             final = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), [0.0, 2.0], h=h)[-1]
-            return float(np.max(np.abs(final.data - exact)))
+            return float(np.max(np.abs(final - exact)))
 
         ratio = err(0.05) / err(0.025)
         assert 14.0 <= ratio <= 18.0
 
     def test_truncation_on_overflow(self):
         dd = build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))
-        # overflow ends the list at the last finite grid point
+        # overflow ends the finite rows at the last finite grid point; the rest are nan
         states = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), np.linspace(0.0, 200.0, 21))
-        assert 1 < len(states) < 21
-        assert all(np.all(np.isfinite(s.data)) for s in states)
+        assert states.shape == (21, 4, 4)
+        finite = int(np.sum(np.all(np.isfinite(states), axis=(1, 2))))
+        assert 1 < finite < 21
+        assert np.all(np.isfinite(states[:finite])) and np.all(np.isnan(states[finite:]))
 
     def test_stack_equals_per_model_calls(self):
         # per-model grids and steps: the three models take 16, 32 and 48
@@ -345,27 +347,28 @@ class TestLyapunovRk4:
         states = lyapunov_rk4(stack(dds), vacuum, grids, h=steps)
         assert states.shape == (3, 5, 4, 4)
         for dd, grid, h, rows in zip(dds, grids, steps, states):
-            alone = np.stack([s.data for s in lyapunov_rk4(dd, vacuum, grid, h=float(h))])
+            alone = lyapunov_rk4(dd, vacuum, grid, h=float(h))
             assert np.max(np.abs(rows - alone)) <= 1e-12 * np.max(np.abs(alone))
         # a shared grid and the default step per model
         shared = lyapunov_rk4(stack(dds[:2]), vacuum, grids[0])
         for dd, rows in zip(dds[:2], shared):
-            alone = np.stack([s.data for s in lyapunov_rk4(dd, vacuum, grids[0])])
+            alone = lyapunov_rk4(dd, vacuum, grids[0])
             assert np.max(np.abs(rows - alone)) <= 1e-12 * np.max(np.abs(alone))
 
     def test_stack_rows_past_double_range_are_nan(self):
         # the second model overflows: its rows after the last finite state
-        # (where its own call's list ends) are nan, the first model's all finite
+        # (where its own call's finite rows end) are nan, the first model's all finite
         dds = [build_effective_drift_diffusion(STEADY),
                build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))]
         grid = np.linspace(0.0, 50.0, 11)
         vacuum = CovarianceMatrix.vacuum(2)
         alone = lyapunov_rk4(dds[1], vacuum, grid, h=0.02)
+        finite = int(np.sum(np.all(np.isfinite(alone), axis=(1, 2))))
         states = lyapunov_rk4(stack(dds), vacuum, grid, h=0.02)
-        assert states.shape == (2, 11, 4, 4) and 1 < len(alone) < 11
+        assert states.shape == (2, 11, 4, 4) and 1 < finite < 11
         assert np.all(np.isfinite(states[0]))
-        assert np.all(np.isfinite(states[1, :len(alone)]))
-        assert np.all(np.isnan(states[1, len(alone):]))
+        assert np.all(np.isfinite(states[1, :finite]))
+        assert np.all(np.isnan(states[1, finite:]))
 
     def test_stack_validation(self):
         dds = stack([build_effective_drift_diffusion(STEADY)] * 2)
@@ -415,21 +418,21 @@ class TestPropagateLti:
         dd = build_effective_drift_diffusion(UNSTEADY)
         tau = characteristic_time(UNSTEADY)
         times = [0.5 * tau, tau, 2.0 * tau]
-        exact = propagate_lti(dd, CovarianceMatrix.vacuum(2), times)
+        exact = propagate_lti(dd, times)
         for t, state in zip(times, exact):
-            assert np.max(np.abs(state.data - analytic_effective_cm(UNSTEADY, t).data)) < 1e-10
+            assert np.max(np.abs(state - analytic_effective_cm(UNSTEADY, t).data)) < 1e-10
 
     def test_critical_coupling_matches_rk4(self):
         # g^2 = ka kc has no fixed point; the covariance grows without bound
         m = EffectiveModel(math.sqrt(0.5), 0.5, 1.0)
         dd = build_effective_drift_diffusion(m)
         grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
-        exact = propagate_lti(dd, CovarianceMatrix.vacuum(2), grid)
+        exact = propagate_lti(dd, grid)
         oracle = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), grid, h=0.01)
-        assert len(oracle) == len(exact) == len(grid)
+        assert oracle.shape == exact.shape == (len(grid), 4, 4)
         for state, reference in zip(exact, oracle):
-            scale = float(np.max(np.abs(reference.data)))
-            assert np.max(np.abs(state.data - reference.data)) < 1e-8 * scale
+            scale = float(np.max(np.abs(reference)))
+            assert np.max(np.abs(state - reference)) < 1e-8 * scale
 
     @pytest.mark.parametrize("dd, modes", [
         (eom_full_drift_diffusion(EomParams(**EOM_FIG3)), 3),
@@ -439,11 +442,10 @@ class TestPropagateLti:
         # RK4 at its auto step is off by ~3e-8 here and converges at fourth
         # order onto the exact states (entries of order 0.5)
         grid = np.linspace(0.0, 20.0, 5)
-        exact = propagate_lti(dd, CovarianceMatrix.vacuum(modes), grid)
+        exact = propagate_lti(dd, grid)
         oracle = lyapunov_rk4(dd, CovarianceMatrix.vacuum(modes), grid)
-        assert len(oracle) == len(exact) == len(grid)
-        for state, reference in zip(exact, oracle):
-            assert np.max(np.abs(state.data - reference.data)) < 1e-7
+        assert oracle.shape == exact.shape == (len(grid), 2 * modes, 2 * modes)
+        assert np.max(np.abs(exact - oracle)) < 1e-7
 
     def test_fine_grid_keeps_squeezed_quadrature(self):
         # divergent thermal model over 5 tau: entries reach ~1e9 while the
@@ -458,7 +460,7 @@ class TestPropagateLti:
         dd = build_effective_drift_diffusion(m)
         tau = characteristic_time(m)
         grid = np.linspace(0.0, 5.0 * tau, 401)
-        states = propagate_lti(dd, CovarianceMatrix.vacuum(2), grid)
+        states = propagate_lti(dd, grid)
         with mp.workdps(40):
             block = mp.zeros(8, 8)
             for i in range(4):
@@ -472,35 +474,32 @@ class TestPropagateLti:
                 exact = phi * phi.T / 2 + phi * e[0:4, 4:8]
                 variances, directions = mp.eigsy((exact + exact.T) / 2)
                 u = directions[:, 0]
-                error = (u.T * (mp.matrix(states[index].data.tolist()) - exact) * u)[0]
+                error = (u.T * (mp.matrix(states[index].tolist()) - exact) * u)[0]
                 assert abs(error) < 2e-7 * variances[0]
 
     def test_repeated_time_returns_same_state(self):
         dd = build_effective_drift_diffusion(UNSTEADY)
-        v0 = CovarianceMatrix(np.eye(4))
-        states = propagate_lti(dd, v0, [0.0, 1.5, 1.5])
-        assert np.array_equal(states[0].data, v0.data)
-        assert np.array_equal(states[2].data, states[1].data)
+        states = propagate_lti(dd, [0.0, 1.5, 1.5])
+        assert np.array_equal(states[0], np.eye(4) / 2)
+        assert np.array_equal(states[2], states[1])
 
     def test_overflow_raises_with_time(self):
         dd = build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))
         with pytest.raises(OverflowError, match="t = 40"):
-            propagate_lti(dd, CovarianceMatrix.vacuum(2), np.linspace(0.0, 200.0, 21))
+            propagate_lti(dd, np.linspace(0.0, 200.0, 21))
 
     def test_grid_validation(self):
         dd = build_effective_drift_diffusion(STEADY)
         for times in ([1.0, 0.5], [-1.0, 0.5], [0.0, math.inf]):
             with pytest.raises(ValueError):
-                propagate_lti(dd, CovarianceMatrix.vacuum(2), times)
-        with pytest.raises(ValueError):
-            propagate_lti(dd, CovarianceMatrix.vacuum(3), [1.0])
+                propagate_lti(dd, times)
 
 
-def stepped(dd: DriftDiffusion, v0: np.ndarray, times) -> np.ndarray:
-    """States from stepping v <- Phi v Phi^T + Q along the grid in extended precision,
-    one Van Loan pair per interval, each taken alone: an oracle that composes the
-    grid's intervals instead of spanning each time from v0."""
-    v, previous, states = v0.astype(np.longdouble), 0.0, []
+def stepped(dd: DriftDiffusion, times) -> np.ndarray:
+    """States from stepping v <- Phi v Phi^T + Q from the vacuum along the grid in
+    extended precision, one Van Loan pair per interval, each taken alone: an oracle
+    that composes the grid's intervals instead of spanning each time from the vacuum."""
+    v, previous, states = np.eye(dd.a.shape[-1], dtype=np.longdouble) / 2, 0.0, []
     for t in times:
         if t > previous:
             phi, q = dynamics._van_loan_pair(dd.a[None], dd.d[None], np.array([t - previous]))
@@ -511,16 +510,16 @@ def stepped(dd: DriftDiffusion, v0: np.ndarray, times) -> np.ndarray:
     return (states + np.swapaxes(states, -1, -2)) / 2.0
 
 
-def assert_near_stepped(states, dd, v0, times):
+def assert_near_stepped(states, dd, times):
     """Each state within 1e-10 relative (max norm) of the stepping oracle's."""
-    oracle = stepped(dd, v0, times)
+    oracle = stepped(dd, times)
     error = np.max(np.abs(states - oracle), axis=(-2, -1))
     assert np.all(error <= 1e-10 * np.max(np.abs(oracle), axis=(-2, -1)))
 
 
-def single_calls(dd: DriftDiffusion, v0: CovarianceMatrix, times) -> np.ndarray:
+def single_calls(dd: DriftDiffusion, times) -> np.ndarray:
     """Each time's state from its own single-time call."""
-    return np.stack([propagate_lti(dd, v0, [t])[0].data for t in times])
+    return np.stack([propagate_lti(dd, [t])[0] for t in times])
 
 
 class TestRowIndependence:
@@ -545,22 +544,21 @@ class TestRowIndependence:
             chain = comm_to_chain(CommParams(**COMM_FIG4))
             dd, model = chain_full_drift_diffusion(chain), reduce(chain)
         times = self.grid(characteristic_time(model))
-        vacuum = CovarianceMatrix.vacuum(dd.modes)
-        states = np.stack([s.data for s in propagate_lti(dd, vacuum, times)])
-        assert np.array_equal(states, single_calls(dd, vacuum, times))
+        states = propagate_lti(dd, times)
+        assert isinstance(states, np.ndarray) and states.shape == (37, *dd.a.shape)
+        assert np.array_equal(states, single_calls(dd, times))
         assert np.array_equal(states[20], states[19])
-        assert_near_stepped(states, dd, vacuum.data, times)
+        assert_near_stepped(states, dd, times)
 
     def test_three_cell_stack(self):
         dds = [build_effective_drift_diffusion(m) for m in self.MODELS]
         times = np.stack([self.grid(characteristic_time(m)) for m in self.MODELS])
-        v0 = CovarianceMatrix(np.diag([0.5, 0.5, 1.5, 1.5]))
-        batch = propagate_lti(stack(dds), v0, times)
+        batch = propagate_lti(stack(dds), times)
         assert batch.shape == (3, 37, 4, 4)
         for dd, row, states in zip(dds, times, batch):
-            assert np.array_equal(states, single_calls(dd, v0, row))
+            assert np.array_equal(states, single_calls(dd, row))
             assert np.array_equal(states[20], states[19])
-            assert_near_stepped(states, dd, v0.data, row)
+            assert_near_stepped(states, dd, row)
 
     def test_eom_fig3_uniform_grid(self):
         # the platform evolve grid: 401 uniform samples to 5 tau; a row taken
@@ -569,23 +567,21 @@ class TestRowIndependence:
         params = EomParams(**EOM_FIG3)
         dd = eom_full_drift_diffusion(params)
         times = np.linspace(0.0, 5.0 * characteristic_time(reduce(eom_to_chain(params))), 401)
-        vacuum = CovarianceMatrix.vacuum(dd.modes)
-        states = np.stack([s.data for s in propagate_lti(dd, vacuum, times)])
-        assert np.array_equal(states, single_calls(dd, vacuum, times))
-        assert_near_stepped(states, dd, vacuum.data, times)
+        states = propagate_lti(dd, times)
+        assert np.array_equal(states, single_calls(dd, times))
+        assert_near_stepped(states, dd, times)
 
     def test_row_blocks_straddle_cells(self, monkeypatch):
         # 10 rows in blocks of 3: blocks cross the cell boundary, one row is left over
         dds = stack([build_effective_drift_diffusion(m) for m in self.MODELS[:2]])
         times = np.array([[0.0, 0.7, 1.5, 1.5, 4.0], [0.2, 0.9, 2.5, 3.0, 6.0]])
-        v0 = CovarianceMatrix.vacuum(2)
-        default = propagate_lti(dds, v0, times)
+        default = propagate_lti(dds, times)
         monkeypatch.setattr(dynamics, "ROW_BLOCK", 3)
-        assert np.array_equal(propagate_lti(dds, v0, times), default)
+        assert np.array_equal(propagate_lti(dds, times), default)
 
 
 class TestDiagonalStart:
-    """A diagonal v0 combines as the column scaling Phi diag(v0): the bits of Phi v0 Phi^T."""
+    """The vacuum combines as the column scaling Phi / 2: the bits of Phi (I/2) Phi^T."""
 
     @staticmethod
     def two_products(dd: DriftDiffusion, v0: CovarianceMatrix, times: np.ndarray,
@@ -599,22 +595,21 @@ class TestDiagonalStart:
         state = (state + np.swapaxes(state, -1, -2)) / 2.0
         return state.reshape(*times.shape, kept, kept)
 
-    @pytest.mark.parametrize("diagonal", [[0.5] * 4, [0.5, 0.5, 1.5, 1.5], [1.0] * 4],
-                             ids=["vacuum", "thermal", "identity"])
+    @pytest.mark.parametrize("diagonal", [[0.5] * 4], ids=["vacuum"])
     @pytest.mark.parametrize("modes", [1, 2])
     def test_effective_stack(self, diagonal, modes):
         dds = stack([build_effective_drift_diffusion(m) for m in TestRowIndependence.MODELS])
         times = np.stack([TestRowIndependence.grid(characteristic_time(m))
                           for m in TestRowIndependence.MODELS])
         v0 = CovarianceMatrix(np.diag(diagonal))
-        assert np.array_equal(propagate_lti(dds, v0, times, modes=modes),
+        assert np.array_equal(propagate_lti(dds, times, modes=modes),
                               self.two_products(dds, v0, times, 2 * modes))
 
     def test_comm_region_block(self):
         _, _, dds, taus = TestBatchedPropagation.comm_grid()
         times = np.array(taus)[:, None]
         vacuum = CovarianceMatrix.vacuum(4)
-        assert np.array_equal(propagate_lti(stack(dds), vacuum, times, modes=2),
+        assert np.array_equal(propagate_lti(stack(dds), times, modes=2),
                               self.two_products(stack(dds), vacuum, times, 4))
 
 
@@ -634,14 +629,11 @@ class TestBatchedPropagation:
 
     def test_stack_is_bit_identical_to_single_cells(self):
         _, _, dds, taus = self.comm_grid()
-        vacuum = CovarianceMatrix.vacuum(4)
         times = np.array([[tau, 2.0 * tau] for tau in taus])
-        batch = propagate_lti(stack(dds), vacuum, times)
+        batch = propagate_lti(stack(dds), times)
         assert batch.shape == (35, 2, 8, 8)
         for dd, row, states in zip(dds, times, batch):
-            single = propagate_lti(dd, vacuum, row)
-            for state, data in zip(single, states):
-                assert np.array_equal(state.data, data)
+            assert np.array_equal(propagate_lti(dd, row), states)
 
     def test_chunked_region_rows_match_single_cells(self, monkeypatch):
         # 35 cells in chunks of 8: four full chunks and a remainder of three
@@ -649,8 +641,7 @@ class TestBatchedPropagation:
         axes, cells, dds, taus = self.comm_grid()
         table = sweep.run_region(RunConfig("comm", dict(COMM_FIG4), sweep=axes))
         assert [row[:2] for row in table.rows] == cells
-        vacuum = CovarianceMatrix.vacuum(4)
-        single = np.stack([propagate_lti(dd, vacuum, [tau])[0].data[:4, :4]
+        single = np.stack([propagate_lti(dd, [tau])[0][:4, :4]
                            for dd, tau in zip(dds, taus)])
         expected = np.stack(two_mode_resources(single), axis=1)
         columns = [table.column(name) for name in ("E_full", "S_ac_full", "S_ca_full")]
@@ -658,17 +649,13 @@ class TestBatchedPropagation:
 
     def test_shared_time_grid_and_validation(self):
         dds = [build_effective_drift_diffusion(STEADY), build_effective_drift_diffusion(UNSTEADY)]
-        batch = propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [0.0, 1.0])
+        batch = propagate_lti(stack(dds), [0.0, 1.0])
         assert batch.shape == (2, 2, 4, 4)
-        assert np.array_equal(batch[1, 1], propagate_lti(dds[1], CovarianceMatrix.vacuum(2),
-                                                         [0.0, 1.0])[1].data)
+        assert np.array_equal(batch[1, 1], propagate_lti(dds[1], [0.0, 1.0])[1])
         with pytest.raises(ValueError):
-            propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [[1.0], [2.0], [3.0]])
+            propagate_lti(stack(dds), [[1.0], [2.0], [3.0]])
         with pytest.raises(ValueError):
-            propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [[1.0, 0.5], [1.0, 2.0]])
-        with pytest.raises(ValueError):
-            propagate_lti(stack([eom_full_drift_diffusion(EomParams(**EOM_FIG3))] * 2),
-                          CovarianceMatrix.vacuum(2), [1.0])
+            propagate_lti(stack(dds), [[1.0, 0.5], [1.0, 2.0]])
 
     @pytest.mark.filterwarnings("error")
     def test_overflow_names_the_cell(self):
@@ -677,7 +664,7 @@ class TestBatchedPropagation:
         dds = [build_effective_drift_diffusion(STEADY),
                build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))]
         with pytest.raises(CovarianceOverflowError, match="t = 100 in cell 1"):
-            propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [10.0, 100.0])
+            propagate_lti(stack(dds), [10.0, 100.0])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("modes", [1, 2])
@@ -687,7 +674,7 @@ class TestBatchedPropagation:
         dds = [build_effective_drift_diffusion(STEADY),
                build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))]
         with pytest.raises(CovarianceOverflowError, match="t = 100 in cell 1"):
-            propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [10.0, 100.0], modes=modes)
+            propagate_lti(stack(dds), [10.0, 100.0], modes=modes)
 
     def test_span_past_the_doubling_bound_is_named(self):
         # ||A||_1 h = 1.00001e10 > 2^33: 34 doublings would amplify the start
@@ -695,7 +682,7 @@ class TestBatchedPropagation:
         dds = [build_effective_drift_diffusion(STEADY),
                build_effective_drift_diffusion(EffectiveModel(1e10, 0.01, 0.01))]
         with pytest.raises(NumericError, match=r"^span 1 in cell 1 is past the doubling bound"):
-            propagate_lti(stack(dds), CovarianceMatrix.vacuum(2), [1.0])
+            propagate_lti(stack(dds), [1.0])
 
 
 class TestKeptModes:
@@ -705,36 +692,30 @@ class TestKeptModes:
         params = EomParams(**EOM_FIG3)
         dd = eom_full_drift_diffusion(params)
         times = np.linspace(0.0, 5.0 * characteristic_time(reduce(eom_to_chain(params))), 401)
-        vacuum = CovarianceMatrix.vacuum(dd.modes)
-        full = propagate_lti(dd, vacuum, times)
-        kept = propagate_lti(dd, vacuum, times, modes=2)
-        assert len(kept) == len(full) == 401
-        for block, state in zip(kept, full):
-            assert np.array_equal(block.data, state.data[:4, :4])
+        full = propagate_lti(dd, times)
+        kept = propagate_lti(dd, times, modes=2)
+        assert kept.shape == (401, 4, 4) and full.shape == (401, 6, 6)
+        assert np.array_equal(kept, full[:, :4, :4])
 
     def test_comm_stack_with_times_per_cell(self):
         _, _, dds, taus = TestBatchedPropagation.comm_grid()
-        vacuum = CovarianceMatrix.vacuum(4)
         times = np.array([[0.0, tau, 2.0 * tau] for tau in taus])
-        full = propagate_lti(stack(dds), vacuum, times)
+        full = propagate_lti(stack(dds), times)
         for modes in (1, 2, 3):
-            kept = propagate_lti(stack(dds), vacuum, times, modes=modes)
+            kept = propagate_lti(stack(dds), times, modes=modes)
             assert kept.shape == (35, 3, 2 * modes, 2 * modes)
             assert np.array_equal(kept, full[..., :2 * modes, :2 * modes])
 
     def test_every_mode_of_an_effective_pair_is_the_full_state(self):
         dd = build_effective_drift_diffusion(UNSTEADY)
-        v0 = CovarianceMatrix(np.diag([0.5, 0.5, 1.5, 1.5]))
         times = [0.0, 0.7, 1.5, 4.0]
-        for full, kept in zip(propagate_lti(dd, v0, times),
-                              propagate_lti(dd, v0, times, modes=2)):
-            assert np.array_equal(kept.data, full.data)
+        assert np.array_equal(propagate_lti(dd, times, modes=2), propagate_lti(dd, times))
 
     @pytest.mark.parametrize("modes", [0, 3, -1, 2.0, "2", True, False])
     def test_modes_out_of_range_or_not_an_integer(self, modes):
         dd = build_effective_drift_diffusion(STEADY)
         with pytest.raises(ValueError, match="modes must be an integer from 1 to 2"):
-            propagate_lti(dd, CovarianceMatrix.vacuum(2), [1.0], modes=modes)
+            propagate_lti(dd, [1.0], modes=modes)
 
 
 def scipy_pair(a, d, h):
@@ -833,9 +814,9 @@ class TestAffineInDiffusion:
         phi, q = reference_pair(dd.a, vacuum.d, tau)
         q = q + scale * reference_pair(dd.a, heat / scale, tau)[1]
         v = CovarianceMatrix.vacuum(3).data.astype(np.longdouble)
-        for state in propagate_lti(dd, CovarianceMatrix.vacuum(3), [tau, 2.0 * tau]):
+        for state in propagate_lti(dd, [tau, 2.0 * tau]):
             v = phi @ v @ phi.T + q
-            assert np.max(np.abs(state.data - v)) <= 1e-10 * np.max(np.abs(v))
+            assert np.max(np.abs(state - v)) <= 1e-10 * np.max(np.abs(v))
 
 
 class TestDoublingPrecision:
@@ -849,7 +830,7 @@ class TestDoublingPrecision:
         chain = comm_to_chain(CommParams(**dict(COMM_FIG4, kappa_a=kappa_a, kappa_c=kappa_c)))
         dd = chain_full_drift_diffusion(chain)
         tau = characteristic_time(reduce(chain))
-        state = propagate_lti(dd, CovarianceMatrix.vacuum(4), [tau])[0].data[:4, :4]
+        state = propagate_lti(dd, [tau])[0][:4, :4]
         got = [float(r[0]) for r in two_mode_resources(state[None])]
         want = van_loan_resources(mp, dd, tau)
         assert np.max(np.abs(np.subtract(got, want))) < 1e-11
@@ -895,6 +876,13 @@ class TestOneConstructionPerCell:
                 SweepAxis("kappa_c", 1e-4, 1e-3, 15, scale="log"))
         table = sweep.run_region(RunConfig("comm", dict(COMM_FIG4), sweep=axes))
         assert len(table.rows) == 225 and len(chains) == 1 and len(pairs) == 1
+
+    def test_platform_evolve(self, monkeypatch):
+        # a platform evolve propagates its one (6, 6) pair as it is, not rewrapped as a stack
+        pairs = self.count_constructions(monkeypatch, DriftDiffusion)
+        table = sweep.run_evolve(RunConfig("eom", dict(EOM_FIG3), samples=41))
+        assert len(table.rows) >= 41
+        assert [pair.a.shape for pair in pairs] == [(6, 6)]
 
 
 class TestCharacteristicTime:

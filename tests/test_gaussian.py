@@ -229,7 +229,7 @@ class TestTwoModeResources:
         m = EffectiveModel(1.9923732904068676, 1.0, 1.0, n_a=0.1)
         dd = build_effective_drift_diffusion(m)
         t = 5.0 * characteristic_time(m)
-        state = propagate_lti(dd, CovarianceMatrix.vacuum(2), [t])[0]
+        state = CovarianceMatrix(propagate_lti(dd, [t])[0])
         assert np.max(np.abs(state.data)) > 5e8
 
         def entanglement(v):

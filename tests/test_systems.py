@@ -141,7 +141,7 @@ class TestCommDriftDiffusion:
 
     def test_decoupled_microwave_stays_vacuum(self):
         dd = comm_full_drift_diffusion(replace(FIG4_COMM, g_a=0.0))
-        final = lyapunov_rk4(dd, CovarianceMatrix.vacuum(4), [0.0, 50.0])[-1]
+        final = CovarianceMatrix(lyapunov_rk4(dd, CovarianceMatrix.vacuum(4), [0.0, 50.0])[-1])
         assert np.max(np.abs(final.reduced([0]).data - np.eye(2) / 2)) < 1e-8
         assert log_negativity(final, {0}, {1}) == 0.0
 
