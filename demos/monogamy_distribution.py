@@ -17,10 +17,9 @@ from mochain import (
     CommParams,
     CovarianceMatrix,
     EomParams,
+    chain_full_drift_diffusion,
     characteristic_time,
-    comm_full_drift_diffusion,
     comm_to_chain,
-    eom_full_drift_diffusion,
     eom_to_chain,
     gaussian_steering,
     log_negativity,
@@ -33,14 +32,12 @@ from mochain.systems import COMM_FIG4, EOM_FIG3
 EOM = EomParams(**EOM_FIG3)
 COMM = CommParams(**COMM_FIG4)
 
-for label, params, dd_builder, to_chain, mode_names in (
-    ("electro-optomechanical", EOM, eom_full_drift_diffusion, eom_to_chain,
-     ("optical", "mechanical")),
-    ("optomagnomechanical", COMM, comm_full_drift_diffusion, comm_to_chain,
-     ("optical", "magnon", "mechanical")),
+for label, params, to_chain, mode_names in (
+    ("electro-optomechanical", EOM, eom_to_chain, ("optical", "mechanical")),
+    ("optomagnomechanical", COMM, comm_to_chain, ("optical", "magnon", "mechanical")),
 ):
-    dd = dd_builder(params)
-    tau = characteristic_time(reduce(to_chain(params)))
+    chain = to_chain(params)
+    dd, tau = chain_full_drift_diffusion(chain), characteristic_time(reduce(chain))
     n_modes = dd.modes
     print(f"\n=== {label} (tau = {tau:.0f}) ===")
     print(f"{'t/tau':>6} {'ent residual':>13} {'steer residual':>15}")

@@ -58,9 +58,8 @@ from .stationary import (
 from .systems import (
     CommParams,
     EomParams,
-    comm_full_drift_diffusion,
+    chain_full_drift_diffusion,
     comm_to_chain,
-    eom_full_drift_diffusion,
     eom_to_chain,
 )
 
@@ -86,14 +85,13 @@ __all__ = [
     "analytic_effective_cm",
     "boundary_limits",
     "build_effective_drift_diffusion",
+    "chain_full_drift_diffusion",
     "characteristic_time",
     "classify_regime",
-    "comm_full_drift_diffusion",
     "comm_to_chain",
     "effective_coupling",
     "effective_resources",
     "energy_shift",
-    "eom_full_drift_diffusion",
     "eom_to_chain",
     "gaussian_steering",
     "local_phase_rotate",

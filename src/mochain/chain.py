@@ -54,6 +54,13 @@ def reject_cells(flags: Iterable, message: str) -> None:
         raise ParameterError(message)
 
 
+def check_rates(rates: Iterable[Field], occupations: Iterable[Field]) -> None:
+    """Every decay rate positive and every thermal occupation non-negative,
+    cell by cell; ParameterError otherwise."""
+    reject_cells((k <= 0 for k in rates), "decay rates must be positive")
+    reject_cells((x < 0 for x in occupations), "thermal occupations must be non-negative")
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Full parameter set of the chain Hamiltonian (end modes + N intermediaries).
@@ -101,9 +108,7 @@ class ChainParams:
         if len(self.kappa_mid) != self.n or len(self.n_mid) != self.n:
             raise ParameterError("kappa_mid and n_mid must have one entry per intermediary mode")
         rates = (self.kappa_a, self.kappa_c, *self.kappa_mid)
-        reject_cells((k <= 0 for k in rates), "all decay rates must be positive")
-        reject_cells((x < 0 for x in (self.n_a, self.n_c, *self.n_mid)),
-                     "thermal occupations must be non-negative")
+        check_rates(rates, (self.n_a, self.n_c, *self.n_mid))
         values = (self.delta_a, self.theta, self.phi, self.g_a, self.g_c,
                   *self.omegas, *self.g_mid, *rates)
         reject_cells((~np.isfinite(v) for v in values), "chain parameters must be finite")
@@ -126,8 +131,7 @@ class EffectiveModel:
     n_c: Field = 0.0
 
     def __post_init__(self) -> None:
-        reject_cells((self.kappa_a <= 0, self.kappa_c <= 0), "decay rates must be positive")
-        reject_cells((self.n_a < 0, self.n_c < 0), "thermal occupations must be non-negative")
+        check_rates((self.kappa_a, self.kappa_c), (self.n_a, self.n_c))
         with np.errstate(over="ignore", invalid="ignore"):
             overflow = ~np.isfinite(np.multiply(self.g_eff, self.g_eff))  # a non-finite g_eff too
         if np.any(overflow):
@@ -136,8 +140,10 @@ class EffectiveModel:
                                       "or its square overflows")
 
 
-def _checked_gap(value: Field, label: str) -> Field:
-    resonant = np.abs(value) < RESONANCE_TOL
+def _checked_gap(value: Field, scale: Field, label: str) -> Field:
+    """value, a gap between terms of size at most scale; SingularCouplingError
+    if it is zero or below RESONANCE_TOL relative to that scale."""
+    resonant = (np.abs(value) < RESONANCE_TOL * scale) | (value == 0.0)
     if resonant.any():
         raise SingularCouplingError(
             f"resonant denominator {label} = {np.ravel(value)[np.argmax(resonant)]:.3e}")
@@ -158,8 +164,9 @@ def effective_coupling(p: ChainParams) -> Field:
     da = p.delta_a
     with np.errstate(over="ignore", invalid="ignore"):  # EffectiveModel rejects a non-finite g
         for s, w in enumerate(p.omegas, start=1):
-            _checked_gap(da - w, f"delta_a - omega_{s}")
-            _checked_gap(da + w, f"delta_a + omega_{s}")
+            scale = np.maximum(np.abs(da), np.abs(w))
+            _checked_gap(da - w, scale, f"delta_a - omega_{s}")
+            _checked_gap(da + w, scale, f"delta_a + omega_{s}")
         if p.n == 1:
             w1 = p.omegas[0]
             return per_cell(p.g_a * p.g_c * (
@@ -181,8 +188,9 @@ def _energy_shift_at(p: ChainParams, delta_c: Field) -> Field:
     # OverflowError or warning, which ChainParams rejects
     with np.errstate(over="ignore", invalid="ignore"):
         w1, wn = p.omegas[0], p.omegas[-1]
-        den_a = _checked_gap(w1 * w1 - p.delta_a * p.delta_a, "omega_1^2 - delta_a^2")
-        den_c = _checked_gap(wn * wn - delta_c * delta_c, "omega_N^2 - delta_c^2")
+        w1_2, da_2, wn_2, dc_2 = w1 * w1, p.delta_a * p.delta_a, wn * wn, delta_c * delta_c
+        den_a = _checked_gap(w1_2 - da_2, np.maximum(w1_2, da_2), "omega_1^2 - delta_a^2")
+        den_c = _checked_gap(wn_2 - dc_2, np.maximum(wn_2, dc_2), "omega_N^2 - delta_c^2")
         term_a = p.g_a * p.g_a * (w1 + p.delta_a * np.cos(2.0 * p.theta)) / den_a
         term_c = p.g_c * p.g_c * (wn + delta_c * np.cos(2.0 * p.phi)) / den_c
         return per_cell(term_a + term_c)

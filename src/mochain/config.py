@@ -4,13 +4,15 @@ A run selects one system of the registry systems.SYSTEMS and gives a flat
 name->value parameter map, optionally swept along one or two axes. The
 parameter names are the fields of the system's parameter dataclass (a field
 with a default is optional), except for the general chain, whose per-mode
-tuples are spelled as indexed names (omega_1.., g_mid_1.., kappa_mid_1..).
+tuples are spelled as indexed names (omega_1.., g_mid_1.., kappa_mid_1..),
+from one table that both the schema and build_chain_params read.
 Every parameter value, and each sweep axis's end points, is checked by
 building the system's parameter object, so a value the physics rejects is a
 config error too. Time grids are specified in multiples of the
 characteristic time so sweeps stay well scaled as the coupling varies.
-Unknown keys are rejected everywhere with the offending key path in the
-message; JSON syntax errors keep their line/column from the parser.
+Every section is read by one object reader, which rejects unknown keys with
+the offending key path in the message; an absent section reads as empty, so
+its defaults apply. JSON syntax errors keep their line/column from the parser.
 """
 
 from __future__ import annotations
@@ -67,10 +69,32 @@ class RunConfig:
     outputs: OutputSpec = OutputSpec()
 
 
+# The chain's per-mode tuples, spelled as indexed names stem_1 .. stem_k:
+# (ChainParams field, name stem, k - n for n intermediaries, required). An
+# optional entry that is not given is 0.0.
+_CHAIN_TUPLES = (("omegas", "omega_", 0, True), ("kappa_mid", "kappa_mid_", 0, True),
+                 ("g_mid", "g_mid_", -1, True), ("n_mid", "n_mid_", 0, False))
+_CHAIN_REQUIRED = ("n", "delta_a", "theta", "phi", "g_a", "g_c", "kappa_a", "kappa_c")
+_CHAIN_OPTIONAL = {"delta_c": None, "n_a": 0.0, "n_c": 0.0}  # None: matched
+
+
+def _chain_required_count(n: int) -> int:
+    """3n + 7: how many names a chain of n intermediaries requires, without building them."""
+    return len(_CHAIN_REQUIRED) + sum(n + extra for _, _, extra, req in _CHAIN_TUPLES if req)
+
+
 def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
+
+
+def _object(value: Any, allowed: set[str], path: str) -> dict:
+    """A config object at path whose keys are all in allowed."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected an object")
+    _reject_unknown(value, allowed, path)
+    return value
 
 
 def _number(value: Any, path: str) -> float:
@@ -90,9 +114,7 @@ def _count(value: Any, path: str, minimum: int) -> int:
 
 
 def _parse_axis(raw: Any, path: str) -> SweepAxis:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _reject_unknown(raw, {"name", "min", "max", "points", "scale"}, path)
+    _object(raw, {"name", "min", "max", "points", "scale"}, path)
     for key in ("name", "min", "max", "points"):
         if key not in raw:
             raise ConfigError(f"{path}.{key}: required")
@@ -122,11 +144,10 @@ def _flat_schema(system: str, n: int) -> tuple[set[str], set[str]]:
     """
     kind = system_entry(system).params
     if kind is ChainParams:
-        required = {"n", "delta_a", "theta", "phi", "g_a", "g_c", "kappa_a", "kappa_c"}
-        required |= {f"omega_{s}" for s in range(1, n + 1)}
-        required |= {f"kappa_mid_{s}" for s in range(1, n + 1)}
-        required |= {f"g_mid_{s}" for s in range(1, n)}
-        optional = {"delta_c", "n_a", "n_c"} | {f"n_mid_{s}" for s in range(1, n + 1)}
+        required, optional = set(_CHAIN_REQUIRED), set(_CHAIN_OPTIONAL)
+        for _, stem, extra, needed in _CHAIN_TUPLES:
+            (required if needed else optional).update(
+                f"{stem}{s}" for s in range(1, n + extra + 1))
         return required, required | optional
     fields = dataclasses.fields(kind)
     required = {f.name for f in fields if f.default is dataclasses.MISSING}
@@ -150,46 +171,42 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
         else:
             params[key] = _number(value, f"{source}.parameters.{key}")
     n = int(params.get("n", 0))
-    # a chain of n intermediaries needs 3n + 7 parameters; an n past the size of
-    # the given map is refused before any name is built, so memory and the
-    # missing-key message stay within a few times the config's own size
+    # an n past the size of the given map is refused before any name is built,
+    # so memory and the missing-key message stay within a few times the
+    # config's own size
     if system_entry(system).params is ChainParams and n > len(params):
         raise ConfigError(f"{source}.parameters.n: {n} intermediaries need "
-                          f"{3 * n + 7} parameters, {len(params)} given")
+                          f"{_chain_required_count(n)} parameters, {len(params)} given")
     required, allowed = _flat_schema(system, n)
     _reject_unknown(params, allowed, f"{source}.parameters")
     missing = required - set(params)
     if missing:
         raise ConfigError(f"{source}.parameters: missing {sorted(missing)}")
 
+    # an absent section reads as {}, so every default comes from .get
+    sweep = _object(raw.get("sweep", {}), {"axis1", "axis2"}, f"{source}.sweep")
+    if "axis2" in sweep and "axis1" not in sweep:
+        raise ConfigError(f"{source}.sweep: axis2 given without axis1")
     axes: list[SweepAxis] = []
-    if "sweep" in raw:
-        sweep = raw["sweep"]
-        if not isinstance(sweep, dict):
-            raise ConfigError(f"{source}.sweep: expected an object")
-        _reject_unknown(sweep, {"axis1", "axis2"}, f"{source}.sweep")
-        if "axis2" in sweep and "axis1" not in sweep:
-            raise ConfigError(f"{source}.sweep: axis2 given without axis1")
-        for key in ("axis1", "axis2"):
-            if key in sweep:
-                axis = _parse_axis(sweep[key], f"{source}.sweep.{key}")
-                if axis.name not in allowed:
-                    raise ConfigError(
-                        f"{source}.sweep.{key}.name: {axis.name!r} is not a parameter "
-                        f"of system {system!r}"
-                    )
-                if axis.name == "n":
-                    raise ConfigError(f"{source}.sweep.{key}.name: 'n' cannot be swept, "
-                                      "it sets which parameters are required")
-                axes.append(axis)
-        if len(axes) == 2 and axes[0].name == axes[1].name:
-            raise ConfigError(f"{source}.sweep: both axes sweep {axes[0].name!r}")
+    for key in ("axis1", "axis2"):
+        if key in sweep:
+            axis = _parse_axis(sweep[key], f"{source}.sweep.{key}")
+            if axis.name not in allowed:
+                raise ConfigError(f"{source}.sweep.{key}.name: {axis.name!r} is not a "
+                                  f"parameter of system {system!r}")
+            if axis.name == "n":
+                raise ConfigError(f"{source}.sweep.{key}.name: 'n' cannot be swept, "
+                                  "it sets which parameters are required")
+            axes.append(axis)
+    if len(axes) == 2 and axes[0].name == axes[1].name:
+        raise ConfigError(f"{source}.sweep: both axes sweep {axes[0].name!r}")
 
     # each dataclass __post_init__ check bounds a single field, so the end
     # points of an axis cover the whole axis for those checks. A resonance
-    # (SingularCouplingError) is a joint property of delta_a and omega_s that
-    # only the chain meets when it is built, so it is left to the run, which
-    # reports it as a library error for every system, naming a swept cell
+    # (SingularCouplingError) is a joint property of delta_a and the chain's
+    # frequencies that only the chain meets when it is built, so it is left to
+    # the run, which reports it as a library error for every system, naming a
+    # swept cell
     points = [("", params)]
     points += [(f" at {axis.name} = {end!r}", {**params, axis.name: end})
                for axis in axes for end in (axis.minimum, axis.maximum)]
@@ -201,44 +218,26 @@ def parse_config(raw: dict, source: str = "config") -> RunConfig:
         except SingularCouplingError:
             pass
 
-    t_end_in_tau, samples = 2.0, 201
-    if "times" in raw:
-        times = raw["times"]
-        if not isinstance(times, dict):
-            raise ConfigError(f"{source}.times: expected an object")
-        _reject_unknown(times, {"t_end_in_tau", "samples"}, f"{source}.times")
-        if "t_end_in_tau" in times:
-            t_end_in_tau = _number(times["t_end_in_tau"], f"{source}.times.t_end_in_tau")
-            if t_end_in_tau <= 0:
-                raise ConfigError(f"{source}.times.t_end_in_tau: must be positive")
-        if "samples" in times:
-            samples = _count(times["samples"], f"{source}.times.samples", 2)
+    times = _object(raw.get("times", {}), {"t_end_in_tau", "samples"}, f"{source}.times")
+    t_end_in_tau = _number(times.get("t_end_in_tau", RunConfig.t_end_in_tau),
+                           f"{source}.times.t_end_in_tau")
+    if t_end_in_tau <= 0:
+        raise ConfigError(f"{source}.times.t_end_in_tau: must be positive")
+    samples = _count(times.get("samples", RunConfig.samples), f"{source}.times.samples", 2)
 
-    outputs = OutputSpec()
-    if "outputs" in raw:
-        out = raw["outputs"]
-        if not isinstance(out, dict):
-            raise ConfigError(f"{source}.outputs: expected an object")
-        _reject_unknown(out, {"path", "format"}, f"{source}.outputs")
-        fmt = out.get("format", "csv")
-        if fmt not in FORMATS:
-            raise ConfigError(f"{source}.outputs.format: must be one of {FORMATS}")
-        path = out.get("path")
-        if path is not None and not isinstance(path, str):
-            raise ConfigError(f"{source}.outputs.path: expected a string")
-        outputs = OutputSpec(path=path, format=fmt)
+    out = _object(raw.get("outputs", {}), {"path", "format"}, f"{source}.outputs")
+    fmt = out.get("format", OutputSpec.format)
+    if fmt not in FORMATS:
+        raise ConfigError(f"{source}.outputs.format: must be one of {FORMATS}")
+    path = out.get("path")
+    if path is not None and not isinstance(path, str):
+        raise ConfigError(f"{source}.outputs.path: expected a string")
 
     if "unit" in raw and not isinstance(raw["unit"], str):
         raise ConfigError(f"{source}.unit: expected a string (documentation only)")
 
-    return RunConfig(
-        system=system,
-        parameters=params,
-        sweep=tuple(axes),
-        t_end_in_tau=t_end_in_tau,
-        samples=samples,
-        outputs=outputs,
-    )
+    return RunConfig(system=system, parameters=params, sweep=tuple(axes), t_end_in_tau=t_end_in_tau,
+                     samples=samples, outputs=OutputSpec(path=path, format=fmt))
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -256,24 +255,12 @@ def load_config(path: str | Path) -> RunConfig:
 
 def build_chain_params(params: dict[str, Any]) -> ChainParams:
     """Chain parameters from the flat map; delta_c is matched when not given."""
-    n = int(params["n"])
-    return ChainParams(
-        n=n,
-        delta_a=params["delta_a"],
-        delta_c=params.get("delta_c"),
-        omegas=tuple(params[f"omega_{s}"] for s in range(1, n + 1)),
-        g_a=params["g_a"],
-        g_c=params["g_c"],
-        g_mid=tuple(params[f"g_mid_{s}"] for s in range(1, n)),
-        theta=params["theta"],
-        phi=params["phi"],
-        kappa_a=params["kappa_a"],
-        kappa_c=params["kappa_c"],
-        kappa_mid=tuple(params[f"kappa_mid_{s}"] for s in range(1, n + 1)),
-        n_a=params.get("n_a", 0.0),
-        n_c=params.get("n_c", 0.0),
-        n_mid=tuple(params.get(f"n_mid_{s}", 0.0) for s in range(1, n + 1)),
-    )
+    fields = {name: params[name] for name in _CHAIN_REQUIRED} | {"n": int(params["n"])}
+    fields |= {name: params.get(name, default) for name, default in _CHAIN_OPTIONAL.items()}
+    for field, stem, extra, required in _CHAIN_TUPLES:
+        names = (f"{stem}{s}" for s in range(1, fields["n"] + extra + 1))
+        fields[field] = tuple(params[k] if required else params.get(k, 0.0) for k in names)
+    return ChainParams(**fields)
 
 
 def system_entry(system: str, path: str = "system") -> System:

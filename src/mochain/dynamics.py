@@ -337,7 +337,8 @@ def propagate_lti(
     pair with times of shape (T,) gives shape (T, 2M, 2M) (times of shape
     (1, T) give (1, T, 2M, 2M)). A stacked pair of B cells with times of
     shape (B, T), or (T,) shared by every cell, gives (B, T, 2M, 2M); every
-    row is bit-identical to a single-time call on that cell alone. modes =
+    row is bit-identical to a single-time call on that cell alone, and an
+    empty grid gives an empty array of the same form. modes =
     m, an integer (not a bool) from 1 to M (default M), keeps the leading m
     modes: each state is then 2m x 2m, bit for bit the leading block of the
     full state, as only Phi's leading 2m rows and Q's leading block enter
@@ -389,16 +390,14 @@ def propagate_lti(
         where = f" in cell {cell_of[row]}" if cells > 1 else ""
         raise NumericError(f"span {span[row]:g}{where} is past the doubling bound "
                            f"u ||A||_1 h <= 2^-20 (||A||_1 h = {reach[row]:.3g})")
-    blocks = []
+    data = np.empty((len(span), kept, kept))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
         for start in range(0, len(span), ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             phi, q = _van_loan_pair(a[cell_of[rows]], d[cell_of[rows]], span[rows])
             phi = phi[:, :kept].astype(np.longdouble)
-            state = (phi * 0.5) @ np.swapaxes(phi, -1, -2) + q[:, :kept, :kept]
-            blocks.append(state.astype(float))
-    data = (blocks[0] if len(blocks) == 1 else np.concatenate(blocks)).reshape(
-        *times.shape, kept, kept)
+            data[rows] = (phi * 0.5) @ np.swapaxes(phi, -1, -2) + q[:, :kept, :kept]
+    data = data.reshape(*times.shape, kept, kept)
     bad = ~np.all(np.isfinite(data), axis=(-2, -1))
     if np.any(bad):
         column, cell = divmod(int(np.argmax(bad.T)), cells)  # first column, then first cell

@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .chain import EffectiveModel, Field, classify_regime, per_cell
+from .chain import EffectiveModel, Field, check_rates, classify_regime, per_cell
 from .gaussian import Regime
 
 
@@ -120,9 +120,10 @@ def boundary_limits(kappa_a: float, kappa_c: float) -> tuple[float, float, float
 
     E  -> ln[(ka+kc)^2 / (ka^2+kc^2)]          (upper bound of the stable branch)
     S_ac -> ln[(ka kc + kc^2)/(ka^2+kc^2)],  S_ca -> ln[(ka^2 + ka kc)/(ka^2+kc^2)]
+
+    ParameterError (a ValueError) unless both rates are positive.
     """
-    if kappa_a <= 0 or kappa_c <= 0:
-        raise ValueError("decay rates must be positive")
+    check_rates((kappa_a, kappa_c), ())
     ka2, kc2 = kappa_a**2, kappa_c**2
     product = kappa_a * kappa_c
     e_lim = math.log((kappa_a + kappa_c) ** 2 / (ka2 + kc2))

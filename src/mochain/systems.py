@@ -6,9 +6,11 @@ cavity optomagnomechanical system (a magnon mode couples the microwave cavity
 to the mechanics, which drives the optical cavity: two intermediaries). Each
 maps onto the general chain parameters with one ChainParams construction
 (delta_c = None, so the chain itself resolves the matched optical detuning),
-and derives its full linearized drift/diffusion pair, for the numeric route
-that validates the reduction, from that mapping alone: one builder,
-chain_full_drift_diffusion, writes the dynamics of any chain. Every
+and has no dynamics of its own: its full linearized drift/diffusion pair, for
+the numeric route that validates the reduction, is that of its chain, e.g.
+chain_full_drift_diffusion(eom_to_chain(p)), the one builder for any chain.
+A platform checks only its mechanical frequency itself; its rates and
+occupations go through chain.check_rates, as every parameter set's do. Every
 parameter field may be a float or a (B,) array over the cells of a sweep
 chunk: the checks, the chain mapping and the builder then work on all cells
 at once, and the builder returns the stacked (B, 2M, 2M) pair, one 2M x 2M
@@ -41,7 +43,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .chain import ChainParams, EffectiveModel, Field, reject_cells
+from .chain import ChainParams, EffectiveModel, Field, check_rates, reject_cells
 from .dynamics import DriftDiffusion
 from .errors import CovarianceOverflowError
 
@@ -103,8 +105,7 @@ class CommParams:
 def _check_platform(omega_b: Field, rates: tuple, occupations: tuple) -> None:
     """A platform's field checks, cell by cell (ParameterError names the first bad one)."""
     reject_cells((omega_b <= 0,), "mechanical frequency must be positive")
-    reject_cells((k <= 0 for k in rates), "decay rates must be positive")
-    reject_cells((x < 0 for x in occupations), "thermal occupations must be non-negative")
+    check_rates(rates, occupations)
 
 
 def eom_to_chain(p: EomParams) -> ChainParams:
@@ -203,22 +204,6 @@ def chain_full_drift_diffusion(c: ChainParams) -> DriftDiffusion:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
         raise CovarianceOverflowError("drift/diffusion overflows double precision")
     return DriftDiffusion(a, d)
-
-
-def eom_full_drift_diffusion(p: EomParams) -> DriftDiffusion:
-    """Linearized 6x6 dynamics of the full electro-optomechanical system, ordering (a, c, b).
-
-    The chain builder on eom_to_chain(p); (B,) fields give the stacked (B, 6, 6) pair.
-    """
-    return chain_full_drift_diffusion(eom_to_chain(p))
-
-
-def comm_full_drift_diffusion(p: CommParams) -> DriftDiffusion:
-    """Linearized 8x8 dynamics of the full optomagnomechanical system, ordering (a, c, m, b).
-
-    The chain builder on comm_to_chain(p); (B,) fields give the stacked (B, 8, 8) pair.
-    """
-    return chain_full_drift_diffusion(comm_to_chain(p))
 
 
 @dataclass(frozen=True)

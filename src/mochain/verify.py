@@ -60,7 +60,6 @@ from .systems import (
     EomParams,
     chain_full_drift_diffusion,
     comm_to_chain,
-    eom_full_drift_diffusion,
     eom_to_chain,
 )
 
@@ -413,9 +412,10 @@ def check_steady_state_residual() -> CheckResult:
     with weaker couplings g_a = g_c = 0.03, where it is Hurwitz stable.
     """
     worst = 0.0
+    eom = EomParams(**dict(EOM_FIG3, g_a=0.03, g_c=0.03))
     systems = [build_effective_drift_diffusion(EffectiveModel(0.5, 1.0, 1.0)),
                build_effective_drift_diffusion(EffectiveModel(0.3, 0.8, 1.2, n_a=1.0)),
-               eom_full_drift_diffusion(EomParams(**dict(EOM_FIG3, g_a=0.03, g_c=0.03)))]
+               chain_full_drift_diffusion(eom_to_chain(eom))]
     for dd in systems:
         v = steady_state(dd)
         worst = max(worst, float(np.max(np.abs(dd.a @ v.data + v.data @ dd.a.T + dd.d))))

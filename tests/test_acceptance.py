@@ -44,9 +44,8 @@ from mochain.systems import (
     EOM_FIG3,
     CommParams,
     EomParams,
-    comm_full_drift_diffusion,
+    chain_full_drift_diffusion,
     comm_to_chain,
-    eom_full_drift_diffusion,
     eom_to_chain,
 )
 from mochain.verify import STEERING_FLOOR, effective_parameter_sets
@@ -295,11 +294,10 @@ def test_criterion_09_monogamy(verify_results):
     assert result.passed, result.line()
 
     # resource distributions at tau: everything concentrates in the MO pair
-    for label, p, to_chain, build in (
-            ("eom", EomParams(**EOM_FIG3), eom_to_chain, eom_full_drift_diffusion),
-            ("comm", CommParams(**COMM_FIG4), comm_to_chain, comm_full_drift_diffusion)):
-        dd = build(p)
-        tau = characteristic_time(reduce(to_chain(p)))
+    for label, p, to_chain in (("eom", EomParams(**EOM_FIG3), eom_to_chain),
+                               ("comm", CommParams(**COMM_FIG4), comm_to_chain)):
+        chain = to_chain(p)
+        dd, tau = chain_full_drift_diffusion(chain), characteristic_time(reduce(chain))
         state = CovarianceMatrix(propagate_lti(dd, [tau])[0])
         rest = list(range(1, state.modes))
         e_global = log_negativity(state, {0}, rest)

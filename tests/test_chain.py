@@ -15,8 +15,10 @@ from mochain.chain import (
     reduce,
     validity_report,
 )
-from mochain.errors import SingularCouplingError
+from mochain.errors import ParameterError, SingularCouplingError
 from mochain.gaussian import Regime
+from mochain.stationary import boundary_limits
+from mochain.systems import COMM_FIG4, EOM_FIG3, CommParams, EomParams
 
 
 def single_mode_chain(**overrides) -> ChainParams:
@@ -39,6 +41,27 @@ def two_mode_chain(**overrides) -> ChainParams:
     )
     base.update(overrides)
     return ChainParams(**base)
+
+
+class TestCheckRates:
+    """Every parameter set checks its rates and occupations through one rule."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: single_mode_chain(kappa_mid=(0.0,)), "decay rates must be positive"),
+        (lambda: EffectiveModel(0.1, 1.0, -1.0), "decay rates must be positive"),
+        (lambda: EomParams(**dict(EOM_FIG3, kappa_b=0.0)), "decay rates must be positive"),
+        (lambda: CommParams(**dict(COMM_FIG4, kappa_m=-1.0)), "decay rates must be positive"),
+        (lambda: boundary_limits(1.0, 0.0), "decay rates must be positive"),
+        (lambda: single_mode_chain(n_mid=(-1.0,)), "thermal occupations must be non-negative"),
+        (lambda: EffectiveModel(0.1, 1.0, 1.0, n_c=-1.0),
+         "thermal occupations must be non-negative"),
+        (lambda: CommParams(**dict(COMM_FIG4, n_m=-1.0)),
+         "thermal occupations must be non-negative"),
+    ], ids=["chain", "effective", "eom", "comm", "boundary", "chain-n", "effective-n", "comm-n"])
+    def test_one_message_per_rule(self, build, message):
+        with pytest.raises(ParameterError) as info:
+            build()
+        assert str(info.value) == message
 
 
 class TestChainParamsValidation:
@@ -89,6 +112,21 @@ class TestEffectiveCoupling:
     def test_resonance_rejected(self):
         with pytest.raises(SingularCouplingError):
             effective_coupling(single_mode_chain(delta_a=1.0))
+
+    def test_resonance_bound_is_relative(self):
+        # every rate and frequency times 2^-30: each gap is as far from
+        # resonance as at unit scale, and g_eff scales exactly
+        s = 2.0**-30
+        unit, small = single_mode_chain(), single_mode_chain(**{
+            k: (tuple(x * s for x in v) if isinstance(v, tuple) else v * s)
+            for k, v in dict(delta_a=5.0, delta_c=-5.0, omegas=(1.0,), g_a=0.12 * math.sqrt(2),
+                             g_c=0.12 * math.sqrt(2), kappa_a=5e-4, kappa_c=1e-3,
+                             kappa_mid=(1e-6,)).items()})
+        assert effective_coupling(small) == effective_coupling(unit) * s
+        assert energy_shift(small) == energy_shift(unit) * s
+        # an exact resonance between two zero terms is still refused
+        with pytest.raises(SingularCouplingError, match="delta_a - omega_1 = 0.000e"):
+            effective_coupling(single_mode_chain(delta_a=0.0, omegas=(0.0,)))
 
     def test_odd_under_theta_shift(self):
         chain = single_mode_chain()

@@ -117,6 +117,19 @@ class TestSchema:
         with pytest.raises(ConfigError, match="format"):
             parse_config(config_with(outputs={"format": "yaml"}))
 
+    def test_outputs_null_path_is_stdout(self):
+        cfg = parse_config(config_with(outputs={"path": None, "format": "json"}))
+        assert cfg.outputs.path is None and cfg.outputs.format == "json"
+
+    @pytest.mark.parametrize("extra, path", [
+        ({"sweep": [1]}, "sweep"), ({"sweep": {"axis1": None}}, "sweep.axis1"),
+        ({"times": [1]}, "times"), ({"outputs": "out.csv"}, "outputs"),
+    ], ids=["sweep", "axis", "times", "outputs"])
+    def test_section_must_be_an_object(self, extra, path):
+        with pytest.raises(ConfigError) as info:
+            parse_config(config_with(**extra))
+        assert str(info.value) == f"config.{path}: expected an object"
+
     def test_chain_indexed_parameters(self):
         cfg = parse_config(CHAIN)
         from mochain.config import build_chain_params
@@ -138,6 +151,17 @@ class TestSchema:
         assert str(info.value) == ("config.parameters.n: 100000 intermediaries need "
                                    "300007 parameters, 2 given")
         assert len(str(info.value)) < 200
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_chain_length_guard_counts_the_schema(self, n):
+        # the guard's count and the schema's required names come from one table
+        required, _ = config._flat_schema("chain", n)
+        assert config._chain_required_count(n) == len(required) == 3 * n + 7
+
+    def test_chain_length_guard_builds_no_name(self, monkeypatch):
+        monkeypatch.setattr(config, "_flat_schema", lambda *args: pytest.fail("names built"))
+        with pytest.raises(ConfigError, match="6 intermediaries need 25 parameters, 2 given"):
+            parse_config({"system": "chain", "parameters": {"n": 6, "delta_a": 1.0}})
 
     def test_invalid_axis_end_point_is_config_error(self):
         with pytest.raises(ConfigError, match="at n_a = -0.5"):
@@ -958,8 +982,13 @@ def test_public_surface():
     assert sorted(mochain.__all__) == sorted(n for n in imported if not n.startswith("_"))
     for name in mochain.__all__:
         getattr(mochain, name)
-    for name in ("lyapunov_rk4", "Trajectory", "matched_detunings", "ModePartition"):
+    wrappers = [f"{platform}_full_drift_diffusion" for platform in ("eom", "comm")]
+    for name in ("lyapunov_rk4", "Trajectory", "matched_detunings", "ModePartition", *wrappers):
         assert name not in mochain.__all__ and not hasattr(mochain, name)
+        assert not hasattr(mochain.systems, name)
+    # a platform has no dynamics function: its dynamics is that of its chain
+    assert mochain.chain_full_drift_diffusion is mochain.systems.chain_full_drift_diffusion
+    assert "chain_full_drift_diffusion" in mochain.__all__
     assert not hasattr(mochain.gaussian, "ModePartition")
 
 

@@ -27,9 +27,7 @@ from mochain.systems import (
     CommParams,
     EomParams,
     chain_full_drift_diffusion,
-    comm_full_drift_diffusion,
     comm_to_chain,
-    eom_full_drift_diffusion,
     eom_to_chain,
 )
 from mochain.verify import auto_step, lyapunov_rk4
@@ -414,6 +412,16 @@ class TestSteadyState:
 
 
 class TestPropagateLti:
+    def test_empty_grid(self):
+        # an empty grid gives an empty array of the usual form, as the closed form does
+        dd = build_effective_drift_diffusion(STEADY)
+        assert propagate_lti(dd, []).shape == (0, 4, 4)
+        assert analytic_effective_cm(STEADY, []).shape == (0, 4, 4)
+        stack = chain_full_drift_diffusion(eom_to_chain(EomParams(**{
+            name: np.full(3, value) for name, value in EOM_FIG3.items()})))
+        assert propagate_lti(stack, []).shape == (3, 0, 6, 6)
+        assert propagate_lti(stack, np.zeros((3, 0)), modes=2).shape == (3, 0, 4, 4)
+
     def test_matches_rk4(self):
         dd = build_effective_drift_diffusion(UNSTEADY)
         tau = characteristic_time(UNSTEADY)
@@ -435,8 +443,8 @@ class TestPropagateLti:
             assert np.max(np.abs(state - reference)) < 1e-8 * scale
 
     @pytest.mark.parametrize("dd, modes", [
-        (eom_full_drift_diffusion(EomParams(**EOM_FIG3)), 3),
-        (comm_full_drift_diffusion(CommParams(**COMM_FIG4)), 4),
+        (chain_full_drift_diffusion(eom_to_chain(EomParams(**EOM_FIG3))), 3),
+        (chain_full_drift_diffusion(comm_to_chain(CommParams(**COMM_FIG4))), 4),
     ], ids=["eom-fig3", "comm-fig4"])
     def test_full_platform_matches_rk4(self, dd, modes):
         # RK4 at its auto step is off by ~3e-8 here and converges at fourth
@@ -564,9 +572,9 @@ class TestRowIndependence:
         # the platform evolve grid: 401 uniform samples to 5 tau; a row taken
         # from the grid's earlier rows would differ from its own call in the
         # last bits (the stepping oracle is 3.3e-11 away)
-        params = EomParams(**EOM_FIG3)
-        dd = eom_full_drift_diffusion(params)
-        times = np.linspace(0.0, 5.0 * characteristic_time(reduce(eom_to_chain(params))), 401)
+        chain = eom_to_chain(EomParams(**EOM_FIG3))
+        dd = chain_full_drift_diffusion(chain)
+        times = np.linspace(0.0, 5.0 * characteristic_time(reduce(chain)), 401)
         states = propagate_lti(dd, times)
         assert np.array_equal(states, single_calls(dd, times))
         assert_near_stepped(states, dd, times)
@@ -689,9 +697,9 @@ class TestKeptModes:
     """modes = m gives each state's leading 2m x 2m block, bit for bit."""
 
     def test_single_eom_pair_on_a_long_grid(self):
-        params = EomParams(**EOM_FIG3)
-        dd = eom_full_drift_diffusion(params)
-        times = np.linspace(0.0, 5.0 * characteristic_time(reduce(eom_to_chain(params))), 401)
+        chain = eom_to_chain(EomParams(**EOM_FIG3))
+        dd = chain_full_drift_diffusion(chain)
+        times = np.linspace(0.0, 5.0 * characteristic_time(reduce(chain)), 401)
         full = propagate_lti(dd, times)
         kept = propagate_lti(dd, times, modes=2)
         assert kept.shape == (401, 4, 4) and full.shape == (401, 6, 6)
@@ -767,7 +775,7 @@ class TestVanLoanPair:
                                                         kappa_c=kappa_c)))
                 dds.append(chain_full_drift_diffusion(chain))
                 spans.append(characteristic_time(reduce(chain)))
-        eom = [eom_full_drift_diffusion(EomParams(**dict(EOM_FIG3, g_a=g_a)))
+        eom = [chain_full_drift_diffusion(eom_to_chain(EomParams(**dict(EOM_FIG3, g_a=g_a))))
                for g_a in (0.1, 0.12, 0.2)]
         effective = [build_effective_drift_diffusion(m) for m in (
             STEADY, UNSTEADY, EffectiveModel(0.5, 1.0, 0.4, n_a=50.0))]
@@ -805,10 +813,10 @@ class TestAffineInDiffusion:
         # D's size leaked into Phi: 2 tau was off by 4.2e-7 at n_b = 1e12 and by a
         # factor 180 at 1e20. The reference takes Q by linearity, from the vacuum
         # diffusion and the unit heating of the mechanical mode, each through scipy.
-        params = EomParams(**dict(EOM_FIG3, n_b=n_b))
-        dd = eom_full_drift_diffusion(params)
-        vacuum = eom_full_drift_diffusion(EomParams(**dict(EOM_FIG3, n_b=0.0)))
-        tau = characteristic_time(reduce(eom_to_chain(params)))
+        chain = eom_to_chain(EomParams(**dict(EOM_FIG3, n_b=n_b)))
+        dd = chain_full_drift_diffusion(chain)
+        vacuum = chain_full_drift_diffusion(eom_to_chain(EomParams(**dict(EOM_FIG3, n_b=0.0))))
+        tau = characteristic_time(reduce(chain))
         heat = dd.d - vacuum.d
         scale = np.max(heat)
         phi, q = reference_pair(dd.a, vacuum.d, tau)

@@ -17,9 +17,7 @@ from mochain.systems import (
     CommParams,
     EomParams,
     chain_full_drift_diffusion,
-    comm_full_drift_diffusion,
     comm_to_chain,
-    eom_full_drift_diffusion,
     eom_to_chain,
 )
 from mochain.verify import lyapunov_rk4
@@ -99,7 +97,7 @@ class TestCommMapping:
 
 class TestEomDriftDiffusion:
     def test_printed_entries(self):
-        dd = eom_full_drift_diffusion(FIG3_EOM)
+        dd = chain_full_drift_diffusion(eom_to_chain(FIG3_EOM))
         a = dd.a
         assert a[0, 1] == FIG3_EOM.delta_a
         assert a[1, 0] == -FIG3_EOM.delta_a
@@ -112,20 +110,20 @@ class TestEomDriftDiffusion:
         assert abs(np.trace(a) + 2 * (5e-4 + 1e-3 + 1e-6)) < 1e-15
 
     def test_thermal_diffusion(self):
-        dd = eom_full_drift_diffusion(FIG3_EOM)
+        dd = chain_full_drift_diffusion(eom_to_chain(FIG3_EOM))
         assert dd.d[0, 0] == 5e-4
         assert dd.d[4, 4] == 1e-6 * 21.0  # ten phonons
 
     def test_decoupled_steady_state(self):
         p = replace(FIG3_EOM, g_a=0.0, g_c=0.0, kappa_a=1e-3, kappa_b=1e-4, n_b=2.0)
-        v = steady_state(eom_full_drift_diffusion(p)).data
+        v = steady_state(chain_full_drift_diffusion(eom_to_chain(p))).data
         expected = np.diag([0.5, 0.5, 0.5, 0.5, 2.5, 2.5])
         assert np.max(np.abs(v - expected)) < 1e-10
 
 
 class TestCommDriftDiffusion:
     def test_printed_entries(self):
-        dd = comm_full_drift_diffusion(FIG4_COMM)
+        dd = chain_full_drift_diffusion(comm_to_chain(FIG4_COMM))
         a = dd.a
         assert a[0, 5] == FIG4_COMM.g_a
         assert a[1, 4] == -FIG4_COMM.g_a
@@ -140,7 +138,7 @@ class TestCommDriftDiffusion:
         assert abs(np.trace(a) + 2 * (1e-4 + 2e-4 + 1e-3 + 1e-6)) < 1e-15
 
     def test_decoupled_microwave_stays_vacuum(self):
-        dd = comm_full_drift_diffusion(replace(FIG4_COMM, g_a=0.0))
+        dd = chain_full_drift_diffusion(comm_to_chain(replace(FIG4_COMM, g_a=0.0)))
         final = CovarianceMatrix(lyapunov_rk4(dd, CovarianceMatrix.vacuum(4), [0.0, 50.0])[-1])
         assert np.max(np.abs(final.reduced([0]).data - np.eye(2) / 2)) < 1e-8
         assert log_negativity(final, {0}, {1}) == 0.0
@@ -149,19 +147,17 @@ class TestCommDriftDiffusion:
 class TestStackedBuilders:
     """(B,) parameter fields give the stack of the single-cell pairs."""
 
-    @pytest.mark.parametrize("builder, to_chain, cells", [
-        (eom_full_drift_diffusion, eom_to_chain,
+    @pytest.mark.parametrize("to_chain, cells", [
+        (eom_to_chain,
          [FIG3_EOM, replace(FIG3_EOM, g_a=0.2, n_a=0.5), replace(FIG3_EOM, kappa_c=3e-3)]),
-        (comm_full_drift_diffusion, comm_to_chain,
+        (comm_to_chain,
          [FIG4_COMM, replace(FIG4_COMM, delta_m=1.2, n_m=1.0), replace(FIG4_COMM, g_m=0.0)]),
     ], ids=["eom", "comm"])
-    def test_stack_is_bit_identical_to_single_cells(self, builder, to_chain, cells):
-        params = stacked(cells)
-        stack = chain_full_drift_diffusion(to_chain(params))
-        assert stack.a.shape == (len(cells), *builder(cells[0]).a.shape)
-        assert np.array_equal(builder(params).a, stack.a)  # chain mapped here
+    def test_stack_is_bit_identical_to_single_cells(self, to_chain, cells):
+        stack = chain_full_drift_diffusion(to_chain(stacked(cells)))
         for cell, p in enumerate(cells):
             single = chain_full_drift_diffusion(to_chain(p))
+            assert stack.a.shape == (len(cells), *single.a.shape)
             assert np.array_equal(stack.a[cell], single.a)
             assert np.array_equal(stack.d[cell], single.d)
 
@@ -241,25 +237,25 @@ REGION_COMM = replace(FIG4_COMM, kappa_a=_REGION_KAPPAS[0].ravel(),
 class TestChainBuilderReference:
     """The platform dynamics derived from the chain mapping match the hand-written ones."""
 
-    @pytest.mark.parametrize("build, reference, draw", [
-        (eom_full_drift_diffusion, eom_reference, random_eom),
-        (comm_full_drift_diffusion, comm_reference, random_comm),
+    @pytest.mark.parametrize("to_chain, reference, draw", [
+        (eom_to_chain, eom_reference, random_eom),
+        (comm_to_chain, comm_reference, random_comm),
     ], ids=["eom", "comm"])
-    def test_random_stack_within_one_ulp(self, build, reference, draw):
+    def test_random_stack_within_one_ulp(self, to_chain, reference, draw):
         p = draw(np.random.default_rng(53), 400)
-        dd, (a, d) = build(p), reference(p)
+        dd, (a, d) = chain_full_drift_diffusion(to_chain(p)), reference(p)
         assert np.array_equal(dd.d, d)
         zero = a == 0.0
         assert np.all(dd.a[zero] == 0.0)
         assert np.all(np.abs(dd.a - a)[~zero] <= np.spacing(np.abs(a[~zero])))
 
-    @pytest.mark.parametrize("build, reference, p", [
-        (eom_full_drift_diffusion, eom_reference, FIG3_EOM),
-        (comm_full_drift_diffusion, comm_reference, FIG4_COMM),
-        (comm_full_drift_diffusion, comm_reference, REGION_COMM),
+    @pytest.mark.parametrize("to_chain, reference, p", [
+        (eom_to_chain, eom_reference, FIG3_EOM),
+        (comm_to_chain, comm_reference, FIG4_COMM),
+        (comm_to_chain, comm_reference, REGION_COMM),
     ], ids=["fig3", "fig4", "region-comm"])
-    def test_figure_points_are_bit_identical(self, build, reference, p):
-        dd, (a, d) = build(p), reference(p)
+    def test_figure_points_are_bit_identical(self, to_chain, reference, p):
+        dd, (a, d) = chain_full_drift_diffusion(to_chain(p)), reference(p)
         assert np.array_equal(dd.a, a) and np.array_equal(dd.d, d)
 
 
@@ -307,9 +303,9 @@ def test_chain_stack_is_bit_identical_to_single_cells():
 def test_overflowing_diffusion_raises():
     cells = [FIG4_COMM, replace(FIG4_COMM, n_m=1e308), replace(FIG4_COMM, n_b=1e308)]
     with pytest.raises(CovarianceOverflowError, match="diffusion overflows"):
-        comm_full_drift_diffusion(stacked(cells))
+        chain_full_drift_diffusion(comm_to_chain(stacked(cells)))
     with pytest.raises(CovarianceOverflowError):
-        eom_full_drift_diffusion(replace(FIG3_EOM, n_b=1e308))
+        chain_full_drift_diffusion(eom_to_chain(replace(FIG3_EOM, n_b=1e308)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -317,7 +313,7 @@ def test_overflowing_drift_raises():
     # g_m is finite and mapped as it is, but its doubled drift entry leaves double range
     cells = [FIG4_COMM, FIG4_COMM, replace(FIG4_COMM, g_m=1e308)]
     with pytest.raises(CovarianceOverflowError, match="drift/diffusion overflows"):
-        comm_full_drift_diffusion(stacked(cells))
+        chain_full_drift_diffusion(comm_to_chain(stacked(cells)))
     with pytest.raises(ValueError, match="must be finite"):  # a pair built directly
         DriftDiffusion(np.full((2, 2), np.inf), np.eye(2))
 
