@@ -14,7 +14,6 @@ Run:  python3 demos/effective_dynamics.py
 import numpy as np
 
 from mochain import (
-    CovarianceMatrix,
     EffectiveModel,
     analytic_effective_cm,
     build_effective_drift_diffusion,
@@ -37,19 +36,16 @@ for label, model in SCENARIOS.items():
     tau = characteristic_time(model)
     dd = build_effective_drift_diffusion(model)
     grid = np.linspace(0.0, 2.0 * tau, 9)
-    states = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), grid)
+    states = lyapunov_rk4(dd, np.eye(4) / 2, grid)
+    gaps = np.max(np.abs(analytic_effective_cm(model, grid) - states), axis=(1, 2))
+    resources = (log_negativity(states, {0}, {1}), gaussian_steering(states, {0}, {1})[0],
+                 gaussian_steering(states, {1}, {0})[0])
 
     print(f"\n=== {label} | regime: {classify_regime(model).value}, "
           f"tau = {tau:.4f} ===")
     print(f"{'t/tau':>6} {'v11':>10} {'v44':>10} {'v14':>10} "
           f"{'E':>8} {'S_ac':>8} {'S_ca':>8} {'|closed-RK4|':>12}")
-    for t, state in zip(grid, map(CovarianceMatrix, states)):
-        closed = analytic_effective_cm(model, float(t))
-        gap = np.max(np.abs(closed.data - state.data))
-        e = log_negativity(state, {0}, {1})
-        s_ac = gaussian_steering(state, {0}, {1})[0]
-        s_ca = gaussian_steering(state, {1}, {0})[0]
-        v = state.data
+    for t, v, e, s_ac, s_ca, gap in zip(grid, states, *resources, gaps):
         print(f"{t / tau:6.2f} {v[0, 0]:10.4f} {v[3, 3]:10.4f} {v[0, 3]:10.4f} "
               f"{e:8.4f} {s_ac:8.4f} {s_ca:8.4f} {gap:12.2e}")
 

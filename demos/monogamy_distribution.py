@@ -15,7 +15,6 @@ import numpy as np
 
 from mochain import (
     CommParams,
-    CovarianceMatrix,
     EomParams,
     chain_full_drift_diffusion,
     characteristic_time,
@@ -42,9 +41,8 @@ for label, params, to_chain, mode_names in (
     print(f"\n=== {label} (tau = {tau:.0f}) ===")
     print(f"{'t/tau':>6} {'ent residual':>13} {'steer residual':>15}")
     times = np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0]) * tau
-    states = [CovarianceMatrix(state) for state in propagate_lti(dd, times)]
-    for t, state in zip(times, states):
-        ent_res, steer_res = monogamy_residuals(state, 0)
+    states = propagate_lti(dd, times)
+    for t, ent_res, steer_res in zip(times, *monogamy_residuals(states, 0)):
         print(f"{t / tau:6.2f} {ent_res:13.3e} {steer_res:15.3e}")
 
     at_tau = states[3]

@@ -47,6 +47,6 @@ two_theta = np.arctan2(2.0 * model.g_eff, model.kappa_a - model.kappa_c)
 print(f"\n{'t':>6} {'cross (reported)':>17} {'cross (covariance)':>19}")
 for t in (0.0, 0.5, 2.0, 6.0):
     reported = squeeze_variances(model, t)[2]
-    v = analytic_effective_cm(model, t).data
+    v = analytic_effective_cm(model, t)
     from_cm = np.sin(two_theta) / 2 * (v[0, 0] - v[3, 3]) - np.cos(two_theta) * v[0, 3]
     print(f"{t:6.1f} {reported:17.6f} {from_cm:19.6f}")

@@ -37,7 +37,6 @@ from .errors import (
     UnphysicalStateError,
 )
 from .gaussian import (
-    CovarianceMatrix,
     Regime,
     gaussian_steering,
     local_phase_rotate,
@@ -69,7 +68,6 @@ __all__ = [
     "ChainParams",
     "CommParams",
     "ConfigError",
-    "CovarianceMatrix",
     "CovarianceOverflowError",
     "DriftDiffusion",
     "EffectiveModel",

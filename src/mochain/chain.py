@@ -56,9 +56,10 @@ def reject_cells(flags: Iterable, message: str) -> None:
 
 def check_rates(rates: Iterable[Field], occupations: Iterable[Field]) -> None:
     """Every decay rate positive and every thermal occupation non-negative,
-    cell by cell; ParameterError otherwise."""
-    reject_cells((k <= 0 for k in rates), "decay rates must be positive")
-    reject_cells((x < 0 for x in occupations), "thermal occupations must be non-negative")
+    cell by cell; ParameterError otherwise. x != x flags nan, which is neither."""
+    reject_cells(((k <= 0) | (k != k) for k in rates), "decay rates must be positive")
+    reject_cells(((x < 0) | (x != x) for x in occupations),
+                 "thermal occupations must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from .chain import EffectiveModel, Field, per_cell, reject_cells
 from .errors import CovarianceOverflowError, NumericError, RegimeError
-from .gaussian import CovarianceMatrix
+from .gaussian import symmetrize
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 # 1/j! for j = 0..18: the Taylor coefficients of _van_loan_pair's block exponential.
@@ -90,7 +90,7 @@ class DriftDiffusion:
         bound = 1e-12 * np.maximum(1.0, np.max(np.abs(cells_d), axis=(1, 2)))
         _first_bad(np.max(np.abs(cells_d - transpose), axis=(1, 2)) > bound,
                    stacked, "diffusion matrix must be symmetric")
-        cells_d = (cells_d + transpose) / 2.0
+        cells_d = symmetrize(cells_d)  # a finite entry above DBL_MAX / 2 stays finite
         # the eigenvalues of a diagonal diffusion are its entries
         diagonal = np.diagonal(cells_d, axis1=1, axis2=2)
         lowest = np.min(diagonal, axis=1)
@@ -190,22 +190,21 @@ def _block_entries(m: EffectiveModel, t: ArrayLike) -> tuple[NDArray[np.float64]
     return v11, v44, v14, det, trace, spread
 
 
-def analytic_effective_cm(m: EffectiveModel,
-                          t: ArrayLike) -> CovarianceMatrix | NDArray[np.float64]:
+def analytic_effective_cm(m: EffectiveModel, t: ArrayLike) -> NDArray[np.float64]:
     """Closed-form covariance of the effective model at time t, from v(0) = I/2.
 
     Any thermal input and coupling, the critical one included (_eigenbasis).
     Only the (X_a, Y_c) and (Y_a, X_c) pairs correlate: v11 = v22, v33 = v44,
-    v14 = v23. A float t gives one CovarianceMatrix, an array of T times the
-    (T, 4, 4) array of them, row for row bit-identical; CovarianceOverflowError
-    names the first time past double range.
+    v14 = v23. A float t gives the 4 x 4 state, an array of T times the (T, 4,
+    4) array of them, row for row bit-identical; CovarianceOverflowError names
+    the first time past double range.
     """
     v11, v44, v14 = _block_entries(m, t)[:3]
     v = np.zeros((len(v11), 4, 4))
     v[:, 0, 0] = v[:, 1, 1] = v11
     v[:, 2, 2] = v[:, 3, 3] = v44
     v[:, 0, 3] = v[:, 3, 0] = v[:, 1, 2] = v[:, 2, 1] = v14
-    return CovarianceMatrix(v[0]) if np.ndim(t) == 0 else v
+    return v[0] if np.ndim(t) == 0 else v
 
 
 def effective_resources(m: EffectiveModel, t: ArrayLike) -> tuple[NDArray[np.float64], ...]:
@@ -229,12 +228,13 @@ def _lyapunov_solve(a: NDArray[np.float64], d: NDArray[np.float64]) -> NDArray[n
     """Solve A v + v A^T = -D through the Kronecker linearization."""
     n = a.shape[0]
     lin = np.kron(a, np.eye(n)) + np.kron(np.eye(n), a)
-    v = np.linalg.solve(lin, -d.reshape(-1)).reshape(n, n)
-    return (v + v.T) / 2.0
+    return symmetrize(np.linalg.solve(lin, -d.reshape(-1)).reshape(n, n))
 
 
-def steady_state(dd: DriftDiffusion) -> CovarianceMatrix:
-    """Stationary covariance A v + v A^T + D = 0 of a Hurwitz-stable drift."""
+def steady_state(dd: DriftDiffusion) -> NDArray[np.float64]:
+    """Stationary covariance A v + v A^T + D = 0 (2M x 2M) of a Hurwitz-stable drift.
+
+    NumericError when the solution's residual is above tolerance or not finite."""
     abscissa = float(np.max(np.real(np.linalg.eigvals(dd.a))))
     if abscissa >= 0.0:
         raise RegimeError(
@@ -243,9 +243,9 @@ def steady_state(dd: DriftDiffusion) -> CovarianceMatrix:
         )
     v = _lyapunov_solve(dd.a, dd.d)
     residual = float(np.max(np.abs(dd.a @ v + v @ dd.a.T + dd.d)))
-    if residual > LYAPUNOV_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(dd.d)))):
+    if not residual <= LYAPUNOV_RESIDUAL_TOL * max(1.0, float(np.max(np.abs(dd.d)))):
         raise NumericError(f"steady-state residual {residual:.3e} exceeds tolerance")
-    return CovarianceMatrix(v)
+    return v
 
 
 def _norm1(m: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -404,7 +404,7 @@ def propagate_lti(
         where = f" in cell {cell}" if cells > 1 else ""
         raise CovarianceOverflowError(
             f"covariance overflows double precision at t = {times[cell, column]:g}{where}")
-    out = (data + np.swapaxes(data, -1, -2)) / 2.0
+    out = symmetrize(data)  # finite, as data is
     return out.reshape(*shape, kept, kept) if single else out
 
 

@@ -1,37 +1,37 @@
-"""Covariance-matrix representation of Gaussian states and the resource functionals.
+"""Gaussian states as stacked covariance arrays, and the resource functionals.
 
-A state of M bosonic modes is held as the real symmetric 2M x 2M matrix of
+A state of M bosonic modes is the real symmetric 2M x 2M matrix of
 symmetrized quadrature second moments, with mode k occupying rows/columns
 (2k, 2k+1) as (X_k, Y_k), X = (o + o^dag)/sqrt(2), Y = (o - o^dag)/(i sqrt(2)).
-In this convention the vacuum is I/2 and a state is physical when every
-symplectic eigenvalue is >= 1/2.
+The vacuum is np.eye(2M) / 2; a state is physical when every symplectic
+eigenvalue is >= 1/2. Every functional takes one float array of shape
+(..., 2M, 2M), one state or a stack, through _states (shape, finiteness,
+symmetrize), and returns arrays of the leading shape (numpy scalars for one
+state), bit for bit those of the states taken one at a time; an error in a
+stack names its first offending state as "state i". No routine mutates its
+input.
 
-On top of that single representation the module provides logarithmic
-negativity, directional Gaussian steering (Schur-complement form), monogamy
-residuals, and local phase rotations. All functions are pure; no routine
-mutates its input.
-
-Two routes compute the resources. two_mode_resources evaluates entanglement
-and both steering directions of a whole stack of two-mode states from 2x2
+Two routes compute the resources. two_mode_resources evaluates
+entanglement and both steering directions of two-mode states from 2x2
 determinant closed forms; every table row of the sweeps comes from it. The
 general route (log_negativity, gaussian_steering, symplectic_eigenvalues)
 diagonalizes Omega v and serves states of three or more modes (monogamy)
 and, on two modes, the tests and the verify suite as an independent oracle.
 Both of its resources measure one mode against a set of modes and take them
 the same way, as (v, one_mode_set, other_modes): one helper checks the sides
-and the state's physicality and reduces v to that mode followed by the
-others in ascending order.
+and the states' physicality and reduces v to that mode followed by the
+others in ascending order. Monogamy residuals and local phase rotations
+build on them.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .errors import NumericError, UnphysicalStateError
 
@@ -49,40 +49,39 @@ def symplectic_form(n_modes: int) -> NDArray[np.float64]:
     return omega
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
-    """Symmetric quadrature covariance matrix of an M-mode Gaussian state.
+def symmetrize(v: NDArray[np.float64]) -> NDArray[np.float64]:
+    """(v + v^T)/2 of each matrix of a stack, bit for bit, wherever that sum is finite.
 
-    The constructor symmetrizes its input as (v + v^T)/2 (integration roundoff
-    accumulates asymmetry at the 1e-13 level) and rejects non-finite entries
-    and odd dimensions. Physicality is *not* enforced here: partial transposes
-    of entangled states are legitimately unphysical.
+    Where the sum of two finite entries overflows (both above DBL_MAX/2), the
+    entry is v/2 + v^T/2 instead, which stays finite; a non-finite entry
+    leaves its pair non-finite.
     """
+    vt = np.swapaxes(v, -1, -2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (v + vt) / 2.0
+        if not np.all(np.isfinite(sym)):
+            sym = np.where(np.isfinite(sym), sym, v / 2.0 + vt / 2.0)
+    return sym
 
-    data: NDArray[np.float64]
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
-            raise ValueError(f"covariance matrix must be 2M x 2M, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("covariance matrix has non-finite entries")
-        sym = (arr + arr.T) / 2.0
-        sym.flags.writeable = False
-        object.__setattr__(self, "data", sym)
+def _state(bad: NDArray[np.bool_]) -> tuple[int, str]:
+    """Flat index of the first flagged state and its "state i: " prefix ("" for one state)."""
+    i = int(np.flatnonzero(bad.reshape(-1))[0])
+    return i, f"state {i}: " if bad.ndim else ""
 
-    @property
-    def modes(self) -> int:
-        return self.data.shape[0] // 2
 
-    @classmethod
-    def vacuum(cls, n_modes: int) -> "CovarianceMatrix":
-        return cls(np.eye(2 * n_modes) / 2.0)
-
-    def reduced(self, modes: Sequence[int]) -> "CovarianceMatrix":
-        """Sub-state on the given modes, in the order listed."""
-        idx = _quadrature_indices(modes, self.modes)
-        return CovarianceMatrix(self.data[np.ix_(idx, idx)])
+def _states(v: ArrayLike) -> NDArray[np.float64]:
+    """v as float (..., 2M, 2M) states, symmetrized; ValueError for another shape or a
+    non-finite entry (naming the first such state of a stack)."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2] or v.shape[-1] % 2:
+        raise ValueError(f"covariance matrix must be 2M x 2M, got shape {v.shape}")
+    sym = symmetrize(v)
+    finite = np.isfinite(sym)
+    if not finite.all():
+        bad = ~np.all(finite, axis=(-2, -1))
+        raise ValueError(f"{_state(bad)[1]}covariance matrix has non-finite entries")
+    return sym
 
 
 class Regime(Enum):
@@ -102,53 +101,64 @@ def _quadrature_indices(modes: Sequence[int], n_modes: int) -> list[int]:
     return idx
 
 
-def symplectic_eigenvalues(v: CovarianceMatrix) -> NDArray[np.float64]:
-    """Symplectic spectrum {nu_k} of a covariance matrix, ascending.
+def symplectic_eigenvalues(v: ArrayLike) -> NDArray[np.float64]:
+    """Symplectic spectrum {nu_k} of each state, ascending: shape (..., M).
 
     Computed as the absolute values of the eigenvalues of Omega v, which for
     any symmetric v come in +/- pairs; the pairs are deduplicated to M values.
     Works unchanged for partial transposes (still symmetric positive definite).
+    NumericError names the first state whose pairs differ by more than
+    PAIRING_RTOL (relative).
     """
-    eigs = np.linalg.eigvals(symplectic_form(v.modes) @ v.data)
-    magnitudes = np.sort(np.abs(eigs))
-    lo, hi = magnitudes[0::2], magnitudes[1::2]
-    residual = float(np.max(np.abs(hi - lo) / np.maximum(PAIRING_ATOL / PAIRING_RTOL, hi)))
-    if residual > PAIRING_RTOL:
-        raise NumericError(
-            f"symplectic eigenvalue pairing failed, relative residual {residual:.3e}"
-        )
+    v = _states(v)
+    eigs = np.linalg.eigvals(symplectic_form(v.shape[-1] // 2) @ v)
+    magnitudes = np.sort(np.abs(eigs), axis=-1)
+    lo, hi = magnitudes[..., 0::2], magnitudes[..., 1::2]
+    residual = np.max(np.abs(hi - lo) / np.maximum(PAIRING_ATOL / PAIRING_RTOL, hi), axis=-1)
+    unpaired = residual > PAIRING_RTOL
+    if np.any(unpaired):
+        i, state = _state(unpaired)
+        raise NumericError(f"{state}symplectic eigenvalue pairing failed, "
+                           f"relative residual {residual.reshape(-1)[i]:.3e}")
     return (lo + hi) / 2.0
 
 
-def _require_physical(v: CovarianceMatrix) -> None:
-    nu_min = symplectic_eigenvalues(v)[0]
-    if nu_min < 0.5 - PHYSICALITY_TOL:
+def _require_physical(nu_min: NDArray[np.float64], unphysical: NDArray[np.bool_]) -> None:
+    """UnphysicalStateError naming the first flagged state and its smallest eigenvalue nu_min."""
+    if np.any(unphysical):
+        i = _state(unphysical)[0]
         raise UnphysicalStateError(
-            f"state violates the uncertainty bound: min symplectic eigenvalue {nu_min:.12g}"
-        )
+            f"state{f' {i}' if unphysical.ndim else ''} violates the uncertainty bound: "
+            f"min symplectic eigenvalue {nu_min.reshape(-1)[i]:.12g}")
 
 
-def partial_transpose(v: CovarianceMatrix, flipped: Iterable[int]) -> CovarianceMatrix:
+def _require_conditioned(cond: NDArray[np.float64], block: str) -> None:
+    """NumericError naming the first state whose steerer block has condition number above 1e12."""
+    singular = ~(cond <= 1e12)
+    if np.any(singular):
+        i, state = _state(singular)
+        raise NumericError(f"{state}{block} is numerically singular "
+                           f"(condition number {cond.reshape(-1)[i]:.3e})")
+
+
+def partial_transpose(v: ArrayLike, flipped: Iterable[int]) -> NDArray[np.float64]:
     """P v P with P negating the Y quadrature of each flipped mode (an involution)."""
+    v = _states(v)
     modes = sorted(set(int(m) for m in flipped))
     if not modes:
         raise ValueError("partial transpose needs a non-empty mode set")
-    signs = np.ones(2 * v.modes)
-    for m in modes:
-        if not 0 <= m < v.modes:
-            raise IndexError(f"mode index {m} out of range for {v.modes} modes")
-        signs[2 * m + 1] = -1.0
-    return CovarianceMatrix(v.data * np.outer(signs, signs))
+    signs = np.ones(v.shape[-1])
+    signs[_quadrature_indices(modes, v.shape[-1] // 2)[1::2]] = -1.0
+    return v * np.outer(signs, signs)
 
 
 def _det2(m: NDArray[np.float64]) -> NDArray[np.float64]:
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
-def _state(bad: NDArray[np.bool_]) -> tuple[int, str]:
-    """Flat index of the first flagged state and its "state i: " prefix ("" for one state)."""
-    i = int(np.flatnonzero(bad.reshape(-1))[0])
-    return i, f"state {i}: " if bad.ndim else ""
+def _clamped(raw: NDArray[np.float64]) -> NDArray[np.float64]:
+    """max(0, raw) per state, +0.0 at raw = -0.0 or nan."""
+    return np.where(raw > 0.0, raw, 0.0)[()]
 
 
 def _require_finite(*invariants: NDArray[np.float64]) -> None:
@@ -185,8 +195,7 @@ def two_mode_resources(
     v = np.asarray(v, dtype=float)
     if v.shape[-2:] != (4, 4):
         raise ValueError(f"two-mode states must be 4 x 4, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("covariance matrix has non-finite entries")
+    v = _states(v)
     va, vc, vac = v[..., :2, :2], v[..., 2:, 2:], v[..., :2, 2:]
     adj_a = np.stack([np.stack([va[..., 1, 1], -va[..., 0, 1]], -1),
                       np.stack([-va[..., 1, 0], va[..., 0, 0]], -1)], -2)
@@ -206,81 +215,72 @@ def two_mode_resources(
             i, state = _state(indefinite)
             raise NumericError(f"{state}covariance is not positive definite "
                                f"(det v = {det_v.reshape(-1)[i]:.3e})")
-        unphysical = ~(np.sqrt(nu2) >= 0.5 - PHYSICALITY_TOL)
-        if np.any(unphysical):
-            i = _state(unphysical)[0]
-            raise UnphysicalStateError(
-                f"state{f' {i}' if unphysical.ndim else ''} violates the uncertainty bound: "
-                f"min symplectic eigenvalue {np.sqrt(nu2.reshape(-1)[i]):.12g}")
+        nu = np.sqrt(nu2)
+        _require_physical(nu, ~(nu >= 0.5 - PHYSICALITY_TOL))
         for name, frob2, det in (("a", frob2_a, det_a), ("c", frob2_c, det_c)):
             # scale-free: x = 2 |det| / |block|_F^2 is at most 1 however large the block
             x = 2.0 * np.abs(det) / frob2
-            cond = (1.0 + np.sqrt(np.maximum(1.0 - x * x, 0.0))) / x
-            singular = ~(cond <= 1e12)
-            if np.any(singular):
-                i, state = _state(singular)
-                raise NumericError(
-                    f"{state}steerer block {name} is numerically singular "
-                    f"(condition number {cond.reshape(-1)[i]:.3e})")
+            _require_conditioned((1.0 + np.sqrt(np.maximum(1.0 - x * x, 0.0))) / x,
+                                 f"steerer block {name}")
         eta2 = 2.0 * det_v / (gamma + np.sqrt(np.maximum(gamma2 - 4.0 * det_v, 0.0)))
         e_raw = -np.log(4.0 * eta2) / 2.0
         s_ac = np.log(det_a / (4.0 * det_v)) / 2.0
         s_ca = np.log(det_c / (4.0 * det_v)) / 2.0
     _require_finite(e_raw, s_ac, s_ca)
-    return np.where(e_raw > 0.0, e_raw, 0.0), s_ac, s_ca
+    return _clamped(e_raw), s_ac, s_ca
 
 
-def _one_vs_rest(v: CovarianceMatrix, one: Iterable[int],
-                 others: Iterable[int]) -> CovarianceMatrix:
-    """Sub-state of a physical v on its single mode `one`, then `others` in ascending order.
+def _one_vs_rest(v: ArrayLike, one: Iterable[int], others: Iterable[int]) -> NDArray[np.float64]:
+    """Sub-states of physical states v on their single mode `one`, then `others` ascending.
 
     Modes outside one + others are traced out. ValueError unless one names a
     single mode and others a non-empty set disjoint from it,
-    UnphysicalStateError for v below the uncertainty bound, IndexError for a
-    mode out of range.
+    UnphysicalStateError for a state below the uncertainty bound, IndexError
+    for a mode out of range.
     """
     one, others = sorted(set(map(int, one))), sorted(set(map(int, others)))
     if len(one) != 1:
         raise ValueError("the first side must be a single mode")
     if not others or one[0] in others:
         raise ValueError("the second side must be non-empty and disjoint from the first")
-    _require_physical(v)
-    return v.reduced(one + others)
+    v = _states(v)
+    nu_min = symplectic_eigenvalues(v)[..., 0]
+    _require_physical(nu_min, nu_min < 0.5 - PHYSICALITY_TOL)
+    idx = _quadrature_indices(one + others, v.shape[-1] // 2)
+    return v[..., np.array(idx)[:, None], idx]
 
 
-def log_negativity(v: CovarianceMatrix, left: Iterable[int], right: Iterable[int]) -> float:
+def log_negativity(v: ArrayLike, left: Iterable[int], right: Iterable[int]) -> NDArray[np.float64]:
     """Logarithmic negativity max[0, -ln(2 eta^-)] of the single mode left against right.
 
     Modes in neither set are traced out first (_one_vs_rest).
     """
     sub = _one_vs_rest(v, left, right)
-    eta_min = float(symplectic_eigenvalues(partial_transpose(sub, {0}))[0])
-    return max(0.0, -float(np.log(2.0 * eta_min)))
+    eta_min = symplectic_eigenvalues(partial_transpose(sub, {0}))[..., 0]
+    return _clamped(-np.log(2.0 * eta_min))
 
 
 def gaussian_steering(
-    v: CovarianceMatrix, steerer: Iterable[int], steered: Iterable[int]
-) -> tuple[float, float]:
+    v: ArrayLike, steerer: Iterable[int], steered: Iterable[int]
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Directional Gaussian steering of the single mode steerer -> steered, (raw, clamped).
 
     raw = -ln(2 mu) where mu is the minimum symplectic eigenvalue of the Schur
     complement of the steerer block, nu = v_B - v_aB^T v_a^{-1} v_aB. For a
     single steered mode this reduces to the determinant-ratio form
     ln[det v_a / (4 det v)]/2. Modes in neither set are traced out first
-    (_one_vs_rest).
+    (_one_vs_rest). NumericError names the first state whose steerer block
+    has a condition number above 1e12.
     """
-    sub = _one_vs_rest(v, steerer, steered).data
-    v_a, v_ab, v_b = sub[:2, :2], sub[:2, 2:], sub[2:, 2:]
-    cond = float(np.linalg.cond(v_a))
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericError(f"steerer block is numerically singular (condition number {cond:.3e})")
-    schur = v_b - v_ab.T @ np.linalg.solve(v_a, v_ab)
-    mu = float(symplectic_eigenvalues(CovarianceMatrix(schur))[0])
-    raw = -float(np.log(2.0 * mu))
-    return raw, max(0.0, raw)
+    sub = _one_vs_rest(v, steerer, steered)
+    v_a, v_ab, v_b = sub[..., :2, :2], sub[..., :2, 2:], sub[..., 2:, 2:]
+    _require_conditioned(np.linalg.cond(v_a), "steerer block")
+    schur = v_b - np.swapaxes(v_ab, -1, -2) @ np.linalg.solve(v_a, v_ab)
+    raw = (-np.log(2.0 * symplectic_eigenvalues(schur)[..., 0]))[()]
+    return raw, _clamped(raw)
 
 
-def monogamy_residuals(v: CovarianceMatrix, focus: int) -> tuple[float, float]:
+def monogamy_residuals(v: ArrayLike, focus: int) -> tuple[NDArray[np.float64], ...]:
     """Residuals of the squared-entanglement and steering monogamy inequalities.
 
     ent residual:   E^2(focus | rest) - sum_j E^2(focus, j)
@@ -288,26 +288,29 @@ def monogamy_residuals(v: CovarianceMatrix, focus: int) -> tuple[float, float]:
 
     Both are >= 0 (up to numerical noise) for every physical state.
     """
-    m = v.modes
+    v = _states(v)
+    m = v.shape[-1] // 2
     if m < 3:
         raise ValueError("monogamy residuals need at least three modes")
     rest = [j for j in range(m) if j != focus]
     e_global = log_negativity(v, {focus}, rest)
-    s_global = gaussian_steering(v, {focus}, rest)[1]
-    ent_residual = e_global**2
-    steer_residual = s_global
+    ent_residual = e_global * e_global
+    steer_residual = gaussian_steering(v, {focus}, rest)[1]
     for j in rest:
-        ent_residual -= log_negativity(v, {focus}, {j}) ** 2
-        steer_residual -= gaussian_steering(v, {focus}, {j})[1]
-    return float(ent_residual), float(steer_residual)
+        e_pair = log_negativity(v, {focus}, {j})
+        ent_residual = ent_residual - e_pair * e_pair
+        steer_residual = steer_residual - gaussian_steering(v, {focus}, {j})[1]
+    return ent_residual, steer_residual
 
 
-def local_phase_rotate(v: CovarianceMatrix, mode: int, angle: float) -> CovarianceMatrix:
-    """Conjugate one mode's quadratures by a rotation; all resource values are invariant."""
-    if not 0 <= mode < v.modes:
-        raise IndexError(f"mode index {mode} out of range for {v.modes} modes")
-    g = np.eye(2 * v.modes)
+def local_phase_rotate(v: ArrayLike, mode: int, angle: ArrayLike) -> NDArray[np.float64]:
+    """Conjugate one mode's quadratures by a rotation; all resource values are invariant.
+
+    angle is one angle, or one per state of the stack v.
+    """
+    v = _states(v)
+    x, y = _quadrature_indices([mode], v.shape[-1] // 2)
     c, s = np.cos(angle), np.sin(angle)
-    g[2 * mode : 2 * mode + 2, 2 * mode : 2 * mode + 2] = [[c, s], [-s, c]]
-    return CovarianceMatrix(g @ v.data @ g.T)
-
+    g = np.broadcast_to(np.eye(v.shape[-1]), (*np.shape(angle), *v.shape[-2:])).copy()
+    g[..., x, x], g[..., x, y], g[..., y, x], g[..., y, y] = c, s, -s, c
+    return _states(g @ v @ np.swapaxes(g, -1, -2))

@@ -35,7 +35,6 @@ from .dynamics import (
     steady_state,
 )
 from .gaussian import (
-    CovarianceMatrix,
     Regime,
     gaussian_steering,
     local_phase_rotate,
@@ -112,8 +111,8 @@ def two_mode_squeeze_symplectic(r: float) -> np.ndarray:
     )
 
 
-def random_physical_cm(rng: np.random.Generator) -> tuple[CovarianceMatrix, np.ndarray]:
-    """Random physical two-mode state with a known symplectic spectrum.
+def random_physical_cm(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Random physical two-mode state (4 x 4) with a known symplectic spectrum.
 
     Built as local rotations and a two-mode squeezer acting on a thermal
     state, so the spectrum is the thermal occupations by construction.
@@ -121,8 +120,7 @@ def random_physical_cm(rng: np.random.Generator) -> tuple[CovarianceMatrix, np.n
     nu = np.sort(0.5 + rng.uniform(0.0, 2.0, size=2))
     v = np.diag([nu[0], nu[0], nu[1], nu[1]])
     s = two_mode_squeeze_symplectic(rng.uniform(0.0, 1.2))
-    v = s @ v @ s.T
-    state = CovarianceMatrix(v)
+    state = s @ v @ s.T
     for mode in (0, 1):
         state = local_phase_rotate(state, mode, rng.uniform(0.0, 2.0 * np.pi))
     return state, nu
@@ -153,9 +151,9 @@ def _rk4_step(a, d, v, h):
     return (v + np.swapaxes(v, -1, -2)) / 2.0
 
 
-def lyapunov_rk4(dd: DriftDiffusion, v0: CovarianceMatrix, grid: np.ndarray,
+def lyapunov_rk4(dd: DriftDiffusion, v0: np.ndarray, grid: np.ndarray,
                  h: float | np.ndarray | None = None) -> np.ndarray:
-    """RK4 oracle: the states on a strictly ascending grid, v0 being the one at grid[0].
+    """RK4 oracle: the states on a strictly ascending grid, the 2M x 2M v0 the one at grid[0].
 
     On a grid from t = 0 with v0 the vacuum it returns what
     propagate_lti(dd, grid) does, up to its O(h^4) error, in the same array
@@ -181,7 +179,8 @@ def lyapunov_rk4(dd: DriftDiffusion, v0: CovarianceMatrix, grid: np.ndarray,
         raise ValueError("grid must be a non-empty 1-d array of times, or one row per model")
     if np.any(np.diff(grid, axis=1) <= 0):
         raise ValueError("grid must be strictly ascending")
-    if v0.modes != dd.modes:
+    v0 = np.asarray(v0, dtype=float)
+    if v0.shape != a.shape[1:]:
         raise ValueError("initial state and drift matrix disagree on mode count")
     h_target = np.broadcast_to(np.asarray([auto_step(x) for x in a] if h is None else h,
                                           dtype=float), (models,))
@@ -190,7 +189,7 @@ def lyapunov_rk4(dd: DriftDiffusion, v0: CovarianceMatrix, grid: np.ndarray,
     spans = np.diff(grid, axis=1)
     substeps = np.maximum(1, np.ceil(spans / h_target[:, None]))
     h_sub = spans / substeps
-    v = np.array(np.broadcast_to(v0.data, a.shape))
+    v = np.array(np.broadcast_to(v0, a.shape))
     states = np.full((*grid.shape, *a.shape[1:]), math.nan)
     states[:, 0] = v
     finite = np.ones(models, dtype=bool)
@@ -213,53 +212,50 @@ def effective_parameter_sets() -> list[EffectiveModel]:
             for ratio in (0.1, 0.5, 0.9, 1.5, 3.0, 4.0)]
 
 
+def _random_states(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (count, 4, 4) stack of random_physical_cm states and their (count, 2) spectra."""
+    states, spectra = zip(*(random_physical_cm(rng) for _ in range(count)))
+    return np.stack(states), np.stack(spectra)
+
+
+def _general_resources(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(E, S_ac_raw, S_ca_raw) of two-mode states by the general eigenvalue route."""
+    return (log_negativity(v, {0}, {1}), gaussian_steering(v, {0}, {1})[0],
+            gaussian_steering(v, {1}, {0})[0])
+
+
 def check_symplectic_oracle() -> CheckResult:
     """General eigenvalue route vs the two-mode determinant closed forms.
 
     The symplectic spectrum is checked against the construction, and the
-    entanglement and both raw steerings of the general route against one
-    two_mode_resources call on the whole stack of states.
+    entanglement and both raw steerings of the general route against the
+    closed forms, each route taking the whole stack of states in one call.
     """
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    states = []
-    for _ in range(1000):
-        state, nu = random_physical_cm(rng)
-        states.append(state)
-        spectrum = symplectic_eigenvalues(state)
-        worst = max(worst, float(np.max(np.abs(spectrum - nu))))
-    closed = two_mode_resources(np.stack([state.data for state in states]))
-    for i, state in enumerate(states):
-        general = (log_negativity(state, {0}, {1}), gaussian_steering(state, {0}, {1})[0],
-                   gaussian_steering(state, {1}, {0})[0])
-        worst = max(worst, max(abs(g - float(c[i])) for g, c in zip(general, closed)))
+    states, spectra = _random_states(np.random.default_rng(SEED), 1000)
+    worst = max(float(np.max(np.abs(symplectic_eigenvalues(states) - spectra))),
+                *(float(np.max(np.abs(g - c))) for g, c in
+                  zip(_general_resources(states), two_mode_resources(states))))
     return CheckResult("symplectic-eigenvalues-vs-closed-form", worst, "<", 1e-10,
                        f"{len(states)} random states, construction spectrum included")
 
 
 def check_pt_involution() -> CheckResult:
-    rng = np.random.default_rng(SEED + 1)
-    worst = 0.0
-    for _ in range(200):
-        state, _ = random_physical_cm(rng)
-        twice = partial_transpose(partial_transpose(state, {1}), {1})
-        worst = max(worst, float(np.max(np.abs(twice.data - state.data))))
-    return CheckResult("partial-transpose-involution", worst, "==", 0.0,
-                       "bit-exact double application, 200 random states")
+    states = _random_states(np.random.default_rng(SEED + 1), 200)[0]
+    twice = partial_transpose(partial_transpose(states, {1}), {1})
+    return CheckResult("partial-transpose-involution", float(np.max(np.abs(twice - states))),
+                       "==", 0.0, "bit-exact double application, 200 random states")
 
 
 def check_rotation_invariance() -> CheckResult:
     """Entanglement and both steering directions are blind to a local phase rotation."""
     rng = np.random.default_rng(SEED + 2)
-    worst = 0.0
-    for _ in range(200):
-        state, _ = random_physical_cm(rng)
-        rotated = local_phase_rotate(state, int(rng.integers(0, 2)), rng.uniform(0, 2 * np.pi))
-        worst = max(worst, abs(log_negativity(rotated, {0}, {1})
-                               - log_negativity(state, {0}, {1})))
-        for direction in (({0}, {1}), ({1}, {0})):
-            worst = max(worst, abs(gaussian_steering(rotated, *direction)[0]
-                                   - gaussian_steering(state, *direction)[0]))
+    draws = [(random_physical_cm(rng)[0], int(rng.integers(0, 2)), rng.uniform(0, 2 * np.pi))
+             for _ in range(200)]
+    states, modes, angles = (np.array(column) for column in zip(*draws))
+    rotated = np.where((modes == 0)[:, None, None], local_phase_rotate(states, 0, angles),
+                       local_phase_rotate(states, 1, angles))
+    worst = max(float(np.max(np.abs(r - s))) for r, s in
+                zip(_general_resources(rotated), _general_resources(states)))
     return CheckResult("resources-invariant-under-phase-rotation", worst, "<", 1e-10,
                        "200 random states, one random local rotation each")
 
@@ -282,7 +278,7 @@ def check_analytic_vs_rk4() -> CheckResult:
     steps = [min(auto_step(dd.a), 2.0 * tau / 4000.0) for dd, tau in zip(pairs, taus)]
     states = lyapunov_rk4(DriftDiffusion(np.stack([dd.a for dd in pairs]),
                                          np.stack([dd.d for dd in pairs])),
-                          CovarianceMatrix.vacuum(2), grids, h=np.array(steps))
+                          np.eye(4) / 2.0, grids, h=np.array(steps))
     exact = np.stack([analytic_effective_cm(m, grid) for m, grid in zip(models, grids)])
     worst = float(np.max(np.abs(exact - states)))
     return CheckResult("analytic-cm-vs-rk4", worst, "<", 1e-8,
@@ -294,8 +290,8 @@ def check_rk4_convergence() -> CheckResult:
     """Halving the step shrinks the error by ~2^4."""
     m = EffectiveModel(0.9, 0.7, 1.0)
     dd = build_effective_drift_diffusion(m)
-    exact = analytic_effective_cm(m, 2.0).data
-    finals = (lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), np.array([0.0, 2.0]), h=h)[-1]
+    exact = analytic_effective_cm(m, 2.0)
+    finals = (lyapunov_rk4(dd, np.eye(4) / 2.0, np.array([0.0, 2.0]), h=h)[-1]
               for h in (0.08, 0.04))
     coarse, fine = (float(np.max(np.abs(final - exact))) for final in finals)
     ratio = coarse / fine
@@ -309,8 +305,7 @@ def check_physicality_under_evolution() -> CheckResult:
     for m in (EffectiveModel(0.5, 1.0, 1.0), EffectiveModel(1.0, 0.5, 1.0),
               EffectiveModel(0.8, 1.0, 0.6, n_a=0.5, n_c=1.0)):
         grid = np.linspace(0, 2 * characteristic_time(m), 15)
-        for state in analytic_effective_cm(m, grid):
-            worst = min(worst, float(symplectic_eigenvalues(CovarianceMatrix(state))[0]))
+        worst = min(worst, float(np.min(symplectic_eigenvalues(analytic_effective_cm(m, grid)))))
     return CheckResult("physicality-under-evolution", worst, ">=", 0.5 - 1e-9,
                        "min symplectic eigenvalue along trajectories")
 
@@ -332,7 +327,7 @@ def check_steering_bounded_by_entanglement() -> CheckResult:
                 raw, clamped = gaussian_steering(state, *direction)
                 if raw > 0:
                     points += 1
-                    margin = min(margin, e - clamped)
+                    margin = min(margin, float(e - clamped))
     return CheckResult("steering-strictly-below-entanglement", margin, ">", 0.0,
                        f"{points} sampled states with positive raw steering")
 
@@ -384,7 +379,7 @@ def check_coupling_sign_irrelevant() -> CheckResult:
     tau = characteristic_time(m1)
     e1 = log_negativity(analytic_effective_cm(m1, tau), {0}, {1})
     e2 = log_negativity(analytic_effective_cm(m2, tau), {0}, {1})
-    worst = max(worst, abs(e1 - e2))
+    worst = max(worst, float(abs(e1 - e2)))
     return CheckResult("coupling-sign-independence", worst, "<", 1e-12,
                        "g_eff odd under theta -> theta + pi, resources even")
 
@@ -418,7 +413,7 @@ def check_steady_state_residual() -> CheckResult:
                chain_full_drift_diffusion(eom_to_chain(eom))]
     for dd in systems:
         v = steady_state(dd)
-        worst = max(worst, float(np.max(np.abs(dd.a @ v.data + v.data @ dd.a.T + dd.d))))
+        worst = max(worst, float(np.max(np.abs(dd.a @ v + v @ dd.a.T + dd.d))))
     return CheckResult("steady-state-residual", worst, "<", 1e-10,
                        f"{len(systems)} stable systems")
 
@@ -457,10 +452,9 @@ def check_stationary_dual_route() -> CheckResult:
             state = steady_state(build_effective_drift_diffusion(m))
         else:
             state = analytic_effective_cm(m, 2.0 * characteristic_time(m))
-        worst = max(worst,
-                    abs(log_negativity(state, {0}, {1}) - max(0.0, stationary_entanglement(m))),
-                    abs(gaussian_steering(state, {0}, {1})[0] - stationary_steering(m, "ac")),
-                    abs(gaussian_steering(state, {1}, {0})[0] - stationary_steering(m, "ca")))
+        closed = (max(0.0, stationary_entanglement(m)), stationary_steering(m, "ac"),
+                  stationary_steering(m, "ca"))
+        worst = max(worst, *(float(abs(g - c)) for g, c in zip(_general_resources(state), closed)))
     return CheckResult("stationary-dual-route", worst, "<", 1e-3,
                        f"{len(models)} models, both regimes")
 
@@ -559,9 +553,8 @@ def check_monogamy_on_trajectories() -> CheckResult:
     for chain in (eom_to_chain(EomParams(**EOM_FIG3)), comm_to_chain(CommParams(**COMM_FIG4))):
         dd = chain_full_drift_diffusion(chain)
         grid = np.linspace(0.0, 1.25 * characteristic_time(reduce_chain(chain)), 26)
-        for state in propagate_lti(dd, grid)[1:]:
-            ent_res, steer_res = monogamy_residuals(CovarianceMatrix(state), 0)
-            worst = min(worst, ent_res, steer_res)
+        residuals = monogamy_residuals(propagate_lti(dd, grid)[1:], 0)
+        worst = min(worst, *(float(np.min(r)) for r in residuals))
     return CheckResult("monogamy-residuals-nonnegative", worst, ">=", -1e-9,
                        "26 samples to 1.25 tau on EOM Fig. 3 and COMM Fig. 4")
 

@@ -27,11 +27,7 @@ from mochain.dynamics import (
     squeeze_variances,
     steady_state,
 )
-from mochain.gaussian import (
-    CovarianceMatrix,
-    gaussian_steering,
-    log_negativity,
-)
+from mochain.gaussian import gaussian_steering, log_negativity
 from mochain.stationary import (
     SteeringRegion,
     stationary_entanglement,
@@ -298,8 +294,8 @@ def test_criterion_09_monogamy(verify_results):
                                ("comm", CommParams(**COMM_FIG4), comm_to_chain)):
         chain = to_chain(p)
         dd, tau = chain_full_drift_diffusion(chain), characteristic_time(reduce(chain))
-        state = CovarianceMatrix(propagate_lti(dd, [tau])[0])
-        rest = list(range(1, state.modes))
+        state = propagate_lti(dd, [tau])[0]
+        rest = list(range(1, dd.modes))
         e_global = log_negativity(state, {0}, rest)
         e_mo = log_negativity(state, {0}, {1})
         assert abs(e_mo**2 - e_global**2) / e_global**2 < 0.05, label

@@ -57,11 +57,22 @@ class TestCheckRates:
          "thermal occupations must be non-negative"),
         (lambda: CommParams(**dict(COMM_FIG4, n_m=-1.0)),
          "thermal occupations must be non-negative"),
-    ], ids=["chain", "effective", "eom", "comm", "boundary", "chain-n", "effective-n", "comm-n"])
+        (lambda: EffectiveModel(0.1, math.nan, 1.0), "decay rates must be positive"),
+        (lambda: single_mode_chain(kappa_mid=(math.nan,)), "decay rates must be positive"),
+        (lambda: boundary_limits(math.nan, 1.0), "decay rates must be positive"),
+        (lambda: EffectiveModel(0.1, 1.0, 1.0, n_a=math.nan),
+         "thermal occupations must be non-negative"),
+        (lambda: single_mode_chain(n_mid=(math.nan,)), "thermal occupations must be non-negative"),
+    ], ids=["chain", "effective", "eom", "comm", "boundary", "chain-n", "effective-n", "comm-n",
+            "effective-nan", "chain-nan", "boundary-nan", "effective-n-nan", "chain-n-nan"])
     def test_one_message_per_rule(self, build, message):
         with pytest.raises(ParameterError) as info:
             build()
         assert str(info.value) == message
+
+    def test_nan_in_one_cell_is_refused(self):
+        with pytest.raises(ParameterError, match="^decay rates must be positive$"):
+            EffectiveModel(0.1, np.array([1.0, math.nan]), 1.0)
 
 
 class TestChainParamsValidation:

@@ -768,6 +768,26 @@ class TestCli:
             assert abs(table.column("E")[i] - e_inf) < 1e-9
             assert abs(table.column("S_ac_raw")[i] - s_ac_inf) < 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("overrides, times", [
+        ({}, {"t_end_in_tau": 35134, "samples": 2}),
+        ({"kappa_b": 1.0, "n_b": 5e307}, {"t_end_in_tau": 1, "samples": 3}),
+    ], ids=["state-above-half-range", "diffusion-above-half-range"])
+    def test_entries_above_half_the_double_range_are_one_error(self, tmp_path, capsys,
+                                                                overrides, times):
+        # finite states and diffusion entries above DBL_MAX / 2 stay finite when
+        # symmetrized, so the run ends on the row that leaves double range
+        # (never the exact vacuum at t = 0), with one line and exit 3
+        params = dict(omega_b=1.0, delta_a=5.0, g_a=0.2, g_c=0.3, kappa_a=4e-3, kappa_c=8e-3,
+                      kappa_b=1e-6, n_b=10.0)
+        raw = {"system": "eom", "parameters": {**params, **overrides}, "times": times}
+        config_path = tmp_path / "huge.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["evolve", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        self.assert_one_line(err, "error: ")
+        assert " at t = " in err and " at t = 0\n" not in err and " at t = 0.0\n" not in err
+
     def test_lost_precision_is_a_numeric_failure(self, tmp_path, capsys):
         # EOM Fig-3 at 12 tau: the microwave-optical block comes out with
         # det v ~ -1.9e26, a covariance that lost its precision, not a state

@@ -20,7 +20,7 @@ from mochain.dynamics import (
 from mochain import sweep
 from mochain.config import RunConfig, SweepAxis
 from mochain.errors import CovarianceOverflowError, NumericError, RegimeError
-from mochain.gaussian import CovarianceMatrix, two_mode_resources
+from mochain.gaussian import two_mode_resources
 from mochain.systems import (
     COMM_FIG4,
     EOM_FIG3,
@@ -76,7 +76,7 @@ class TestDriftDiffusionBuilder:
         dd = build_effective_drift_diffusion(EffectiveModel(0.0, 1.0, 1.0))
         assert np.array_equal(dd.a, -np.eye(4))
         assert np.array_equal(dd.d, np.eye(4))
-        assert np.allclose(steady_state(dd).data, np.eye(4) / 2, atol=1e-14)
+        assert np.allclose(steady_state(dd), np.eye(4) / 2, atol=1e-14)
 
     def test_unsteady_spectral_abscissa(self):
         dd = build_effective_drift_diffusion(UNSTEADY)
@@ -111,6 +111,12 @@ class TestDriftDiffusionBuilder:
         with pytest.raises(ValueError, match="positive semidefinite"):
             DriftDiffusion(-np.eye(4), indefinite)
         DriftDiffusion(-np.eye(4), np.diag([1.0, 1.0, -1e-13, 0.0]))  # within the bound
+
+    @pytest.mark.filterwarnings("error")
+    def test_diffusion_above_half_the_double_range_stays_finite(self):
+        # (d + d^T)/2 overflows at 1e308 + 1e308; the symmetrized entry is 1e308
+        dd = DriftDiffusion(np.zeros((2, 2)), np.diag([1e308, 1.0]))
+        assert np.array_equal(dd.d, np.diag([1e308, 1.0]))
 
 
 class TestStackedDriftDiffusion:
@@ -170,22 +176,22 @@ class TestAnalyticCovariance:
     def test_initial_condition_exact(self):
         for m in (STEADY, UNSTEADY, EffectiveModel(0.3, 1.4, 0.2)):
             v = analytic_effective_cm(m, 0.0)
-            assert np.max(np.abs(v.data - np.eye(4) / 2)) < 1e-15
+            assert np.max(np.abs(v - np.eye(4) / 2)) < 1e-15
 
     def test_steady_long_time_constants(self):
         v = analytic_effective_cm(STEADY, 40.0)
-        assert abs(v.data[0, 0] - 2.0 / 3.0) < 1e-10
-        assert abs(v.data[3, 3] - 2.0 / 3.0) < 1e-10
-        assert abs(v.data[0, 3] - (-1.0 / 3.0)) < 1e-10
+        assert abs(v[0, 0] - 2.0 / 3.0) < 1e-10
+        assert abs(v[3, 3] - 2.0 / 3.0) < 1e-10
+        assert abs(v[0, 3] - (-1.0 / 3.0)) < 1e-10
 
     def test_sparsity_pattern(self):
-        v = analytic_effective_cm(UNSTEADY, 1.0).data
+        v = analytic_effective_cm(UNSTEADY, 1.0)
         assert v[0, 1] == 0.0 and v[0, 2] == 0.0 and v[1, 3] == 0.0
         assert v[0, 0] == v[1, 1] and v[2, 2] == v[3, 3] and v[0, 3] == v[1, 2]
 
     def test_zero_coupling_stays_vacuum(self):
         v = analytic_effective_cm(EffectiveModel(0.0, 0.5, 1.0), 7.0)
-        assert np.array_equal(v.data, np.eye(4) / 2)
+        assert np.array_equal(v, np.eye(4) / 2)
 
     @pytest.mark.parametrize("m", [EffectiveModel(math.sqrt(0.5), 0.5, 1.0),
                                    EffectiveModel(math.sqrt(0.5), 0.5, 1.0, n_a=0.5, n_c=1.0)],
@@ -209,8 +215,8 @@ class TestAnalyticCovariance:
             assert np.max(np.abs(v - state)) < 1e-12 * np.max(np.abs(v))
 
     def test_sign_symmetry_of_coupling(self):
-        plus = analytic_effective_cm(UNSTEADY, 2.0).data
-        minus = analytic_effective_cm(EffectiveModel(-1.0, 0.5, 1.0), 2.0).data
+        plus = analytic_effective_cm(UNSTEADY, 2.0)
+        minus = analytic_effective_cm(EffectiveModel(-1.0, 0.5, 1.0), 2.0)
         flip = np.diag([1.0, -1.0, 1.0, -1.0])
         assert np.max(np.abs(minus - flip @ plus @ flip)) == 0.0
 
@@ -233,7 +239,7 @@ class TestAnalyticCovarianceOnGrid:
         grid = self.evolve_grid(m)
         states = analytic_effective_cm(m, grid)
         assert isinstance(states, np.ndarray) and states.shape == (len(grid), 4, 4)
-        assert np.array_equal(states, np.stack([analytic_effective_cm(m, t).data
+        assert np.array_equal(states, np.stack([analytic_effective_cm(m, t)
                                                 for t in grid.tolist()]))
 
     def test_start_and_zero_coupling_are_exact_vacuum(self):
@@ -297,7 +303,7 @@ class TestLyapunovRk4:
         # g = 0: v(t) = I/2 + (I/2) e^{-2 kappa t}
         dd = build_effective_drift_diffusion(EffectiveModel(0.0, 1.0, 1.0))
         grid = np.linspace(0.0, 3.0, 7)
-        states = lyapunov_rk4(dd, CovarianceMatrix(np.eye(4)), grid, h=0.005)
+        states = lyapunov_rk4(dd, np.eye(4), grid, h=0.005)
         assert len(states) == len(grid)
         for t, state in zip(grid, states):
             expected = np.eye(4) * (0.5 + 0.5 * math.exp(-2.0 * t))
@@ -307,19 +313,19 @@ class TestLyapunovRk4:
         dd = build_effective_drift_diffusion(STEADY)
         tau = characteristic_time(STEADY)
         grid = np.linspace(0, 2 * tau, 11)
-        states = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), grid)
+        states = lyapunov_rk4(dd, np.eye(4) / 2, grid)
         worst = max(
-            float(np.max(np.abs(analytic_effective_cm(STEADY, t).data - s)))
+            float(np.max(np.abs(analytic_effective_cm(STEADY, t) - s)))
             for t, s in zip(grid, states)
         )
         assert worst < 1e-8
 
     def test_fourth_order_convergence(self):
         dd = build_effective_drift_diffusion(EffectiveModel(0.9, 0.7, 1.0))
-        exact = analytic_effective_cm(EffectiveModel(0.9, 0.7, 1.0), 2.0).data
+        exact = analytic_effective_cm(EffectiveModel(0.9, 0.7, 1.0), 2.0)
 
         def err(h):
-            final = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), [0.0, 2.0], h=h)[-1]
+            final = lyapunov_rk4(dd, np.eye(4) / 2, [0.0, 2.0], h=h)[-1]
             return float(np.max(np.abs(final - exact)))
 
         ratio = err(0.05) / err(0.025)
@@ -328,7 +334,7 @@ class TestLyapunovRk4:
     def test_truncation_on_overflow(self):
         dd = build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))
         # overflow ends the finite rows at the last finite grid point; the rest are nan
-        states = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), np.linspace(0.0, 200.0, 21))
+        states = lyapunov_rk4(dd, np.eye(4) / 2, np.linspace(0.0, 200.0, 21))
         assert states.shape == (21, 4, 4)
         finite = int(np.sum(np.all(np.isfinite(states), axis=(1, 2))))
         assert 1 < finite < 21
@@ -341,7 +347,7 @@ class TestLyapunovRk4:
         dds = [build_effective_drift_diffusion(m) for m in models]
         grids = np.stack([np.linspace(0.0, 2.0 * characteristic_time(m), 5) for m in models])
         steps = grids[:, -1] / np.array([64.0, 128.0, 192.0])
-        vacuum = CovarianceMatrix.vacuum(2)
+        vacuum = np.eye(4) / 2
         states = lyapunov_rk4(stack(dds), vacuum, grids, h=steps)
         assert states.shape == (3, 5, 4, 4)
         for dd, grid, h, rows in zip(dds, grids, steps, states):
@@ -359,7 +365,7 @@ class TestLyapunovRk4:
         dds = [build_effective_drift_diffusion(STEADY),
                build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))]
         grid = np.linspace(0.0, 50.0, 11)
-        vacuum = CovarianceMatrix.vacuum(2)
+        vacuum = np.eye(4) / 2
         alone = lyapunov_rk4(dds[1], vacuum, grid, h=0.02)
         finite = int(np.sum(np.all(np.isfinite(alone), axis=(1, 2))))
         states = lyapunov_rk4(stack(dds), vacuum, grid, h=0.02)
@@ -371,33 +377,33 @@ class TestLyapunovRk4:
     def test_stack_validation(self):
         dds = stack([build_effective_drift_diffusion(STEADY)] * 2)
         with pytest.raises(ValueError):
-            lyapunov_rk4(dds, CovarianceMatrix.vacuum(2), [[0.0, 1.0]])
+            lyapunov_rk4(dds, np.eye(4) / 2, [[0.0, 1.0]])
         with pytest.raises(ValueError):
-            lyapunov_rk4(dds, CovarianceMatrix.vacuum(2), [[0.0, 1.0], [0.0, 0.0]])
+            lyapunov_rk4(dds, np.eye(4) / 2, [[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
-            lyapunov_rk4(dds, CovarianceMatrix.vacuum(2), [0.0, 1.0], h=[0.1, 0.0])
+            lyapunov_rk4(dds, np.eye(4) / 2, [0.0, 1.0], h=[0.1, 0.0])
 
     def test_grid_validation(self):
         dd = build_effective_drift_diffusion(STEADY)
         with pytest.raises(ValueError):
-            lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), [1.0, 0.5])
+            lyapunov_rk4(dd, np.eye(4) / 2, [1.0, 0.5])
         with pytest.raises(ValueError):
-            lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), [0.0, 0.0])
+            lyapunov_rk4(dd, np.eye(4) / 2, [0.0, 0.0])
         with pytest.raises(ValueError):
-            lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), [])
+            lyapunov_rk4(dd, np.eye(4) / 2, [])
         with pytest.raises(ValueError):
-            lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), [0.0, 1.0], h=0.0)
+            lyapunov_rk4(dd, np.eye(4) / 2, [0.0, 1.0], h=0.0)
         with pytest.raises(ValueError):
-            lyapunov_rk4(dd, CovarianceMatrix.vacuum(3), [0.0, 1.0])
+            lyapunov_rk4(dd, np.eye(6) / 2, [0.0, 1.0])
 
 
 class TestSteadyState:
     def test_vacuum_bath(self):
         dd = build_effective_drift_diffusion(EffectiveModel(0.0, 0.7, 1.3))
-        assert np.allclose(steady_state(dd).data, np.eye(4) / 2, atol=1e-13)
+        assert np.allclose(steady_state(dd), np.eye(4) / 2, atol=1e-13)
 
     def test_effective_constants(self):
-        v = steady_state(build_effective_drift_diffusion(STEADY)).data
+        v = steady_state(build_effective_drift_diffusion(STEADY))
         assert abs(v[0, 0] - 2.0 / 3.0) < 1e-12
         assert abs(abs(v[0, 3]) - 1.0 / 3.0) < 1e-12
 
@@ -407,7 +413,7 @@ class TestSteadyState:
 
     def test_residual_bound(self):
         dd = build_effective_drift_diffusion(EffectiveModel(0.4, 0.9, 1.1, n_a=2.0, n_c=0.3))
-        v = steady_state(dd).data
+        v = steady_state(dd)
         assert np.max(np.abs(dd.a @ v + v @ dd.a.T + dd.d)) < 1e-10
 
 
@@ -428,7 +434,7 @@ class TestPropagateLti:
         times = [0.5 * tau, tau, 2.0 * tau]
         exact = propagate_lti(dd, times)
         for t, state in zip(times, exact):
-            assert np.max(np.abs(state - analytic_effective_cm(UNSTEADY, t).data)) < 1e-10
+            assert np.max(np.abs(state - analytic_effective_cm(UNSTEADY, t))) < 1e-10
 
     def test_critical_coupling_matches_rk4(self):
         # g^2 = ka kc has no fixed point; the covariance grows without bound
@@ -436,7 +442,7 @@ class TestPropagateLti:
         dd = build_effective_drift_diffusion(m)
         grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
         exact = propagate_lti(dd, grid)
-        oracle = lyapunov_rk4(dd, CovarianceMatrix.vacuum(2), grid, h=0.01)
+        oracle = lyapunov_rk4(dd, np.eye(4) / 2, grid, h=0.01)
         assert oracle.shape == exact.shape == (len(grid), 4, 4)
         for state, reference in zip(exact, oracle):
             scale = float(np.max(np.abs(reference)))
@@ -451,7 +457,7 @@ class TestPropagateLti:
         # order onto the exact states (entries of order 0.5)
         grid = np.linspace(0.0, 20.0, 5)
         exact = propagate_lti(dd, grid)
-        oracle = lyapunov_rk4(dd, CovarianceMatrix.vacuum(modes), grid)
+        oracle = lyapunov_rk4(dd, np.eye(2 * modes) / 2, grid)
         assert oracle.shape == exact.shape == (len(grid), 2 * modes, 2 * modes)
         assert np.max(np.abs(exact - oracle)) < 1e-7
 
@@ -495,6 +501,21 @@ class TestPropagateLti:
         dd = build_effective_drift_diffusion(EffectiveModel(10.0, 0.01, 0.01))
         with pytest.raises(OverflowError, match="t = 40"):
             propagate_lti(dd, np.linspace(0.0, 200.0, 21))
+
+    @pytest.mark.filterwarnings("error")
+    def test_states_above_half_the_double_range_stay_finite(self):
+        # a divergent EOM chain past 35100 tau: the microwave-optical entries
+        # reach ~1.5e308, where (v + v^T)/2 would overflow; every returned
+        # state is finite and symmetric, and the first state past double
+        # range raises instead
+        chain = eom_to_chain(EomParams(omega_b=1.0, delta_a=5.0, g_a=0.2, g_c=0.3, kappa_a=4e-3,
+                                       kappa_c=8e-3, kappa_b=1e-6, n_b=10.0))
+        dd, tau = chain_full_drift_diffusion(chain), characteristic_time(reduce(chain))
+        states = propagate_lti(dd, np.arange(35100.0, 35141.0, 2.0) * tau, modes=2)
+        assert np.all(np.isfinite(states)) and np.max(np.abs(states)) > np.finfo(float).max / 2
+        assert np.array_equal(states, np.swapaxes(states, -1, -2))
+        with pytest.raises(CovarianceOverflowError):
+            propagate_lti(dd, np.arange(35100.0, 35200.0, 2.0) * tau, modes=2)
 
     def test_grid_validation(self):
         dd = build_effective_drift_diffusion(STEADY)
@@ -592,13 +613,13 @@ class TestDiagonalStart:
     """The vacuum combines as the column scaling Phi / 2: the bits of Phi (I/2) Phi^T."""
 
     @staticmethod
-    def two_products(dd: DriftDiffusion, v0: CovarianceMatrix, times: np.ndarray,
+    def two_products(dd: DriftDiffusion, v0: np.ndarray, times: np.ndarray,
                      kept: int) -> np.ndarray:
         """propagate_lti's states with the combining step written as two long-double products."""
         cell_of = np.repeat(np.arange(len(dd.a)), times.shape[1])
         phi, q = dynamics._van_loan_pair(dd.a[cell_of], dd.d[cell_of], times.ravel())
         phi = phi[:, :kept].astype(np.longdouble)
-        state = (phi @ v0.data.astype(np.longdouble) @ np.swapaxes(phi, -1, -2)
+        state = (phi @ v0.astype(np.longdouble) @ np.swapaxes(phi, -1, -2)
                  + q[:, :kept, :kept]).astype(float)
         state = (state + np.swapaxes(state, -1, -2)) / 2.0
         return state.reshape(*times.shape, kept, kept)
@@ -609,14 +630,14 @@ class TestDiagonalStart:
         dds = stack([build_effective_drift_diffusion(m) for m in TestRowIndependence.MODELS])
         times = np.stack([TestRowIndependence.grid(characteristic_time(m))
                           for m in TestRowIndependence.MODELS])
-        v0 = CovarianceMatrix(np.diag(diagonal))
+        v0 = np.diag(diagonal)
         assert np.array_equal(propagate_lti(dds, times, modes=modes),
                               self.two_products(dds, v0, times, 2 * modes))
 
     def test_comm_region_block(self):
         _, _, dds, taus = TestBatchedPropagation.comm_grid()
         times = np.array(taus)[:, None]
-        vacuum = CovarianceMatrix.vacuum(4)
+        vacuum = np.eye(8) / 2
         assert np.array_equal(propagate_lti(stack(dds), times, modes=2),
                               self.two_products(stack(dds), vacuum, times, 4))
 
@@ -821,7 +842,7 @@ class TestAffineInDiffusion:
         scale = np.max(heat)
         phi, q = reference_pair(dd.a, vacuum.d, tau)
         q = q + scale * reference_pair(dd.a, heat / scale, tau)[1]
-        v = CovarianceMatrix.vacuum(3).data.astype(np.longdouble)
+        v = (np.eye(6) / 2).astype(np.longdouble)
         for state in propagate_lti(dd, [tau, 2.0 * tau]):
             v = phi @ v @ phi.T + q
             assert np.max(np.abs(state - v)) <= 1e-10 * np.max(np.abs(v))
@@ -929,7 +950,7 @@ class TestSqueezeVariances:
         theta = math.atan2(2.0 * m.g_eff, m.kappa_a - m.kappa_c) / 2.0
         x = np.array([math.cos(theta), math.sin(theta)])
         y = np.array([math.sin(theta), -math.cos(theta)])
-        v = analytic_effective_cm(m, t).data[np.ix_([0, 3], [0, 3])]
+        v = analytic_effective_cm(m, t)[np.ix_([0, 3], [0, 3])]
         return float(x @ v @ x), float(y @ v @ y), float(x @ v @ y)
 
     def test_variances_match_rotated_covariance(self):
@@ -953,7 +974,7 @@ class TestSqueezeVariances:
             assert abs(reported - closed) < 1e-15
             # the covariance route cancels growing elements, so allow roundoff
             # at the scale of the largest entry
-            tol = 1e-15 * float(np.max(np.abs(analytic_effective_cm(m, t).data)))
+            tol = 1e-15 * float(np.max(np.abs(analytic_effective_cm(m, t))))
             assert abs(reported - self.eigenbasis_of(m, t)[2]) < max(tol, 1e-15)
 
     def test_critical_coupling_grows_linearly(self):

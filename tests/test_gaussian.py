@@ -1,4 +1,4 @@
-"""Covariance representation and resource functionals, including frozen worked examples.
+"""States as stacked covariance arrays and the resource functionals, with frozen worked examples.
 
 The two-mode state reached by the symmetric-decay model at g = 0.5,
 kappa_a = kappa_c = 1 (elements 2/3 on the diagonal, -1/3 on the squeezing
@@ -9,7 +9,7 @@ entanglement ln(3/2) are exact.
 import numpy as np
 import pytest
 
-from mochain.chain import EffectiveModel
+from mochain.chain import EffectiveModel, reduce
 from mochain.dynamics import (
     analytic_effective_cm,
     build_effective_drift_diffusion,
@@ -19,64 +19,76 @@ from mochain.dynamics import (
 )
 from mochain.errors import NumericError, UnphysicalStateError
 from mochain.gaussian import (
-    CovarianceMatrix,
+    PHYSICALITY_TOL,
     gaussian_steering,
     local_phase_rotate,
     log_negativity,
     monogamy_residuals,
     partial_transpose,
     symplectic_eigenvalues,
+    symmetrize,
     symplectic_form,
     two_mode_resources,
 )
+from mochain.systems import EOM_FIG3, EomParams, chain_full_drift_diffusion, eom_to_chain
 from mochain.verify import random_physical_cm, two_mode_squeeze_symplectic
 
 
-
-def symmetric_steady_cm() -> CovarianceMatrix:
+def symmetric_steady_cm() -> np.ndarray:
     return steady_state(build_effective_drift_diffusion(EffectiveModel(0.5, 1.0, 1.0)))
 
 
-class TestCovarianceMatrix:
-    def test_constructor_symmetrizes(self):
+def vacuum(n_modes: int) -> np.ndarray:
+    return np.eye(2 * n_modes) / 2
+
+
+class TestStateInput:
+    """Every functional takes float arrays of (..., 2M, 2M) states through one checked input."""
+
+    def test_symmetrizes(self):
         raw = np.eye(4) / 2
         raw[0, 3] = 1e-13
-        v = CovarianceMatrix(raw)
-        assert np.array_equal(v.data, v.data.T)
-        assert v.data[0, 3] == v.data[3, 0] == 5e-14
+        v = local_phase_rotate(raw, 0, 0.0)
+        assert np.array_equal(v, v.T)
+        assert v[0, 3] == v[3, 0] == 5e-14
+
+    def test_symmetrize_is_the_half_sum_and_never_overflows(self):
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((5, 4, 4)) * 10.0 ** rng.integers(-300, 300, (5, 4, 4))
+        assert np.array_equal(symmetrize(v), (v + np.swapaxes(v, -1, -2)) / 2)
+        big = np.array([[1e308, 1.7e308], [1.6e308, -1e308]])
+        half = big[0, 1] / 2 + big[1, 0] / 2
+        assert np.array_equal(symmetrize(big), [[1e308, half], [half, -1e308]])
 
     def test_rejects_bad_shapes_and_values(self):
-        with pytest.raises(ValueError):
-            CovarianceMatrix(np.eye(3))
-        with pytest.raises(ValueError):
-            CovarianceMatrix(np.full((4, 4), np.nan))
+        for functional in (symplectic_eigenvalues, lambda v: partial_transpose(v, {0})):
+            with pytest.raises(ValueError, match=r"^covariance matrix must be 2M x 2M"):
+                functional(np.eye(3))
+            with pytest.raises(ValueError, match=r"^covariance matrix must be 2M x 2M"):
+                functional(np.ones(4))
+            with pytest.raises(ValueError, match="^covariance matrix has non-finite entries$"):
+                functional(np.full((4, 4), np.nan))
 
     def test_vacuum_and_reduction(self):
-        v = CovarianceMatrix.vacuum(3)
-        assert v.modes == 3
-        sub = v.reduced([0, 2])
-        assert sub.modes == 2
-        assert np.array_equal(sub.data, np.eye(4) / 2)
-
-    def test_data_is_read_only(self):
-        v = CovarianceMatrix.vacuum(2)
-        with pytest.raises(ValueError):
-            v.data[0, 0] = 3.0
+        # a product vacuum reduces to a product vacuum: nothing to share
+        assert np.array_equal(partial_transpose(vacuum(3), {0, 2}), vacuum(3))
+        assert log_negativity(vacuum(3), {2}, {0}) == 0.0
+        assert np.allclose(symplectic_eigenvalues(vacuum(3)), 0.5, rtol=0, atol=1e-15)
 
 
 class TestSymplecticEigenvalues:
     def test_vacuum(self):
-        assert np.allclose(symplectic_eigenvalues(CovarianceMatrix.vacuum(2)), [0.5, 0.5])
+        assert np.allclose(symplectic_eigenvalues(vacuum(2)), [0.5, 0.5])
 
     def test_thermal_product(self):
-        v = CovarianceMatrix(np.diag([1.0, 1.0, 2.0, 2.0]))
+        v = np.diag([1.0, 1.0, 2.0, 2.0])
         assert np.allclose(symplectic_eigenvalues(v), [1.0, 2.0], atol=1e-12)
 
     def test_squeezing_preserves_spectrum(self):
         s = two_mode_squeeze_symplectic(0.7)
         omega = symplectic_form(2)
         assert np.allclose(s @ omega @ s.T, omega, atol=1e-12)
-        v = CovarianceMatrix(s @ np.diag([0.8, 0.8, 1.7, 1.7]) @ s.T)
+        v = s @ np.diag([0.8, 0.8, 1.7, 1.7]) @ s.T
         assert np.allclose(symplectic_eigenvalues(v), [0.8, 1.7], atol=1e-12)
 
     def test_steady_cm_spectrum_before_and_after_transpose(self):
@@ -89,32 +101,31 @@ class TestSymplecticEigenvalues:
     def test_closed_form_oracle(self):
         rng = np.random.default_rng(7)
         states = [random_physical_cm(rng)[0] for _ in range(50)]
-        closed = two_mode_resources(np.stack([state.data for state in states]))[0]
+        closed = two_mode_resources(np.stack(states))[0]
         for state, e in zip(states, closed):
             eta = symplectic_eigenvalues(partial_transpose(state, {0}))[0]
             assert abs(max(0.0, -np.log(2 * eta)) - e) < 1e-10
 
     def test_nonfinite_rejected(self):
-        v = CovarianceMatrix.vacuum(2)
-        bad = v.data.copy()
+        v = vacuum(2)
+        bad = v.copy()
         bad[0, 0] = np.inf
         with pytest.raises(ValueError):
-            CovarianceMatrix(bad)
+            symplectic_eigenvalues(bad)
 
 
 class TestPartialTranspose:
     def test_vacuum_invariant(self):
-        v = CovarianceMatrix.vacuum(2)
-        assert np.array_equal(partial_transpose(v, {0}).data, v.data)
+        v = vacuum(2)
+        assert np.array_equal(partial_transpose(v, {0}), v)
 
     def test_involution_is_exact(self):
         rng = np.random.default_rng(11)
         state, _ = random_physical_cm(rng)
-        assert np.array_equal(partial_transpose(partial_transpose(state, {1}), {1}).data,
-                              state.data)
+        assert np.array_equal(partial_transpose(partial_transpose(state, {1}), {1}), state)
 
     def test_validates_mode_set(self):
-        v = CovarianceMatrix.vacuum(2)
+        v = vacuum(2)
         with pytest.raises(ValueError):
             partial_transpose(v, set())
         with pytest.raises(IndexError):
@@ -123,7 +134,7 @@ class TestPartialTranspose:
 
 class TestLogNegativity:
     def test_product_state_unentangled(self):
-        v = CovarianceMatrix(np.diag([0.7, 0.7, 1.1, 1.1]))
+        v = np.diag([0.7, 0.7, 1.1, 1.1])
         assert log_negativity(v, {0}, {1}) == 0.0
 
     def test_symmetric_steady_value(self):
@@ -146,7 +157,7 @@ class TestLogNegativity:
         # the batched determinant kernel against the general eigenvalue route
         rng = np.random.default_rng(13)
         states = [random_physical_cm(rng)[0] for _ in range(100)]
-        stack = np.stack([state.data for state in states]).reshape(10, 10, 4, 4)
+        stack = np.stack(states).reshape(10, 10, 4, 4)
         e, s_ac, s_ca = two_mode_resources(stack)
         assert e.shape == s_ac.shape == s_ca.shape == (10, 10)
         for state, closed in zip(states, zip(e.ravel(), s_ac.ravel(), s_ca.ravel())):
@@ -155,14 +166,14 @@ class TestLogNegativity:
             assert np.max(np.abs(np.subtract(general, closed))) < 1e-10
 
     def test_one_vs_rest_and_reduction(self):
-        v = CovarianceMatrix(np.kron(np.eye(3), np.eye(2)) * 0.5)
+        v = np.kron(np.eye(3), np.eye(2)) * 0.5
         assert log_negativity(v, {0}, {1, 2}) == 0.0
         assert log_negativity(v, {0}, {2}) == 0.0
 
     def test_rejects_unphysical_and_bad_partitions(self):
         with pytest.raises(UnphysicalStateError):
-            log_negativity(CovarianceMatrix(np.eye(4) * 0.1), {0}, {1})
-        v = CovarianceMatrix.vacuum(2)
+            log_negativity(np.eye(4) * 0.1, {0}, {1})
+        v = vacuum(2)
         with pytest.raises(ValueError):
             log_negativity(v, {0, 1}, {0})  # overlapping sides
         with pytest.raises(IndexError):
@@ -181,13 +192,13 @@ class TestOneVsRest:
         ({-1}, {0}, IndexError),
     ])
     def test_same_error_for_the_same_modes(self, one, others, error):
-        v = CovarianceMatrix.vacuum(3)
+        v = vacuum(3)
         for functional in (log_negativity, gaussian_steering):
             with pytest.raises(error):
                 functional(v, one, others)
 
     def test_unphysical_state_is_rejected_by_both(self):
-        v = CovarianceMatrix(np.eye(6) * 0.2)
+        v = np.eye(6) * 0.2
         for functional in (log_negativity, gaussian_steering):
             with pytest.raises(UnphysicalStateError):
                 functional(v, {0}, {1})
@@ -198,13 +209,14 @@ class TestOneVsRest:
         rng = np.random.default_rng(5)
         pair, _ = random_physical_cm(rng)
         v = np.eye(6) * 0.5
-        v[2:, 2:] = pair.data
-        v = local_phase_rotate(CovarianceMatrix(v), 0, 0.3)
+        v[2:, 2:] = pair
+        v = local_phase_rotate(v, 0, 0.3)
         s = two_mode_squeeze_symplectic(0.4)
         full = np.eye(6)
         full[np.ix_([0, 1, 2, 3], [0, 1, 2, 3])] = s
-        v = CovarianceMatrix(full @ v.data @ full.T)
-        permuted = v.reduced([2, 0, 1])
+        v = full @ v @ full.T
+        order = [4, 5, 0, 1, 2, 3]  # modes (2, 0, 1)
+        permuted = v[np.ix_(order, order)]
         for functional in (log_negativity, gaussian_steering):
             assert functional(v, {2}, [1, 0]) == functional(permuted, {0}, {1, 2})
             assert functional(v, {2}, {1}) == functional(permuted, {0}, {2})
@@ -212,7 +224,7 @@ class TestOneVsRest:
 
 class TestTwoModeResources:
     def test_worked_example_and_vacuum(self):
-        e, s_ac, s_ca = two_mode_resources(np.stack([symmetric_steady_cm().data, np.eye(4) / 2]))
+        e, s_ac, s_ca = two_mode_resources(np.stack([symmetric_steady_cm(), np.eye(4) / 2]))
         assert abs(e[0] - np.log(1.5)) < 1e-12 and abs(s_ac[0]) < 1e-12
         assert e[1] == 0.0 and not np.signbit(e[1]) and s_ac[1] == s_ca[1] == 0.0
 
@@ -229,8 +241,8 @@ class TestTwoModeResources:
         m = EffectiveModel(1.9923732904068676, 1.0, 1.0, n_a=0.1)
         dd = build_effective_drift_diffusion(m)
         t = 5.0 * characteristic_time(m)
-        state = CovarianceMatrix(propagate_lti(dd, [t])[0])
-        assert np.max(np.abs(state.data)) > 5e8
+        state = propagate_lti(dd, [t])[0]
+        assert np.max(np.abs(state)) > 5e8
 
         def entanglement(v):
             det_v = mp.det(v)
@@ -250,8 +262,8 @@ class TestTwoModeResources:
             v = (v + v.T) / 2
             exact, rounded = entanglement(v), np.array(v.tolist(), dtype=float)
         with mp.workdps(60):
-            of_input = entanglement(mp.matrix(state.data.tolist()))
-        kernel = float(two_mode_resources(state.data)[0])
+            of_input = entanglement(mp.matrix(state.tolist()))
+        kernel = float(two_mode_resources(state)[0])
         general = log_negativity(state, {0}, {1})
         assert abs(kernel - of_input) <= abs(general - of_input)
         assert abs(kernel - of_input) < 1e-8
@@ -275,7 +287,7 @@ class TestTwoModeResources:
         with pytest.raises(NumericError, match="state 1"):
             two_mode_resources(stack)
         with pytest.raises(NumericError):
-            gaussian_steering(CovarianceMatrix(stack[1]), {0}, {1})
+            gaussian_steering(stack[1], {0}, {1})
 
     @pytest.mark.filterwarnings("error")
     def test_invariants_past_double_range_are_named(self):
@@ -294,7 +306,7 @@ class TestTwoModeResources:
         # states with positive raw steering carry strictly more entanglement
         for g, ka, kc in ((0.5, 0.5, 1.0), (0.8, 0.6, 1.2)):
             v = steady_state(build_effective_drift_diffusion(EffectiveModel(g, ka, kc)))
-            (e,), (s_ac,), (s_ca,) = two_mode_resources(v.data[None])
+            (e,), (s_ac,), (s_ca,) = two_mode_resources(v[None])
             assert e > max(0.0, s_ac, s_ca)
 
     def test_one_state_is_not_numbered(self):
@@ -319,7 +331,7 @@ class TestTwoModeResources:
 
 class TestGaussianSteering:
     def test_no_cross_correlations_means_no_steering(self):
-        v = CovarianceMatrix(np.diag([0.9, 0.9, 1.3, 1.3]))
+        v = np.diag([0.9, 0.9, 1.3, 1.3])
         raw, clamped = gaussian_steering(v, {0}, {1})
         assert raw < 0 and clamped == 0.0
 
@@ -337,49 +349,49 @@ class TestGaussianSteering:
         rng = np.random.default_rng(17)
         for _ in range(100):
             state, _ = random_physical_cm(rng)
-            v_a = state.data[:2, :2]
-            det_route = 0.5 * np.log(np.linalg.det(v_a) / (4 * np.linalg.det(state.data)))
+            v_a = state[:2, :2]
+            det_route = 0.5 * np.log(np.linalg.det(v_a) / (4 * np.linalg.det(state)))
             raw, _ = gaussian_steering(state, {0}, {1})
             assert abs(raw - det_route) < 1e-10
 
     def test_multimode_steered_set(self):
-        v = CovarianceMatrix(np.eye(6) * 0.5)
+        v = np.eye(6) * 0.5
         raw, clamped = gaussian_steering(v, {0}, {1, 2})
         assert clamped == 0.0
 
     def test_multimode_steerer_rejected(self):
-        v = CovarianceMatrix(np.eye(6) * 0.5)
+        v = np.eye(6) * 0.5
         with pytest.raises(ValueError):
             gaussian_steering(v, {0, 1}, {2})
 
     def test_unphysical_rejected(self):
         with pytest.raises(UnphysicalStateError):
-            gaussian_steering(CovarianceMatrix(np.eye(4) * 0.2), {0}, {1})
+            gaussian_steering(np.eye(4) * 0.2, {0}, {1})
 
 
 class TestMonogamy:
     def test_product_vacuum_residuals_vanish(self):
-        v = CovarianceMatrix(np.eye(6) * 0.5)
+        v = np.eye(6) * 0.5
         ent, steer = monogamy_residuals(v, 0)
         assert ent == 0.0 and steer == 0.0
 
     def test_needs_three_modes(self):
         with pytest.raises(ValueError):
-            monogamy_residuals(CovarianceMatrix.vacuum(2), 0)
+            monogamy_residuals(vacuum(2), 0)
 
     def test_focus_index_validated(self):
         with pytest.raises(IndexError):
-            monogamy_residuals(CovarianceMatrix.vacuum(3), 5)
+            monogamy_residuals(vacuum(3), 5)
 
 
 class TestLocalPhaseRotate:
     def test_zero_angle_identity(self):
         v = symmetric_steady_cm()
-        assert np.allclose(local_phase_rotate(v, 0, 0.0).data, v.data, atol=0)
+        assert np.allclose(local_phase_rotate(v, 0, 0.0), v, atol=0)
 
     def test_full_turn_returns(self):
         v = symmetric_steady_cm()
-        assert np.allclose(local_phase_rotate(v, 1, 2 * np.pi).data, v.data, atol=1e-12)
+        assert np.allclose(local_phase_rotate(v, 1, 2 * np.pi), v, atol=1e-12)
 
     def test_resource_invariance(self):
         rng = np.random.default_rng(19)
@@ -391,3 +403,124 @@ class TestLocalPhaseRotate:
             assert abs(log_negativity(rotated, {0}, {1}) - log_negativity(state, {0}, {1})) < 1e-10
             assert np.allclose(symplectic_eigenvalues(rotated),
                                symplectic_eigenvalues(state), atol=1e-10)
+
+
+def thermal_squeezed(nu: float, r: float = 0.3) -> np.ndarray:
+    """Mode a at symplectic eigenvalue nu, mode c at 1, then a two-mode squeezer."""
+    s = two_mode_squeeze_symplectic(r)
+    return s @ np.diag([nu, nu, 1.0, 1.0]) @ s.T
+
+
+class TestGuardBounds:
+    """The physicality, condition-number and pairing guards of both routes, at their bounds."""
+
+    def test_physicality_tolerance_on_both_routes(self):
+        inside = thermal_squeezed(0.5 - 0.5 * PHYSICALITY_TOL)
+        outside = thermal_squeezed(0.5 - 2.0 * PHYSICALITY_TOL)
+        two_mode_resources(inside)
+        log_negativity(inside, {0}, {1})
+        gaussian_steering(inside, {0}, {1})
+        message = r"^state violates the uncertainty bound: min symplectic eigenvalue 0\.499999998$"
+        with pytest.raises(UnphysicalStateError, match=message):
+            two_mode_resources(outside)
+        for functional in (log_negativity, gaussian_steering):
+            with pytest.raises(UnphysicalStateError, match=message):
+                functional(outside, {0}, {1})
+
+    @pytest.mark.parametrize("cond, refused", [(0.5e12, False), (2e12, True)],
+                             ids=["accepted", "refused"])
+    def test_steerer_condition_bound_on_both_routes(self, cond, refused):
+        # a squeezed vacuum (symplectic eigenvalue 1/2) beside a vacuum: det v_a = 1/4
+        c = np.sqrt(cond)
+        squeezed = np.diag([0.5 * c, 0.5 / c, 0.5, 0.5])
+        for block, v in (("a", squeezed), ("c", squeezed[::-1, ::-1])):
+            if refused:
+                with pytest.raises(NumericError, match=rf"^steerer block {block} is numerically "
+                                                       r"singular \(condition number 2\.000e\+12\)$"):
+                    two_mode_resources(v)
+            else:
+                two_mode_resources(v)
+        if refused:
+            with pytest.raises(NumericError, match=r"^steerer block is numerically singular "
+                                                   r"\(condition number 2\.000e\+12\)$"):
+                gaussian_steering(squeezed, {0}, {1})
+        else:
+            gaussian_steering(squeezed, {0}, {1})
+
+    def test_pairing_check_trips_on_a_physical_state(self):
+        # heavy squeezing (entries ~1e8): the double matrix is positive definite
+        # with exact symplectic spectrum {1.83, 1.83} (80-digit mpmath), but
+        # eigvals splits the degenerate pair by ~20% relative
+        s = two_mode_squeeze_symplectic(9.75)
+        v = s @ np.diag([0.5, 0.5, 1.0, 1.0]) @ s.T
+        with pytest.raises(NumericError, match="^symplectic eigenvalue pairing failed"):
+            symplectic_eigenvalues(v)
+        with pytest.raises(NumericError, match="^state 1: symplectic eigenvalue pairing failed"):
+            symplectic_eigenvalues(np.stack([vacuum(2), v]))
+
+
+def three_mode_states(count: int) -> np.ndarray:
+    """States of the EOM Fig-3 chain (microwave, optical, mechanics) along its trajectory."""
+    chain = eom_to_chain(EomParams(**EOM_FIG3))
+    tau = characteristic_time(reduce(chain))
+    return propagate_lti(chain_full_drift_diffusion(chain), np.linspace(0.1, 1.5, count) * tau)
+
+
+FUNCTIONALS = {
+    "symplectic_eigenvalues": symplectic_eigenvalues,
+    "partial_transpose": lambda v: partial_transpose(v, {1}),
+    "log_negativity": lambda v: log_negativity(v, {0}, {1}),
+    "gaussian_steering": lambda v: gaussian_steering(v, {1}, {0}),
+    "local_phase_rotate": lambda v: local_phase_rotate(v, 1, 0.7),
+    "two_mode_resources": two_mode_resources,
+}
+
+
+class TestStacks:
+    """Every functional takes a stack as its states one at a time, bit for bit, and leaves it."""
+
+    @staticmethod
+    def assert_stack_is_singles(functional, stack):
+        frozen = stack.copy()
+        stack.flags.writeable = False  # an in-place write raises
+        whole = functional(stack)
+        singles = [functional(state) for state in stack.reshape(-1, *stack.shape[-2:])]
+        assert np.array_equal(stack, frozen)
+        if not isinstance(whole, tuple):
+            whole, singles = (whole,), [(single,) for single in singles]
+        for part, column in zip(whole, zip(*singles)):
+            assert part.shape[:stack.ndim - 2] == stack.shape[:-2]
+            assert np.array_equal(part, np.reshape(column, part.shape))
+
+    @pytest.mark.parametrize("name", FUNCTIONALS)
+    def test_two_mode_stack(self, name):
+        rng = np.random.default_rng(23)
+        stack = np.stack([random_physical_cm(rng)[0] for _ in range(12)]).reshape(3, 4, 4, 4)
+        self.assert_stack_is_singles(FUNCTIONALS[name], stack)
+
+    @pytest.mark.parametrize("functional", [
+        lambda v: monogamy_residuals(v, 0),
+        lambda v: log_negativity(v, {0}, {1, 2}),
+        lambda v: gaussian_steering(v, {2}, {0, 1}),
+        symplectic_eigenvalues,
+    ], ids=["monogamy_residuals", "log_negativity", "gaussian_steering", "symplectic_eigenvalues"])
+    def test_three_mode_stack(self, functional):
+        self.assert_stack_is_singles(functional, three_mode_states(5))
+
+    def test_one_angle_per_state(self):
+        rng = np.random.default_rng(29)
+        stack = np.stack([random_physical_cm(rng)[0] for _ in range(6)])
+        angles = rng.uniform(0.0, 2.0 * np.pi, 6)
+        rotated = local_phase_rotate(stack, 0, angles)
+        assert np.array_equal(rotated, [local_phase_rotate(v, 0, a) for v, a in zip(stack, angles)])
+
+    def test_errors_name_the_first_bad_state(self):
+        bad = np.stack([vacuum(2), vacuum(2), vacuum(2)])
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="^state 1: covariance matrix has non-finite entries$"):
+            symplectic_eigenvalues(bad)
+        with pytest.raises(UnphysicalStateError, match="^state 2 violates the uncertainty bound"):
+            log_negativity(np.stack([vacuum(2), vacuum(2), np.eye(4) * 0.1]), {0}, {1})
+        singular = np.stack([vacuum(2), np.diag([1e7, 1e-7, 0.5, 0.5])])
+        with pytest.raises(NumericError, match="^state 1: steerer block is numerically singular"):
+            gaussian_steering(singular, {0}, {1})
