@@ -10,8 +10,8 @@ the resulting dynamical regime.
 Every parameter field is a float or a (B,) array holding one value per cell
 of a sweep chunk, and every function here evaluates all cells at once: a
 float field is the B = 1 case, whose results come back as plain Python
-scalars. A check that fails, or a resonant denominator, raises for the whole
-call; the sweep finds the failing cell of a chunk.
+scalars. A check that fails, or a resonant denominator, raises once for the
+whole call, its index the first failing cell (first_cell).
 """
 
 from __future__ import annotations
@@ -44,14 +44,20 @@ def per_cell(value: Any) -> Any:
     return value.item() if value.ndim == 0 else value
 
 
+def first_cell(bad: Any) -> int | None:
+    """Flat index of the first set flag of a (B,) mask; None for one flag (one cell, or all)."""
+    return int(np.argmax(bad)) if np.ndim(bad) else None
+
+
 def reject_cells(flags: Iterable, message: str) -> None:
-    """Raise ParameterError(message) if any flag is set in any cell.
+    """Raise ParameterError(message) if any flag is set in any cell, indexed by first_cell.
 
     flags holds one flag per checked value, each a bool or a (B,) mask over
     the cells of a chunk.
     """
-    if np.any(functools.reduce(operator.or_, flags, False)):
-        raise ParameterError(message)
+    bad = functools.reduce(operator.or_, flags, False)
+    if np.any(bad):
+        raise ParameterError(message, first_cell(bad))
 
 
 def check_rates(rates: Iterable[Field], occupations: Iterable[Field]) -> None:
@@ -146,8 +152,9 @@ def _checked_gap(value: Field, scale: Field, label: str) -> Field:
     if it is zero or below RESONANCE_TOL relative to that scale."""
     resonant = (np.abs(value) < RESONANCE_TOL * scale) | (value == 0.0)
     if resonant.any():
+        cell = first_cell(resonant)
         raise SingularCouplingError(
-            f"resonant denominator {label} = {np.ravel(value)[np.argmax(resonant)]:.3e}")
+            f"resonant denominator {label} = {np.ravel(value)[cell or 0]:.3e}", cell)
     return value
 
 

@@ -285,8 +285,8 @@ def reduce_point(system: str, params: dict[str, Any]
     The chain is None for the effective model, which is its own reduction;
     every other system is mapped onto the chain once and reduced from it. A
     ParameterError of any step (a finite coupling that overflows the mapping
-    or whose square overflows, say) is a ConfigError with the same message; a
-    library error stays what it is.
+    or whose square overflows, say) is a ConfigError with the same message,
+    index and body; a library error stays what it is.
     """
     to_chain = system_entry(system).to_chain
     try:
@@ -294,5 +294,5 @@ def reduce_point(system: str, params: dict[str, Any]
         chain = None if to_chain is None else to_chain(p)
         model = p if chain is None else chain_mod.reduce(chain)
     except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(str(exc), exc.index, exc.body) from exc
     return chain, model

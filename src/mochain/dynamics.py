@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from .chain import EffectiveModel, Field, per_cell, reject_cells
-from .errors import CovarianceOverflowError, NumericError, RegimeError
+from .errors import CovarianceOverflowError, MochainError, NumericError, RegimeError
 from .gaussian import symmetrize
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
@@ -49,6 +49,12 @@ ROW_BLOCK = 128
 # ~0.5% of inputs; tau keeps math.hypot's rounding because an evolve grid
 # holds tau and 2 tau as rows, and a 1-ulp shift can add or merge one.
 _hypot = np.frompyfunc(math.hypot, 2, 1)
+
+
+def _cell_error(error: type[MochainError], cells: int, cell: int, template: str) -> MochainError:
+    """error(template) of a cell of a stack of cells, its {where} " in cell i" ("" in the body)."""
+    where = f" in cell {cell}" if cells > 1 else ""
+    return error(template.format(where=where), cell if where else None, template.format(where=""))
 
 
 def _first_bad(bad: NDArray[np.bool_], stacked: bool, what: str) -> None:
@@ -344,11 +350,11 @@ def propagate_lti(
     full state, as only Phi's leading 2m rows and Q's leading block enter
     the combining step.
     Raises CovarianceOverflowError, naming the first time (and the first cell
-    of a stack at that time) at which a state leaves double range, and
-    NumericError, naming the first cell's shortest span t whose reach
-    ||A||_1 t exceeds MAX_REACH = 2^33: its doublings would amplify the
-    rounding u = 2^-53 of the start pair past u ||A||_1 t = 2^-20. The
-    benchmark, demo and EOM rows to 40 tau reach less than 1e6.
+    of a stack at that time, also as index) at which a state leaves double
+    range, and NumericError, naming (and indexing) the first cell's shortest
+    span t whose reach ||A||_1 t exceeds MAX_REACH = 2^33: its doublings
+    would amplify the rounding u = 2^-53 of the start pair past u ||A||_1 t
+    = 2^-20. The benchmark, demo and EOM rows to 40 tau reach less than 1e6.
 
     The combining step runs in extended precision (np.longdouble; plain
     double where the platform has no wider type), while (Phi, Q) are double;
@@ -384,14 +390,14 @@ def propagate_lti(
 
     # one row per (cell, time), cell-major; a row's time is its span from the vacuum
     cell_of, span = np.repeat(np.arange(cells), times.shape[1]), times.ravel()
-    reach = _norm1(a)[cell_of] * span
-    if np.any(reach > MAX_REACH):
-        row = int(np.argmax(reach > MAX_REACH))  # the first cell's shortest such span
-        where = f" in cell {cell_of[row]}" if cells > 1 else ""
-        raise NumericError(f"span {span[row]:g}{where} is past the doubling bound "
-                           f"u ||A||_1 h <= 2^-20 (||A||_1 h = {reach[row]:.3g})")
     data = np.empty((len(span), kept, kept))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is raised below
+        reach = _norm1(a)[cell_of] * span
+        if np.any(reach > MAX_REACH):
+            row = int(np.argmax(reach > MAX_REACH))  # the first cell's shortest such span
+            raise _cell_error(NumericError, cells, int(cell_of[row]), f"span {span[row]:g}"
+                              "{where} is past the doubling bound u ||A||_1 h <= 2^-20 "
+                              f"(||A||_1 h = {reach[row]:.3g})")
         for start in range(0, len(span), ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             phi, q = _van_loan_pair(a[cell_of[rows]], d[cell_of[rows]], span[rows])
@@ -401,9 +407,8 @@ def propagate_lti(
     bad = ~np.all(np.isfinite(data), axis=(-2, -1))
     if np.any(bad):
         column, cell = divmod(int(np.argmax(bad.T)), cells)  # first column, then first cell
-        where = f" in cell {cell}" if cells > 1 else ""
-        raise CovarianceOverflowError(
-            f"covariance overflows double precision at t = {times[cell, column]:g}{where}")
+        raise _cell_error(CovarianceOverflowError, cells, cell, "covariance overflows double "
+                          f"precision at t = {times[cell, column]:g}" "{where}")
     out = symmetrize(data)  # finite, as data is
     return out.reshape(*shape, kept, kept) if single else out
 

@@ -3,18 +3,22 @@
 Every library error derives from MochainError, which the command line prints
 as one line instead of a traceback. Each also keeps the built-in base it had
 before the common one (ValueError, ArithmeticError, ...), so callers that
-catch those still do. A routine given a stack names the first bad cell or
-state in its message (DriftDiffusion, dynamics.propagate_lti and
-gaussian.two_mode_resources), and a run names where an error happened in
-its own terms: the failing cell's axis values (sweep._swept_chunks, which
-runs a failing chunk again one cell at a time) and the failing full-system
-state's time (sweep._full_resources, which evaluates a failing stack of
-states one state at a time).
+catch those still do. A check given a stack of cells or states keeps where
+it failed as data: index is the flat C-order position of the first offending
+item, and body the message that item alone gives, without the position the
+message may spell ("state i: ", " in cell i"). A run names where an error
+happened in its own terms: sweep maps the index to the failing cell's axis
+values or to the failing state's time.
 """
 
 
 class MochainError(Exception):
-    """Base of every error the library raises on purpose."""
+    """Base of every error the library raises on purpose; index None is one item, or
+    a failure every item shares (read as item 0), and body defaults to the message."""
+
+    def __init__(self, message: str, index: int | None = None, body: str | None = None):
+        super().__init__(message)
+        self.index, self.body = index, message if body is None else body
 
 
 class ParameterError(MochainError, ValueError):

@@ -8,8 +8,8 @@ eigenvalue is >= 1/2. Every functional takes one float array of shape
 (..., 2M, 2M), one state or a stack, through _states (shape, finiteness,
 symmetrize), and returns arrays of the leading shape (numpy scalars for one
 state), bit for bit those of the states taken one at a time; an error in a
-stack names its first offending state as "state i". No routine mutates its
-input.
+stack names its first offending state as "state i", and a MochainError also
+as its index. No routine mutates its input.
 
 Two routes compute the resources. two_mode_resources evaluates
 entanglement and both steering directions of two-mode states from 2x2
@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .errors import NumericError, UnphysicalStateError
+from .errors import MochainError, NumericError, UnphysicalStateError
 
 PHYSICALITY_TOL = 1e-9
 PAIRING_RTOL = 1e-9
@@ -64,10 +64,16 @@ def symmetrize(v: NDArray[np.float64]) -> NDArray[np.float64]:
     return sym
 
 
-def _state(bad: NDArray[np.bool_]) -> tuple[int, str]:
-    """Flat index of the first flagged state and its "state i: " prefix ("" for one state)."""
-    i = int(np.flatnonzero(bad.reshape(-1))[0])
-    return i, f"state {i}: " if bad.ndim else ""
+def _state_error(error: type[MochainError], bad: NDArray[np.bool_], values: NDArray,
+                 template: str) -> MochainError:
+    """error of the first state i flagged in bad, its {value} that of values; template's
+    {state} ("state i: ") or {at} (" i") is "" in its body and for one state."""
+    i = int(np.argmax(bad))
+    body = template.format(value=np.ravel(values)[i], state="", at="")
+    if not bad.ndim:
+        return error(body)
+    return error(template.format(value=np.ravel(values)[i], state=f"state {i}: ", at=f" {i}"),
+                 i, body)
 
 
 def _states(v: ArrayLike) -> NDArray[np.float64]:
@@ -80,7 +86,8 @@ def _states(v: ArrayLike) -> NDArray[np.float64]:
     finite = np.isfinite(sym)
     if not finite.all():
         bad = ~np.all(finite, axis=(-2, -1))
-        raise ValueError(f"{_state(bad)[1]}covariance matrix has non-finite entries")
+        where = f"state {int(np.argmax(bad))}: " if bad.ndim else ""
+        raise ValueError(f"{where}covariance matrix has non-finite entries")
     return sym
 
 
@@ -117,28 +124,24 @@ def symplectic_eigenvalues(v: ArrayLike) -> NDArray[np.float64]:
     residual = np.max(np.abs(hi - lo) / np.maximum(PAIRING_ATOL / PAIRING_RTOL, hi), axis=-1)
     unpaired = residual > PAIRING_RTOL
     if np.any(unpaired):
-        i, state = _state(unpaired)
-        raise NumericError(f"{state}symplectic eigenvalue pairing failed, "
-                           f"relative residual {residual.reshape(-1)[i]:.3e}")
+        raise _state_error(NumericError, unpaired, residual, "{state}symplectic eigenvalue "
+                           "pairing failed, relative residual {value:.3e}")
     return (lo + hi) / 2.0
 
 
 def _require_physical(nu_min: NDArray[np.float64], unphysical: NDArray[np.bool_]) -> None:
     """UnphysicalStateError naming the first flagged state and its smallest eigenvalue nu_min."""
     if np.any(unphysical):
-        i = _state(unphysical)[0]
-        raise UnphysicalStateError(
-            f"state{f' {i}' if unphysical.ndim else ''} violates the uncertainty bound: "
-            f"min symplectic eigenvalue {nu_min.reshape(-1)[i]:.12g}")
+        raise _state_error(UnphysicalStateError, unphysical, nu_min, "state{at} violates the "
+                           "uncertainty bound: min symplectic eigenvalue {value:.12g}")
 
 
 def _require_conditioned(cond: NDArray[np.float64], block: str) -> None:
     """NumericError naming the first state whose steerer block has condition number above 1e12."""
     singular = ~(cond <= 1e12)
     if np.any(singular):
-        i, state = _state(singular)
-        raise NumericError(f"{state}{block} is numerically singular "
-                           f"(condition number {cond.reshape(-1)[i]:.3e})")
+        raise _state_error(NumericError, singular, cond, "{state}" + block
+                           + " is numerically singular (condition number {value:.3e})")
 
 
 def partial_transpose(v: ArrayLike, flipped: Iterable[int]) -> NDArray[np.float64]:
@@ -165,7 +168,8 @@ def _require_finite(*invariants: NDArray[np.float64]) -> None:
     """Raise NumericError naming the first state at which an invariant is not finite."""
     finite = functools.reduce(np.logical_and, map(np.isfinite, invariants))
     if not finite.all():
-        raise NumericError(f"{_state(~finite)[1]}two-mode invariants left double range")
+        raise _state_error(NumericError, ~finite, ~finite,
+                           "{state}two-mode invariants left double range")
 
 
 def two_mode_resources(
@@ -212,9 +216,8 @@ def two_mode_resources(
         # a negative det v is lost precision, not a state below the uncertainty bound
         indefinite = det_v < 0.0
         if np.any(indefinite):
-            i, state = _state(indefinite)
-            raise NumericError(f"{state}covariance is not positive definite "
-                               f"(det v = {det_v.reshape(-1)[i]:.3e})")
+            raise _state_error(NumericError, indefinite, det_v, "{state}covariance is not "
+                               "positive definite (det v = {value:.3e})")
         nu = np.sqrt(nu2)
         _require_physical(nu, ~(nu >= 0.5 - PHYSICALITY_TOL))
         for name, frob2, det in (("a", frob2_a, det_a), ("c", frob2_c, det_c)):

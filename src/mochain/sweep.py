@@ -173,6 +173,18 @@ def _sample_grid(cfg: RunConfig, tau: float) -> np.ndarray:
     return np.array(sorted(grid))
 
 
+def _first_failure(run: Callable[[int], Any], count: int) -> Any:
+    """run(count) of the first count items of a stack, or the error of the first item
+    that fails alone: an error indexing item i > 0 is raised if run(i) passes, else
+    run(i)'s own first failure is (items fail alone as they do in a stack)."""
+    try:
+        return run(count)
+    except MochainError as exc:
+        if exc.index:
+            _first_failure(run, exc.index)
+        raise
+
+
 def _full_resources(chain: ChainParams, times: np.ndarray) -> tuple[np.ndarray, ...]:
     """(E, S_ac_raw, S_ca_raw) of a full chain's microwave-optical modes, each of times' shape.
 
@@ -181,21 +193,19 @@ def _full_resources(chain: ChainParams, times: np.ndarray) -> tuple[np.ndarray, 
     builds the pair (a stack for B cells) from the chain the caller already
     checked, and one propagate_lti call takes each cell exactly from the
     vacuum to its times as the states of modes 0 and 1 alone (its ROW_BLOCK
-    rows bound the memory of the Van Loan stacks). The resources of every state come from
-    one two_mode_resources call. If that call fails, the states are
-    evaluated again one at a time, and the first failing state's own error
-    is raised with its time.
+    rows bound the memory of the Van Loan stacks). The resources of every
+    state come from one two_mode_resources call on the flat states. A state
+    error's body gets the first failing state's time (_first_failure), and
+    its index becomes that state's cell.
     """
-    states = propagate_lti(chain_full_drift_diffusion(chain), times, modes=2)
+    states = propagate_lti(chain_full_drift_diffusion(chain), times, modes=2).reshape(-1, 4, 4)
     try:
-        return two_mode_resources(states)
-    except MochainError:
-        for t, state in zip(times.reshape(-1).tolist(), states.reshape(-1, 4, 4)):
-            try:
-                two_mode_resources(state)
-            except MochainError as exc:
-                raise type(exc)(f"{exc} at t = {t!r}") from exc
-        raise
+        resources = _first_failure(lambda n: two_mode_resources(states[:n]), len(states))
+    except MochainError as exc:
+        row = exc.index or 0
+        raise type(exc)(f"{exc.body} at t = {float(times.flat[row])!r}",
+                        row // times.shape[-1]) from exc
+    return tuple(values.reshape(times.shape) for values in resources)
 
 
 def _column(values: Any, count: int) -> list:
@@ -229,11 +239,10 @@ def _swept_chunks(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
     _full_resources builds the chunk's stacked pair from its checked chain,
     propagates it in one call and takes the resources in one call.
 
-    The one place that names an error's cell: a failing chunk is run again
-    one cell at a time, in order, and the first failing cell's own error,
-    which a one-point run prints too, is raised with its axis values
-    (without axes: unchanged). As every cell evaluates alike alone and among
-    others, a failing chunk holds a cell that fails alone.
+    The one place that names an error's cell: _first_failure over the
+    chunk's cells finds the first cell that fails alone, and its error, which
+    a one-point run of the cell prints too, is raised with the cell's axis
+    values appended to its body (without axes: unchanged).
     """
     def evaluate(chunk: list[tuple]) -> tuple:
         columns = dict(zip(names, np.array(chunk, dtype=float).T))
@@ -246,17 +255,13 @@ def _swept_chunks(cfg: RunConfig, names: tuple[str, ...], cells: list[tuple],
     for start in range(0, len(cells), SWEEP_CELLS):
         chunk = cells[start:start + SWEEP_CELLS]
         try:
-            chain, model, full = evaluate(chunk)
-        except MochainError:
+            chain, model, full = _first_failure(lambda n: evaluate(chunk[:n]), len(chunk))
+        except MochainError as exc:
             if not names:
                 raise
-            for cell in chunk:
-                try:
-                    evaluate([cell])
-                except MochainError as exc:
-                    where = ", ".join(f"{name} = {value!r}" for name, value in zip(names, cell))
-                    raise type(exc)(f"{exc} at {where}") from exc
-            raise
+            i = exc.index or 0
+            where = ", ".join(f"{name} = {value!r}" for name, value in zip(names, chunk[i]))
+            raise type(exc)(f"{exc.body} at {where}", start + i) from exc
         yield chunk, chain, model, full
 
 

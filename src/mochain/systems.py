@@ -43,7 +43,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .chain import ChainParams, EffectiveModel, Field, check_rates, reject_cells
+from .chain import ChainParams, EffectiveModel, Field, check_rates, first_cell, reject_cells
 from .dynamics import DriftDiffusion
 from .errors import CovarianceOverflowError
 
@@ -103,7 +103,7 @@ class CommParams:
 
 
 def _check_platform(omega_b: Field, rates: tuple, occupations: tuple) -> None:
-    """A platform's field checks, cell by cell (ParameterError names the first bad one)."""
+    """A platform's field checks, cell by cell (ParameterError indexes the first bad cell)."""
     reject_cells((omega_b <= 0,), "mechanical frequency must be positive")
     check_rates(rates, occupations)
 
@@ -175,7 +175,7 @@ def chain_full_drift_diffusion(c: ChainParams) -> DriftDiffusion:
     evaluated as sqrt(2) sin(pi/4 - theta), which is exactly 1 at theta = 0
     and exactly 0 at pi/4. (B,) fields give the stacked (B, 2M, 2M) pair.
     Finite parameters can give entries past double range (a doubled
-    coupling, a heated rate); any such cell raises CovarianceOverflowError.
+    coupling, a heated rate); CovarianceOverflowError indexes the first such cell.
     """
     detunings = (c.delta_a, c.delta_c, *c.omegas)
     kappas = (c.kappa_a, c.kappa_c, *c.kappa_mid)
@@ -201,8 +201,9 @@ def chain_full_drift_diffusion(c: ChainParams) -> DriftDiffusion:
     for matrix, entries in ((a, drift), (d, diffusion)):
         for i, j, value in entries:
             matrix[..., i, j] = value
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
-        raise CovarianceOverflowError("drift/diffusion overflows double precision")
+    bad = ~(np.isfinite(a).all(axis=(-2, -1)) & np.isfinite(d).all(axis=(-2, -1)))
+    if bad.any():
+        raise CovarianceOverflowError("drift/diffusion overflows double precision", first_cell(bad))
     return DriftDiffusion(a, d)
 
 

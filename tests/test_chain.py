@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,39 @@ class TestEffectiveCoupling:
         chain = single_mode_chain()
         flipped = single_mode_chain(theta=chain.theta + math.pi)
         assert abs(effective_coupling(chain) + effective_coupling(flipped)) < 1e-18
+
+
+class TestResonanceEdge:
+    """RESONANCE_TOL = 1e-12, pinned on each gap label just inside and just outside.
+
+    A gap is refused when it is below 1e-12 of its terms' scale. Each case
+    moves one term off resonance by eps (relative gap eps for delta_a -+
+    omega_1, about 2 eps for the squared gaps) at 0.9 and 1.1 of the edge.
+    """
+
+    CASES = {
+        # explicit delta_c: only effective_coupling checks the linear gaps
+        "delta_a - omega_1": (1.0, lambda e: effective_coupling(
+            single_mode_chain(delta_a=1.0 + e))),
+        "delta_a + omega_1": (1.0, lambda e: effective_coupling(
+            single_mode_chain(delta_a=-1.0 - e))),
+        # delta_c = None: matching the detuning meets omega_1^2 - delta_a^2 first
+        "omega_1^2 - delta_a^2": (0.5, lambda e: single_mode_chain(
+            delta_a=1.0 + e, delta_c=None).delta_c),
+        "omega_N^2 - delta_c^2": (0.5, lambda e: energy_shift(single_mode_chain(delta_c=1.0 + e))),
+    }
+
+    @pytest.mark.parametrize("label", sorted(CASES))
+    def test_just_inside_is_refused(self, label):
+        per_unit_gap, evaluate = self.CASES[label]
+        message = rf"^resonant denominator {re.escape(label)} = "
+        with pytest.raises(SingularCouplingError, match=message):
+            evaluate(0.9e-12 * per_unit_gap)
+
+    @pytest.mark.parametrize("label", sorted(CASES))
+    def test_just_outside_is_accepted(self, label):
+        per_unit_gap, evaluate = self.CASES[label]
+        assert math.isfinite(evaluate(1.1e-12 * per_unit_gap))
 
 
 class TestEnergyShift:

@@ -12,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mochain.chain import EffectiveModel, classify_regime, reduce
+from mochain.chain import EffectiveModel, classify_regime, reduce, reject_cells
 import mochain
 from mochain import cli, config, dynamics, sweep, verify
 from mochain.cli import main
 from mochain.config import RunConfig, SweepAxis, load_config, parse_config, reduce_point
-from mochain.dynamics import characteristic_time
-from mochain.errors import ConfigError, NumericError, SingularCouplingError
+from mochain.dynamics import DriftDiffusion, characteristic_time
+from mochain.errors import ConfigError, MochainError, NumericError, SingularCouplingError
+from mochain.gaussian import two_mode_resources
 from mochain.stationary import stationary_entanglement, stationary_steering, steering_region
 from mochain.sweep import Table, parse_csv, render, run_compare, run_evolve, run_region
 from mochain.systems import (
@@ -367,7 +368,7 @@ class TestSweepBlocking:
         self.small_blocks(monkeypatch)
         assert render(run(cfg)) == default
 
-    def test_first_failing_cell_is_found_cell_by_cell(self, monkeypatch):
+    def test_first_failing_cell_is_found_by_one_prefix_run(self, monkeypatch):
         # n_b = 1e80 is the first value whose two-mode invariants leave double
         # range: cell 13 of 21, the last cell of the second chunk
         axis = SweepAxis("n_b", 1e67, 1e87, 21, scale="log")
@@ -386,8 +387,102 @@ class TestSweepBlocking:
         with pytest.raises(NumericError) as info:
             run_compare(RunConfig("eom", dict(EOM_FIG3), sweep=(axis,)))
         assert str(info.value) == f"{alone.value} at n_b = {values[13]!r}"
-        # two chunks, then the failing chunk's seven cells one at a time
-        assert len(calls) == 9
+        # two chunks, then the failing chunk's first six cells once
+        assert len(calls) == 3
+
+    def test_failing_last_cell_costs_one_prefix_run(self, monkeypatch):
+        # a 512-cell chunk whose last cell alone fails at 2 tau: the chunk's
+        # states fail once, their prefix passes, and the cells before the
+        # failing one pass once more
+        axis = SweepAxis("n_b", 1.0, 9.94e79, 512, scale="log")
+        calls = {"reduce_point": 0, "two_mode_resources": 0}
+
+        def spy(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+            monkeypatch.setattr(sweep, name, counted)
+
+        spy("reduce_point", reduce_point)
+        spy("two_mode_resources", sweep.two_mode_resources)
+        with pytest.raises(NumericError) as info:
+            run_compare(RunConfig("eom", dict(EOM_FIG3), sweep=(axis,)))
+        value = axis.values()[-1]
+        assert value == pytest.approx(9.94e79)
+        assert str(info.value) == ("two-mode invariants left double range "
+                                   f"at t = 6360.255489325155 at n_b = {value!r}")
+        assert info.value.index == 511
+        assert calls == {"reduce_point": 2, "two_mode_resources": 3}
+
+
+def _pairs(*drifts: float) -> DriftDiffusion:
+    """A stack of 4 x 4 pairs, drift drifts[i] I and diffusion I in cell i."""
+    return DriftDiffusion(np.multiply.outer(drifts, np.eye(4)), np.stack([np.eye(4)] * len(drifts)))
+
+
+def _vacua_with(bad: np.ndarray) -> np.ndarray:
+    """A (2, 2) stack of vacua with bad at [1, 1], flat state 3."""
+    states = np.stack([np.eye(4) / 2.0] * 4).reshape(2, 2, 4, 4)
+    states[1, 1] = bad
+    return states
+
+
+@pytest.mark.parametrize("build, index, message, body", [
+    (lambda: reject_cells([np.array([False, False, True]), False], "bad"), 2, "bad", "bad"),
+    (lambda: reject_cells([True, np.False_], "bad"), None, "bad", "bad"),
+    (lambda: EffectiveModel(0.1, np.array([1.0, 1.0, -1.0, -1.0]), 1.0), 2,
+     "decay rates must be positive", None),
+    (lambda: eom_to_chain(EomParams(**dict(EOM_FIG3, g_a=np.array([0.1, np.inf])))), 1,
+     "chain parameters must be finite", None),
+    (lambda: characteristic_time(EffectiveModel(0.0, np.array([1.0, 1e-310]), 1e-310)), 1,
+     "characteristic time 4 pi / (Omega + kappa_a + kappa_c) is not finite and positive", None),
+    (lambda: EffectiveModel(np.array([1.0, 1e200, 1e300]), 1.0, 1.0), 1,
+     "effective coupling g_eff = 1e+200 is not finite or its square overflows", None),
+    (lambda: EomParams(**dict(EOM_FIG3, omega_b=np.array([1.0, 1.0, -1.0]))), 2,
+     "mechanical frequency must be positive", None),
+    (lambda: eom_to_chain(EomParams(**dict(EOM_FIG3, delta_a=np.array([5.0, 1.0, 1.0])))), 1,
+     "resonant denominator omega_1^2 - delta_a^2 = 0.000e+00", None),
+    (lambda: eom_to_chain(EomParams(**dict(EOM_FIG3, delta_a=1.0))), None,
+     "resonant denominator omega_1^2 - delta_a^2 = 0.000e+00", None),
+    (lambda: reduce_point("eom", dict(EOM_FIG3, kappa_a=np.array([1e-3, -1.0]))), 1,
+     "decay rates must be positive", None),
+    (lambda: chain_full_drift_diffusion(eom_to_chain(EomParams(**dict(
+        EOM_FIG3, n_b=np.array([10.0, 1e308, 1e308]))))), 1,
+     "drift/diffusion overflows double precision", None),
+    (lambda: dynamics.propagate_lti(_pairs(-1.0, -1e10, -1e10), [0.0, 1.0]), 1,
+     "span 1 in cell 1 is past the doubling bound u ||A||_1 h <= 2^-20 (||A||_1 h = 1e+10)",
+     "span 1 is past the doubling bound u ||A||_1 h <= 2^-20 (||A||_1 h = 1e+10)"),
+    (lambda: dynamics.propagate_lti(_pairs(-1.0, 300.0, 400.0), [0.0, 1.0, 2.0]), 2,
+     "covariance overflows double precision at t = 1 in cell 2",
+     "covariance overflows double precision at t = 1"),
+    (lambda: dynamics.propagate_lti(DriftDiffusion(400.0 * np.eye(4), np.eye(4)), [0.0, 1.0]),
+     None,
+     "covariance overflows double precision at t = 1", None),
+    (lambda: two_mode_resources(_vacua_with(np.diag([1e160, 1e160, 0.5, 0.5]))), 3,
+     "state 3: two-mode invariants left double range", "two-mode invariants left double range"),
+    (lambda: two_mode_resources(_vacua_with(np.diag([0.5, 0.5, 0.5, -0.5]))), 3,
+     "state 3: covariance is not positive definite (det v = -6.250e-02)",
+     "covariance is not positive definite (det v = -6.250e-02)"),
+    (lambda: two_mode_resources(_vacua_with(np.eye(4) / 10.0)), 3,
+     "state 3 violates the uncertainty bound: min symplectic eigenvalue 0.1",
+     "state violates the uncertainty bound: min symplectic eigenvalue 0.1"),
+    (lambda: two_mode_resources(_vacua_with(np.diag([1e7, 1e-7, 0.5, 0.5]))), 3,
+     "state 3: steerer block a is numerically singular (condition number 1.000e+14)",
+     "steerer block a is numerically singular (condition number 1.000e+14)"),
+    (lambda: two_mode_resources(np.eye(4) / 10.0), None,
+     "state violates the uncertainty bound: min symplectic eigenvalue 0.1", None),
+], ids=["reject_cells", "reject_cells-shared", "check_rates", "finite-parameters",
+        "characteristic_time", "g_eff-overflow", "platform", "checked_gap", "checked_gap-one",
+        "reduce_point", "drift-overflow", "reach", "state-overflow", "state-overflow-one",
+        "invariants", "indefinite", "physicality", "steerer", "physicality-one"])
+def test_stacked_check_indexes_its_first_offending_item(build, index, message, body):
+    # index: the flat position of the first offending cell or state (None for
+    # one item or a shared failure); body: the message without that position
+    with pytest.raises(MochainError) as info:
+        build()
+    assert str(info.value) == message
+    assert info.value.index == index
+    assert info.value.body == (message if body is None else body)
 
 
 # The platforms' reference points spelled as general chains, mapping written out
@@ -718,13 +813,20 @@ class TestCli:
             "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}},
          "span 62831.9 is past the doubling bound u ||A||_1 h <= 2^-20 "
          "(||A||_1 h = 1.26e+305) at g_m = 1e+300, kappa_c = 0.0001"),
+        # ||A||_1 t of the g_m = 1e304 cells overflows to inf, without a warning
+        ("region", {"system": "comm", "parameters": dict(COMM_FIG4, g_a=1e-160, g_c=1e-160),
+                    "sweep": {
+            "axis1": {"name": "g_m", "min": 1e300, "max": 1e304, "points": 3, "scale": "log"},
+            "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}},
+         "span 62831.9 is past the doubling bound u ||A||_1 h <= 2^-20 "
+         "(||A||_1 h = 1.26e+305) at g_m = 1e+300, kappa_c = 0.0001"),
         ("region", {"system": "eom", "parameters": dict(EOM_FIG3), "sweep": {
             "axis1": {"name": "g_a", "min": 1e100, "max": 1e300, "points": 3, "scale": "log"},
             "axis2": {"name": "kappa_c", "min": 1e-4, "max": 2e-4, "points": 2}}},
          "span 6.28319e-98 is past the doubling bound u ||A||_1 h <= 2^-20 "
          "(||A||_1 h = 5.24e+101) at g_a = 1e+100, kappa_c = 0.0001"),
     ], ids=["comm-point", "eom-point", "two-resonances", "n_b-3", "n_b-8", "n_m-region",
-            "g_m-region", "g_a-region"])
+            "g_m-region", "g_m-reach-overflow", "g_a-region"])
     def test_error_names_the_first_cell_failing_alone(self, tmp_path, capsys, command, raw,
                                                       message):
         config_path = tmp_path / "failing.json"
@@ -733,6 +835,19 @@ class TestCli:
         err = capsys.readouterr().err
         self.assert_one_line(err, "error: ")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("delta_c, label", [
+        ({"delta_c": 5.0}, "delta_a + omega_1"),
+        ({}, "omega_1^2 - delta_a^2"),
+    ], ids=["explicit-delta_c", "matched-delta_c"])
+    def test_delta_a_plus_omega_guard_is_reachable(self, tmp_path, capsys, delta_c, label):
+        # delta_a = -omega_1: with delta_c given, only the effective coupling's
+        # delta_a + omega_1 gap meets it; matching delta_c meets the squared gap first
+        raw = {"system": "chain", "parameters": {**EOM_AS_CHAIN, "delta_a": -1.0, **delta_c}}
+        config_path = tmp_path / "resonant.json"
+        config_path.write_text(json.dumps(raw))
+        assert main(["evolve", "--config", str(config_path)]) == 3
+        assert capsys.readouterr().err == f"error: resonant denominator {label} = 0.000e+00\n"
 
     def test_sweep_error_is_the_one_point_error_of_its_cell(self, tmp_path, capsys):
         point = {"system": "comm", "parameters": dict(COMM_FIG4, delta_m=2.0, delta_a=1.0)}
